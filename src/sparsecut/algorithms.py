@@ -23,7 +23,6 @@ from .certificates import (
 )
 from .errors import GraphError, NoCutsetFound, PreconditionError, ensure
 from .graph import (
-    CutsetReport,
     Graph,
     VertexSet,
     components,
@@ -128,6 +127,10 @@ def _edges_between(g: Graph, a: set[int], b: set[int]) -> int:
     return sum(1 for x in a for y in g.neighbors(x) if y in b)
 
 
+def _ensure_separates(g: Graph, s: set[int]) -> None:
+    ensure(len(components(g, s)) >= 2, "returned separator does not disconnect the graph")
+
+
 def _audit_growth(g: Graph, u_side: set[int], s_side: set[int]) -> None:
     """Recompute the two standing growth invariants from scratch."""
     comps = components(g, s_side)
@@ -211,7 +214,7 @@ def _run_growth(
 
 def theorem1_cutset(
     g: Graph, delta: int, trace: list[GrowthState] | None = None
-) -> CutsetReport:
+) -> GoodCutset:
     """Cutset of order at most delta with internal max degree <= delta - 3.
 
     Works on any connected graph of max degree <= delta and order at least
@@ -261,19 +264,18 @@ def theorem1_cutset(
     return _finish_thm1(g, delta, s_side)
 
 
-def _finish_thm1(g: Graph, delta: int, s_side: set[int]) -> CutsetReport:
-    report = induced_stats(g, s_side)
-    ensure(report.is_cutset, "returned separator does not disconnect the graph")
-    ensure(len(report.cutset) <= delta, "returned separator is larger than delta")
+def _finish_thm1(g: Graph, delta: int, s_side: set[int]) -> GoodCutset:
+    _ensure_separates(g, s_side)
+    ensure(len(s_side) <= delta, "returned separator is larger than delta")
     ensure(
-        report.max_degree_in_s <= delta - 3,
+        max_degree_in(g, s_side) <= delta - 3,
         "returned separator has internal max degree above delta - 3",
     )
     cert = GoodCutset(
-        cutset=report.cutset.members, size_bound=delta, degree_bound=delta - 3
+        cutset=tuple(sorted(s_side)), size_bound=delta, degree_bound=delta - 3
     )
     ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
-    return report
+    return cert
 
 
 def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
@@ -360,17 +362,16 @@ def _small_or_bug(g: Graph, allow_small: bool, message: str) -> None:
 
 
 def _finish_thm2(g: Graph, s_side: set[int], allow_small: bool) -> Certificate:
-    report = induced_stats(g, s_side)
-    if not report.is_cutset:
+    if len(components(g, s_side)) < 2:
         _small_or_bug(g, allow_small, "candidate separator does not disconnect the graph")
-    ensure(len(report.cutset) <= 5, "separator larger than five vertices")
-    ensure(report.max_degree_in_s <= 2, "separator has internal max degree above 2")
+    ensure(len(s_side) <= 5, "separator larger than five vertices")
+    ensure(max_degree_in(g, s_side) <= 2, "separator has internal max degree above 2")
     ensure(
-        report.induced_edge_count < len(report.cutset),
+        induced_edge_count(g, s_side) < len(s_side),
         "separator average internal degree is not below 2",
     )
     cert = GoodCutset(
-        cutset=report.cutset.members,
+        cutset=tuple(sorted(s_side)),
         size_bound=5,
         degree_bound=2,
         avg_bound_strict=(2, 1),
@@ -641,16 +642,15 @@ def _audit_thm5(
 def _thm5_cutset(
     g: Graph, delta: int, r: int, c: int, s_side: set[int]
 ) -> Certificate:
-    report = induced_stats(g, s_side)
-    ensure(report.is_cutset, "returned separator does not disconnect the graph")
+    _ensure_separates(g, s_side)
     ensure(
-        report.max_degree_in_s <= delta - c,
+        max_degree_in(g, s_side) <= delta - c,
         "separator internal max degree above delta - c",
     )
     bound = delta + (c - 3) * (r - 2)
-    ensure(len(report.cutset) <= bound, "separator exceeds the stated size bound")
+    ensure(len(s_side) <= bound, "separator exceeds the stated size bound")
     cert = GoodCutset(
-        cutset=report.cutset.members, size_bound=bound, degree_bound=delta - c
+        cutset=tuple(sorted(s_side)), size_bound=bound, degree_bound=delta - c
     )
     ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
     return cert
@@ -675,7 +675,7 @@ def prop1_is_icosahedron(g: Graph) -> bool:
     return True
 
 
-def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> CutsetReport:
+def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> GoodCutset:
     """Cutset with internal max degree <= 1 for connected graphs satisfying
     the exact edge-count gate m <= (2 + 1/(D^2+1)) n - 4 with D = max degree.
 
@@ -768,25 +768,24 @@ def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> CutsetReport:
     return _finish_prop2(g, s)
 
 
-def _finish_prop2(g: Graph, s: set[int]) -> CutsetReport:
-    report = induced_stats(g, s)
-    ensure(report.is_cutset, "returned separator does not disconnect the graph")
+def _finish_prop2(g: Graph, s: set[int]) -> GoodCutset:
+    _ensure_separates(g, s)
     ensure(
-        report.max_degree_in_s <= 1,
+        max_degree_in(g, s) <= 1,
         "separator internal max degree above 1",
     )
-    cert = GoodCutset(cutset=report.cutset.members, degree_bound=1)
+    cert = GoodCutset(cutset=tuple(sorted(s)), degree_bound=1)
     ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
-    return report
+    return cert
 
 
-def degenerate_sparse_cutset(g: Graph, u: int) -> CutsetReport:
+def degenerate_sparse_cutset(g: Graph, u: int) -> GoodCutset:
     """The folklore dilution cutset: the neighborhood of u plus a greedy
     independent set chosen entirely outside the closed 2-ball of u.
 
-    Needs order above D^2 + 1 so the far set is nonempty. The returned
-    report makes the average-degree dilution visible, since only the
-    neighborhood of u can contribute induced edges.
+    Needs order above D^2 + 1 so the far set is nonempty. Only the
+    neighborhood of u can contribute induced edges, so the far set dilutes
+    the average internal degree that induced_stats reports for the cutset.
     """
     _require_connected(g, "degenerate_sparse_cutset")
     if not (0 <= u < g.n):
@@ -812,6 +811,7 @@ def degenerate_sparse_cutset(g: Graph, u: int) -> CutsetReport:
         "far independent set fell below the (n - D^2 - 1)/(D + 1) guarantee",
     )
     s = set(g.neighbors(u)) | taken
-    report = induced_stats(g, s)
-    ensure(report.is_cutset, "returned separator does not disconnect the graph")
-    return report
+    _ensure_separates(g, s)
+    cert = GoodCutset(cutset=tuple(sorted(s)))
+    ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
+    return cert

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,7 +53,7 @@ from .generators import (
     squared_cycle,
     squared_path,
 )
-from .graph import CutsetReport, Graph, induced_stats
+from .graph import Graph, induced_stats
 from .io import (
     emit_edge_list,
     emit_graph6,
@@ -220,245 +219,197 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+_NAMED_SMALL = {
+    "k4": "K4",
+    "triangular-prism": "TriangularPrism",
+    "k3boxk3": "K3BoxK3",
+    "linegraphpetersen": "LineGraphPetersen",
+}
+
+# The tables below call through this module's globals, so a function
+# rebound here (by a test or a tracer) is the one that runs.
+_FAMILIES = {
+    "icosahedron": lambda params, seed: icosahedron(),
+    "squared-cycle": lambda params, seed: squared_cycle(*params),
+    "squared-path": lambda params, seed: squared_path(*params),
+    "figure2": lambda params, seed: figure2_pattern(*params),
+    "clique-chain": lambda params, seed: clique_chain(CliqueChainParams(*params)),
+    "random-regular": lambda params, seed: random_regular(*params, seed=seed),
+}
+
+
 def _build_family(name: str, params: list[int], seed: int) -> Graph:
-    named = {
-        "k4": "K4",
-        "triangular-prism": "TriangularPrism",
-        "k3boxk3": "K3BoxK3",
-        "linegraphpetersen": "LineGraphPetersen",
-    }
-    if name == "icosahedron":
-        return icosahedron()
-    if name == "squared-cycle":
-        return squared_cycle(*params)
-    if name == "squared-path":
-        return squared_path(*params)
-    if name == "figure2":
-        return figure2_pattern(*params)
-    if name == "clique-chain":
-        return clique_chain(CliqueChainParams(*params))
-    if name == "random-regular":
-        return random_regular(*params, seed=seed)
-    if name in named:
+    if name in _NAMED_SMALL:
         if params:
             raise GraphError(f"generate {name} takes no positional parameters")
-        return named_small(named[name])
-    known = ", ".join(
-        sorted(
-            [
-                "icosahedron",
-                "squared-cycle",
-                "squared-path",
-                "figure2",
-                "clique-chain",
-                "random-regular",
-                *named,
-            ]
-        )
-    )
-    raise GraphError(f"unknown family {name!r}; known: {known}")
+        return named_small(_NAMED_SMALL[name])
+    if name not in _FAMILIES:
+        known = ", ".join(sorted([*_FAMILIES, *_NAMED_SMALL]))
+        raise GraphError(f"unknown family {name!r}; known: {known}")
+    return _FAMILIES[name](params, seed)
 
 
 # --------------------------------------------------------------- find-cutset
 
 
-def _run_method(g: Graph, args) -> tuple[Certificate | None, CutsetReport | None]:
-    method = args.method
-    if method == "thm1":
-        if args.delta is None:
-            raise PreconditionError("find-cutset --method thm1 requires --delta")
-        report = theorem1_cutset(g, args.delta)
-        cert = GoodCutset(
-            cutset=report.cutset.members,
-            size_bound=args.delta,
-            degree_bound=args.delta - 3,
-        )
-        return cert, report
-    if method == "thm2":
-        return theorem2_cutset(g), None
-    if method == "thm3":
-        return theorem3_dichotomy(g), None
-    if method == "thm4":
-        return theorem4_independent_cutset(g), None
-    if method == "thm5":
-        if args.delta is None or args.r is None:
-            raise PreconditionError("find-cutset --method thm5 requires --delta and --r")
-        return theorem5_certify(g, args.delta, args.r), None
-    if method == "prop2":
-        report = prop2_cutset(g)
-        cert = GoodCutset(cutset=report.cutset.members, degree_bound=1)
-        return cert, report
-    if method == "degenerate":
-        report = degenerate_sparse_cutset(g, args.u)
-        return GoodCutset(cutset=report.cutset.members), report
-    raise GraphError(f"unknown method {method!r}")
+def _require_options(what: str, args, names: tuple[str, ...]) -> None:
+    if any(getattr(args, name) is None for name in names):
+        flags = " and ".join(f"--{name}" for name in names)
+        raise PreconditionError(f"{what} requires {flags}")
 
 
-def _find_cutset_once(text: str, args) -> tuple[dict, int]:
-    t0 = time.monotonic()
-    params = {"method": args.method}
-    for key in ("delta", "r", "u"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    try:
-        g = _load_graph(text, args.format)
-    except Exception as exc:
-        code = _code_for(exc)
-        if code is None:
-            raise
-        out = _report_skeleton("find-cutset", None, params)
-        out["certificate"] = None
-        out["verified"] = None
-        out["stats"] = None
-        out["error"] = {"code": code, "type": type(exc).__name__, "message": str(exc)}
-        out["timing_ms"] = _timing_ms(t0)
-        return out, code
-    out = _report_skeleton("find-cutset", graph_digest(g), params)
-    try:
-        cert, report = _run_method(g, args)
-    except Exception as exc:
-        code = _code_for(exc)
-        if code is None:
-            raise
-        out["certificate"] = None
-        out["verified"] = None
-        out["stats"] = None
-        out["error"] = {"code": code, "type": type(exc).__name__, "message": str(exc)}
-        out["timing_ms"] = _timing_ms(t0)
-        return out, code
-    out["certificate"] = None if cert is None else certificate_to_dict(cert)
-    if cert is not None and _verification_wanted(args, g):
-        out["verified"] = verify_certificate(g, cert)
-    else:
-        out["verified"] = None
-    if report is not None:
-        out["stats"] = report.to_dict()
-    else:
-        out["stats"] = _stats_for(g, cert)
-    out["timing_ms"] = _timing_ms(t0)
-    if out["verified"] is False:
-        out["error"] = {
-            "code": 1,
-            "type": "VerificationFailed",
-            "message": "certificate failed the oracle re-check",
-        }
-        return out, 1
-    if args.dot is not None and cert is not None:
-        members = getattr(cert, "cutset", ()) or ()
-        _write_out(to_dot(g, members), args.dot)
-    return out, 0
+# method -> (options it requires, call)
+_METHODS = {
+    "thm1": (("delta",), lambda g, args: theorem1_cutset(g, args.delta)),
+    "thm2": ((), lambda g, args: theorem2_cutset(g)),
+    "thm3": ((), lambda g, args: theorem3_dichotomy(g)),
+    "thm4": ((), lambda g, args: theorem4_independent_cutset(g)),
+    "thm5": (("delta", "r"), lambda g, args: theorem5_certify(g, args.delta, args.r)),
+    "prop2": ((), lambda g, args: prop2_cutset(g)),
+    "degenerate": ((), lambda g, args: degenerate_sparse_cutset(g, args.u)),
+}
 
 
-def _cmd_find_cutset(args) -> int:
-    if args.corpus is not None:
-        return _corpus_run(args, _find_cutset_once)
-    out, code = _find_cutset_once(_read_text(args.input), args)
-    _emit(out, args.output)
-    return code
+def _run_method(g: Graph, args) -> Certificate:
+    if args.method not in _METHODS:
+        raise GraphError(f"unknown method {args.method!r}")
+    needs, run = _METHODS[args.method]
+    _require_options(f"find-cutset --method {args.method}", args, needs)
+    return run(g, args)
 
 
 # -------------------------------------------------------------------- oracle
 
+# Each probe returns a certificate, or a stats payload when none applies.
 
-def _run_oracle(g: Graph, args) -> tuple[Certificate | None, dict | None]:
-    which = args.probe
+
+def _probe_independent(g: Graph, args, budget: OracleBudget) -> Certificate | dict:
+    hit = find_independent_cutset(g, budget)
+    return {"found": False} if hit is None else IndependentCutset(cutset=hit.members)
+
+
+def _probe_constrained(g: Graph, args, budget: OracleBudget) -> Certificate | dict:
+    if args.max_delta is None and args.avg is None:
+        raise PreconditionError("oracle constrained-cutset needs --max-delta or --avg")
+    avg = None
+    if args.avg is not None:
+        p, _, q = args.avg.partition("/")
+        try:
+            avg = Fraction(int(p), int(q or "1"))
+        except (ValueError, ZeroDivisionError):
+            raise GraphError(f"--avg expects P/Q, got {args.avg!r}") from None
+    hit = find_constrained_cutset(g, max_delta=args.max_delta, max_avg=avg, budget=budget)
+    if hit is None:
+        return {"found": False}
+    return GoodCutset(
+        cutset=hit.members,
+        degree_bound=args.max_delta,
+        avg_bound_strict=None if avg is None else (avg.numerator, avg.denominator),
+    )
+
+
+def _probe_krr(g: Graph, args, budget: OracleBudget) -> Certificate | dict:
+    _require_options("oracle krr", args, ("r",))
+    hit = find_krr(g, args.r, budget)
+    if hit is None:
+        return {"found": False}
+    side_a, side_b = hit
+    return KrrWitness(r=args.r, side_a=side_a.members, side_b=side_b.members)
+
+
+def _probe_min_cutsets(g: Graph, args, budget: OracleBudget) -> dict:
+    cuts = enumerate_min_cutsets(g, budget)
+    return {"count": len(cuts), "cutsets": [list(c.members) for c in cuts]}
+
+
+def _probe_squared_cycle(g: Graph, args, budget: OracleBudget) -> Certificate | dict:
+    order = recognize_squared_cycle(g)
+    return {"found": False} if order is None else SquaredCycleIso(order=order)
+
+
+_PROBES = {
+    "independent-cutset": _probe_independent,
+    "constrained-cutset": _probe_constrained,
+    "connectivity": lambda g, args, budget: {"connectivity": vertex_connectivity(g)},
+    "krr": _probe_krr,
+    "min-cutsets": _probe_min_cutsets,
+    "squared-cycle": _probe_squared_cycle,
+}
+
+
+def _run_oracle(g: Graph, args) -> Certificate | dict:
     budget = _budget(args)
-    if which == "independent-cutset":
-        hit = find_independent_cutset(g, budget)
-        if hit is None:
-            return None, {"found": False}
-        return IndependentCutset(cutset=hit.members), None
-    if which == "constrained-cutset":
-        if args.max_delta is None and args.avg is None:
-            raise PreconditionError(
-                "oracle constrained-cutset needs --max-delta or --avg"
-            )
-        avg = None
-        if args.avg is not None:
-            p, _, q = args.avg.partition("/")
-            try:
-                avg = Fraction(int(p), int(q or "1"))
-            except (ValueError, ZeroDivisionError):
-                raise GraphError(f"--avg expects P/Q, got {args.avg!r}") from None
-        hit = find_constrained_cutset(g, max_delta=args.max_delta, max_avg=avg, budget=budget)
-        if hit is None:
-            return None, {"found": False}
-        cert = GoodCutset(
-            cutset=hit.members,
-            degree_bound=args.max_delta,
-            avg_bound_strict=(
-                None if avg is None else (avg.numerator, avg.denominator)
-            ),
-        )
-        return cert, None
-    if which == "connectivity":
-        return None, {"connectivity": vertex_connectivity(g)}
-    if which == "krr":
-        if args.r is None:
-            raise PreconditionError("oracle krr requires --r")
-        hit = find_krr(g, args.r, budget)
-        if hit is None:
-            return None, {"found": False}
-        side_a, side_b = hit
-        return KrrWitness(r=args.r, side_a=side_a.members, side_b=side_b.members), None
-    if which == "min-cutsets":
-        cuts = enumerate_min_cutsets(g, budget)
-        return None, {
-            "count": len(cuts),
-            "cutsets": [list(c.members) for c in cuts],
-        }
-    if which == "squared-cycle":
-        order = recognize_squared_cycle(g)
-        if order is None:
-            return None, {"found": False}
-        return SquaredCycleIso(order=order), None
-    raise GraphError(f"unknown oracle {which!r}")
+    if args.probe not in _PROBES:
+        raise GraphError(f"unknown oracle {args.probe!r}")
+    return _PROBES[args.probe](g, args, budget)
 
 
-def _oracle_once(text: str, args) -> tuple[dict, int]:
+# ------------------------------------------------------- find-cutset, oracle
+
+# op -> (leading parameter, optional parameters, runner, re-check failure message)
+_BATCH_OPS = {
+    "find-cutset": (
+        "method",
+        ("delta", "r", "u"),
+        _run_method,
+        "certificate failed the oracle re-check",
+    ),
+    "oracle": (
+        "probe",
+        ("r", "max_delta", "avg", "max_n", "max_subset", "time_hint"),
+        _run_oracle,
+        "oracle result failed the certificate re-check",
+    ),
+}
+
+
+def _error_report(out: dict, t0: float, code: int, kind: str, message: str) -> tuple[dict, int]:
+    """Finish a report as failed, keeping the documented field order."""
+    for key in ("certificate", "verified", "stats"):
+        out.setdefault(key, None)
+    out["error"] = {"code": code, "type": kind, "message": message}
+    out["timing_ms"] = _timing_ms(t0)
+    return out, code
+
+
+def _run_once(text: str, args) -> tuple[dict, int]:
+    """Parse one input, run the op on it, and build its report and exit code."""
     t0 = time.monotonic()
-    params = {"probe": args.probe}
-    for key in ("r", "max_delta", "avg", "max_n", "max_subset", "time_hint"):
+    lead, keys, run, mismatch = _BATCH_OPS[args.op]
+    params = {lead: getattr(args, lead)}
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
+    out = _report_skeleton(args.op, None, params)
     try:
         g = _load_graph(text, args.format)
-        out = _report_skeleton("oracle", graph_digest(g), params)
-        cert, payload = _run_oracle(g, args)
+        out["input_digest"] = graph_digest(g)
+        result = run(g, args)
     except Exception as exc:
         code = _code_for(exc)
         if code is None:
             raise
-        out = _report_skeleton("oracle", None, params)
-        out["certificate"] = None
-        out["verified"] = None
-        out["stats"] = None
-        out["error"] = {"code": code, "type": type(exc).__name__, "message": str(exc)}
-        out["timing_ms"] = _timing_ms(t0)
-        return out, code
+        return _error_report(out, t0, code, type(exc).__name__, str(exc))
+    cert = None if isinstance(result, dict) else result
     out["certificate"] = None if cert is None else certificate_to_dict(cert)
     if cert is not None and _verification_wanted(args, g):
         out["verified"] = verify_certificate(g, cert)
     else:
         out["verified"] = None
-    out["stats"] = payload if payload is not None else _stats_for(g, cert)
-    out["timing_ms"] = _timing_ms(t0)
+    out["stats"] = result if cert is None else _stats_for(g, cert)
     if out["verified"] is False:
-        out["error"] = {
-            "code": 1,
-            "type": "VerificationFailed",
-            "message": "oracle result failed the certificate re-check",
-        }
-        return out, 1
+        return _error_report(out, t0, 1, "VerificationFailed", mismatch)
+    out["timing_ms"] = _timing_ms(t0)
+    if getattr(args, "dot", None) is not None:
+        _write_out(to_dot(g, getattr(cert, "cutset", ())), args.dot)
     return out, 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_batch(args) -> int:
     if args.corpus is not None:
-        return _corpus_run(args, _oracle_once)
-    out, code = _oracle_once(_read_text(args.input), args)
+        return _corpus_run(args)
+    out, code = _run_once(_read_text(args.input), args)
     _emit(out, args.output)
     return code
 
@@ -517,7 +468,7 @@ def _cmd_report(args) -> int:
 # -------------------------------------------------------------------- corpus
 
 
-def _corpus_run(args, runner) -> int:
+def _corpus_run(args) -> int:
     root = Path(args.corpus)
     if not root.is_dir():
         raise GraphError(f"--corpus {root} is not a directory")
@@ -525,22 +476,15 @@ def _corpus_run(args, runner) -> int:
     if not files:
         raise GraphError(f"--corpus {root} holds no files")
 
-    def one(path: Path) -> tuple[str, dict, int]:
+    def one(path: Path) -> tuple[dict, int]:
         try:
             text = path.read_text(encoding="ascii")
         except (OSError, UnicodeDecodeError) as exc:
-            return (
-                path.name,
-                {"error": {"code": 2, "type": "GraphError", "message": str(exc)}},
-                2,
-            )
-        out, code = runner(text, args)
-        return path.name, out, code
+            return {"error": {"code": 2, "type": "GraphError", "message": str(exc)}}, 2
+        return _run_once(text, args)
 
-    workers = min(8, len(files))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, files))
-    rows.sort(key=lambda row: row[0])
+    # one file after another: the work is pure-Python computation under the GIL
+    rows = [(path.name, *one(path)) for path in files]
     results = [{"file": name, "report": out} for name, out, _ in rows]
     aggregate = {
         "schema_version": SCHEMA_VERSION,
@@ -609,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", default=None, help="also write a DOT file with the cutset filled")
     p.add_argument("--corpus", default=None, help="process every file in this directory")
     _add_io_options(p)
-    p.set_defaults(func=_cmd_find_cutset)
+    p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("oracle", help="run a brute-force search or check")
     p.add_argument(
@@ -635,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="process every file in this directory")
     _add_budget_options(p)
     _add_io_options(p)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("verify", help="re-check a serialized certificate")
     p.add_argument("--certificate", required=True, help="certificate JSON file")

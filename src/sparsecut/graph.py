@@ -24,7 +24,7 @@ MINIMALITY_EXHAUSTIVE_LIMIT = 6
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_edges", "_adj", "_adj_sets", "_masks")
+    __slots__ = ("n", "_edges", "_adj", "_adj_sets")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or n < 0:
@@ -52,13 +52,6 @@ class Graph:
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self._adj_sets: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
-        masks = []
-        for a in adj:
-            m = 0
-            for w in a:
-                m |= 1 << w
-            masks.append(m)
-        self._masks: tuple[int, ...] = tuple(masks)
 
     @property
     def m(self) -> int:
@@ -73,10 +66,6 @@ class Graph:
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._adj_sets[v]
-
-    def adjacency_mask(self, v: int) -> int:
-        """Neighbors of v as a bitmask (bit w set iff vw is an edge)."""
-        return self._masks[v]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to verify certificates.
 
-Everything here works from the graph alone (adjacency bitmasks plus its
-own flood fill and flow routines) and shares no logic with the
-constructive algorithms it audits. Exponential searches are gated by an
-OracleBudget; running out of budget raises BudgetExhausted, which is a
-first-class outcome distinct from a definitive "none".
+Everything here works from the graph alone (its own flood fill, flow
+routine and, for graphs within the budget's order cap, adjacency bitmasks)
+and shares no logic with the constructive algorithms it audits.
+Exponential searches are gated by an OracleBudget; running out of budget
+raises BudgetExhausted, which is a first-class outcome distinct from a
+definitive "none".
 """
 
 from __future__ import annotations
@@ -39,6 +40,20 @@ class OracleBudget:
     max_n: int = 24
     max_subset_size: int = 6
     time_hint_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_n < 0:
+            raise PreconditionError(
+                f"OracleBudget: max_n must be non-negative, got {self.max_n}"
+            )
+        if self.max_subset_size < 0:
+            raise PreconditionError(
+                f"OracleBudget: max_subset_size must be non-negative, got {self.max_subset_size}"
+            )
+        if self.time_hint_s is not None and not self.time_hint_s > 0:
+            raise PreconditionError(
+                f"OracleBudget: time_hint_s must be positive, got {self.time_hint_s}"
+            )
 
 
 class _Deadline:
@@ -82,12 +97,32 @@ def _component_count(masks: tuple[int, ...], alive: int) -> int:
 
 
 def _masks(g: Graph) -> tuple[int, ...]:
-    return tuple(g.adjacency_mask(v) for v in range(g.n))
+    """Neighbors of each vertex as a bitmask (bit w set iff vw is an edge).
+
+    Each mask has n bits, so only searches gated by _require_small build them.
+    """
+    return tuple(sum(1 << w for w in g.neighbors(v)) for v in range(g.n))
 
 
 def _is_cutset_bits(masks: tuple[int, ...], full: int, smask: int) -> bool:
     alive = full & ~smask
     return alive != 0 and _component_count(masks, alive) >= 2
+
+
+def _separates(g: Graph, removed: tuple[int, ...]) -> bool:
+    """Whether g minus removed has at least two components, by flood fill."""
+    seen = set(removed)
+    start = next((v for v in range(g.n) if v not in seen), None)
+    if start is None:
+        return False
+    seen.add(start)
+    stack = [start]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) < g.n
 
 
 def _require_small(g: Graph, budget: OracleBudget, what: str) -> None:
@@ -193,8 +228,7 @@ def vertex_connectivity(g: Graph) -> int:
     """
     if g.n <= 1:
         return max(g.n - 1, 0)
-    masks = _masks(g)
-    if _component_count(masks, (1 << g.n) - 1) != 1:
+    if _separates(g, ()):
         return 0
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
@@ -299,35 +333,41 @@ def find_constrained_cutset(
         return edges2 * avg.denominator < avg.numerator * size
 
     if max_delta is not None:
+        # an explicit stack, so deep searches cannot overflow the interpreter
+        # stack; S is tested when v joins it, then extended by the vertices
+        # above v, then v is swapped for its successors
         deg_in_s = [0] * g.n
-
-        def dfs(start: int, smask: int, size: int) -> int | None:
-            nonlocal counter
-            if size and avg_ok(smask, size) and _is_cutset_bits(masks, full, smask):
-                return smask
-            for v in range(start, g.n):
-                counter += 1
-                if counter % 2048 == 0:
-                    deadline.check()
-                inside = masks[v] & smask
-                dv = inside.bit_count()
-                if dv > max_delta:
-                    continue
-                if any(deg_in_s[u] + 1 > max_delta for u in _bits(inside)):
-                    continue
-                for u in _bits(inside):
-                    deg_in_s[u] += 1
-                deg_in_s[v] = dv
-                hit = dfs(v + 1, smask | (1 << v), size + 1)
-                if hit is not None:
-                    return hit
+        chosen: list[tuple[int, int]] = []  # (vertex, its neighbors in S)
+        smask = 0
+        v = 0
+        while True:
+            if v == g.n:
+                if not chosen:
+                    return None
+                v, inside = chosen.pop()
+                smask ^= 1 << v
                 deg_in_s[v] = 0
                 for u in _bits(inside):
                     deg_in_s[u] -= 1
-            return None
-
-        hit = dfs(0, 0, 0)
-        return None if hit is None else VertexSet(_bits(hit), g.n)
+                v += 1
+                continue
+            counter += 1
+            # a step can cost O(n) big-int work on deep sets, so check often
+            if counter % 64 == 0:
+                deadline.check()
+            inside = masks[v] & smask
+            dv = inside.bit_count()
+            if dv > max_delta or any(deg_in_s[u] >= max_delta for u in _bits(inside)):
+                v += 1
+                continue
+            for u in _bits(inside):
+                deg_in_s[u] += 1
+            deg_in_s[v] = dv
+            chosen.append((v, inside))
+            smask |= 1 << v
+            if avg_ok(smask, len(chosen)) and _is_cutset_bits(masks, full, smask):
+                return VertexSet(_bits(smask), g.n)
+            v += 1
 
     for k in range(1, min(budget.max_subset_size, g.n - 1) + 1):
         for i, combo in enumerate(combinations(range(g.n), k)):
@@ -383,7 +423,7 @@ def recognize_pattern(g: Graph, pattern: str) -> bool:
 
 
 def _connected(g: Graph) -> bool:
-    return g.n == 0 or _component_count(_masks(g), (1 << g.n) - 1) == 1
+    return not _separates(g, ())
 
 
 def _cyclic_dist(i: int, j: int, n: int) -> int:
@@ -568,18 +608,14 @@ def _verify_cutset_claim(
         return False
     if len(cutset) >= g.n:
         return False
-    masks = _masks(g)
-    full = (1 << g.n) - 1
-    smask = 0
-    for v in cutset:
-        smask |= 1 << v
-    if not _is_cutset_bits(masks, full, smask):
+    if not _separates(g, cutset):
         return False
     if size_bound is not None and len(cutset) > size_bound:
         return False
-    edges2 = sum((masks[v] & smask).bit_count() for v in cutset)
-    maxdeg = max(((masks[v] & smask).bit_count() for v in cutset), default=0)
-    if degree_bound is not None and maxdeg > degree_bound:
+    members = frozenset(cutset)
+    inner = [len(g.neighbor_set(v) & members) for v in cutset]
+    edges2 = sum(inner)
+    if degree_bound is not None and max(inner, default=0) > degree_bound:
         return False
     if avg_bound is not None:
         num, den = avg_bound
@@ -592,10 +628,7 @@ def _verify_cutset_claim(
             return False
         for size in range(len(cutset)):
             for sub in combinations(sorted(cutset), size):
-                sub_mask = 0
-                for v in sub:
-                    sub_mask |= 1 << v
-                if _is_cutset_bits(masks, full, sub_mask):
+                if _separates(g, sub):
                     return False
     return True
 

@@ -116,7 +116,7 @@ def test_criterion_1_theorem1_guarantees():
         assert len(cases) == 500 + len(fixtures)
         for g, delta in cases:
             trace = []
-            report = theorem1_cutset(g, delta, trace=trace)
+            report = induced_stats(g, theorem1_cutset(g, delta, trace=trace).cutset)
             s = report.cutset.members
             assert 1 <= len(s) <= delta
             assert report.max_degree_in_s <= delta - 3
@@ -334,7 +334,7 @@ def test_criterion_8_prop2_sparse_corpus():
     with criterion(8, 30.0):
         rng = random.Random(808)
         for g in _gated_sparse_corpus(100, rng):
-            report = prop2_cutset(g)
+            report = induced_stats(g, prop2_cutset(g).cutset)
             s = report.cutset.members
             assert report.max_degree_in_s <= 1
             assert max_degree_in(g, set(s)) <= 1

@@ -34,6 +34,7 @@ from sparsecut.algorithms import (
     theorem5_certify,
 )
 from sparsecut.certificates import (
+    Certificate,
     GoodCutset,
     IndependentCutset,
     IsIcosahedron,
@@ -74,12 +75,34 @@ def disconnects(g, members):
     return len(union_find_components(g.n, g.edges(), set(members))) >= 2
 
 
+# ------------------------------------------------------------ result type
+
+
+@pytest.mark.parametrize(
+    "run,g",
+    [
+        (lambda g: theorem1_cutset(g, 4), squared_cycle(14)),
+        (theorem2_cutset, figure2_pattern(4)),
+        (theorem3_dichotomy, squared_cycle(12)),
+        (theorem4_independent_cutset, four_regular_cut2()),
+        (lambda g: theorem5_certify(g, 5, 2), pg24_incidence()),
+        (prop2_cutset, diamond_chain(3)),
+        (lambda g: degenerate_sparse_cutset(g, 0), squared_cycle(30)),
+    ],
+    ids=["thm1", "thm2", "thm3", "thm4", "thm5", "prop2", "degenerate"],
+)
+def test_every_method_returns_a_verified_certificate(run, g):
+    cert = run(g)
+    assert isinstance(cert, Certificate)
+    assert verify_certificate(g, cert)
+
+
 # ---------------------------------------------------------------- theorem 1
 
 
 def test_theorem1_squared_cycle_exact():
     g = squared_cycle(14)
-    report = theorem1_cutset(g, 4)
+    report = induced_stats(g, theorem1_cutset(g, 4).cutset)
     assert report.cutset.members == (2, 3, 12, 13)
     assert report.max_degree_in_s == 1
     assert disconnects(g, report.cutset.members)
@@ -87,7 +110,8 @@ def test_theorem1_squared_cycle_exact():
 
 def test_theorem1_path_early_exit():
     # an endpoint has degree 1 <= delta - 2, so its neighborhood is the answer
-    report = theorem1_cutset(path(20), 3)
+    g = path(20)
+    report = induced_stats(g, theorem1_cutset(g, 3).cutset)
     assert report.cutset.members == (1,)
     assert report.max_degree_in_s == 0
 
@@ -116,7 +140,7 @@ def test_theorem1_random_sweep():
         for n in (2 * delta + 4, 2 * delta + 11, 37):
             g = bounded_degree_connected(n, delta, rng)
             trace = []
-            report = theorem1_cutset(g, delta, trace=trace)
+            report = induced_stats(g, theorem1_cutset(g, delta, trace=trace).cutset)
             s = report.cutset.members
             assert 1 <= len(s) <= delta
             assert report.max_degree_in_s <= delta - 3
@@ -385,8 +409,8 @@ def test_prop1_rejects_everything_else():
 
 
 def test_prop2_cycle_and_path():
-    assert prop2_cutset(cycle(6)).cutset.members == (1, 5)
-    assert prop2_cutset(path(10)).cutset.members == (1,)
+    assert prop2_cutset(cycle(6)).cutset == (1, 5)
+    assert prop2_cutset(path(10)).cutset == (1,)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -407,7 +431,7 @@ def test_prop2_contracts_diamond_chains(k):
         covered |= ball
     for r in reps:
         assert max_degree_in(g, g.neighbor_set(r)) >= 2
-    report = prop2_cutset(g)
+    report = induced_stats(g, prop2_cutset(g).cutset)
     assert report.cutset.members == (0, 1)
     assert report.max_degree_in_s <= 1
     assert disconnects(g, report.cutset.members)
@@ -415,7 +439,7 @@ def test_prop2_contracts_diamond_chains(k):
 
 def test_prop2_dominating_center_falls_back():
     star = Graph(6, [(0, i) for i in range(1, 6)])
-    assert prop2_cutset(star).cutset.members == (0,)
+    assert prop2_cutset(star).cutset == (0,)
 
 
 def test_prop2_no_cutset_on_an_edge():
@@ -441,7 +465,7 @@ def test_prop2_random_sparse():
             deg[u] += 1
             deg[v] += 1
         g = Graph(n, edges)
-        report = prop2_cutset(g)
+        report = induced_stats(g, prop2_cutset(g).cutset)
         assert report.max_degree_in_s <= 1
         assert disconnects(g, report.cutset.members)
 
@@ -451,7 +475,7 @@ def test_prop2_random_sparse():
 
 def test_degenerate_path_middle():
     g = path(50)
-    report = degenerate_sparse_cutset(g, 25)
+    report = induced_stats(g, degenerate_sparse_cutset(g, 25).cutset)
     s = set(report.cutset.members)
     assert {24, 26} <= s and 25 not in s
     assert len(s) == 25
@@ -462,7 +486,7 @@ def test_degenerate_path_middle():
 def test_degenerate_dilutes_average_degree():
     g = squared_cycle(100)
     hood = induced_stats(g, set(g.neighbors(0)))
-    report = degenerate_sparse_cutset(g, 0)
+    report = induced_stats(g, degenerate_sparse_cutset(g, 0).cutset)
     lhs = Fraction(2 * report.induced_edge_count, len(report.cutset.members))
     rhs = Fraction(2 * hood.induced_edge_count, 4)
     assert lhs < rhs

@@ -9,6 +9,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -272,6 +273,46 @@ def test_oracle_budget_exhausted_exit(monkeypatch, capsys):
     assert json.loads(out)["error"]["type"] == "BudgetExhausted"
 
 
+def test_oracle_long_cycle_search_ends_in_one_report(monkeypatch, capsys):
+    # the constrained search goes about n levels deep on a cycle; it must
+    # stop at the time hint with a budget report, not a RecursionError
+    cycle = "".join(f"{i} {(i + 1) % 1200}\n" for i in range(1200))
+    t0 = time.monotonic()
+    code, out = run_cli(
+        [
+            "oracle",
+            "constrained-cutset",
+            "--max-delta",
+            "2",
+            "--avg",
+            "1/2",
+            "--max-n",
+            "2000",
+            "--time-hint",
+            "0.2",
+        ],
+        cycle,
+        monkeypatch,
+        capsys,
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 3
+    report = json.loads(out)
+    assert report["error"]["type"] == "BudgetExhausted"
+    assert report["input_digest"] is not None
+
+
+def test_oracle_rejects_negative_budget(monkeypatch, capsys):
+    code, out = pipe(
+        monkeypatch,
+        capsys,
+        ["generate", "squared-cycle", "14"],
+        ["oracle", "independent-cutset", "--max-n", "-1"],
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+
 def test_oracle_env_cap_override(monkeypatch, capsys):
     monkeypatch.setenv("SPARSECUT_MAX_N", "30")
     code, out = pipe(
@@ -293,6 +334,24 @@ def test_oracle_squared_cycle_recognizer(monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads(out)["certificate"]["kind"] == "squared-cycle-iso"
+
+
+@pytest.mark.parametrize(
+    "run_argv",
+    [
+        ["find-cutset", "--method", "thm1", "--delta", "4", "--verify"],
+        ["oracle", "krr", "--r", "2", "--verify"],
+    ],
+)
+def test_failed_recheck_reports_in_documented_order(monkeypatch, capsys, run_argv):
+    monkeypatch.setattr("sparsecut.cli.verify_certificate", lambda g, cert: False)
+    code, out = pipe(monkeypatch, capsys, ["generate", "squared-cycle", "14"], run_argv)
+    assert code == 1
+    report = json.loads(out)
+    _, schema = run_cli(["report", "--json"], capsys=capsys)
+    assert list(report) == [f["name"] for f in json.loads(schema)["fields"]]
+    assert report["verified"] is False
+    assert report["error"]["type"] == "VerificationFailed"
 
 
 # -------------------------------------------------------------------- verify

@@ -7,6 +7,7 @@ implementation so the BFS in the library is never its own witness.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -297,3 +298,20 @@ def test_all_size_leq2_sets_cutset_vs_bruteforce():
             for s in combinations(range(n), size):
                 expect = len(_union_find_components(n, edges, set(s))) >= 2
                 assert is_cutset(g, s) == expect
+
+
+def test_graph_memory_grows_linearly_with_order():
+    def held(n: int) -> int:
+        edges = [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
+        tracemalloc.start()
+        try:
+            g = Graph(n, edges)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == 2 * n
+        return size
+
+    # four times the order may hold at most five times the memory; any
+    # per-vertex n-bit structure would make this ratio approach 16
+    assert held(16000) < 5 * held(4000)

@@ -159,8 +159,22 @@ def test_find_independent_cutset_budget():
         find_independent_cutset(squared_cycle(25))
     with pytest.raises(BudgetExhausted):
         find_independent_cutset(
-            squared_cycle(14), OracleBudget(time_hint_s=-1.0)
+            squared_cycle(14), OracleBudget(time_hint_s=1e-9)
         )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"max_n": -1},
+        {"max_subset_size": -1},
+        {"time_hint_s": 0.0},
+        {"time_hint_s": -1.0},
+    ],
+)
+def test_oracle_budget_rejects_invalid_caps(fields):
+    with pytest.raises(PreconditionError, match="OracleBudget"):
+        OracleBudget(**fields)
 
 
 # ---------------------------------------------------------- constrained cutsets
