@@ -2,10 +2,10 @@
 
 Each routine builds its answer through explicit growth loops, swaps, or
 contractions and re-checks its bookkeeping against the graph at every
-transition via ensure(). A returned cutset or witness is therefore backed
-by recomputed facts, not by trust in the loop logic, and every
-certificate additionally passes the independent oracle check before it is
-handed back.
+transition via ensure(). The answer itself is checked once, at the end:
+every returned certificate passes the independent oracle check
+(verify_certificate), which recomputes separation, size and internal
+degree from the graph alone, before it is handed back.
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ class GrowthState:
     n_i: int
     m_i: int
     step: int
-
-    def rest(self) -> VertexSet:
-        """Vertices outside both the separator and the grown side."""
-        gone = self.u_side.as_set() | self.s_side.as_set()
-        return VertexSet(
-            (v for v in range(self.u_side.parent_n) if v not in gone),
-            self.u_side.parent_n,
-        )
 
 
 @dataclass(frozen=True)
@@ -127,8 +119,10 @@ def _edges_between(g: Graph, a: set[int], b: set[int]) -> int:
     return sum(1 for x in a for y in g.neighbors(x) if y in b)
 
 
-def _ensure_separates(g: Graph, s: set[int]) -> None:
-    ensure(len(components(g, s)) >= 2, "returned separator does not disconnect the graph")
+def _verified(g: Graph, cert: Certificate, message: str) -> Certificate:
+    """The certificate, once the independent oracle has re-checked it."""
+    ensure(verify_certificate(g, cert), message)
+    return cert
 
 
 def _audit_growth(g: Graph, u_side: set[int], s_side: set[int]) -> None:
@@ -265,17 +259,10 @@ def theorem1_cutset(
 
 
 def _finish_thm1(g: Graph, delta: int, s_side: set[int]) -> GoodCutset:
-    _ensure_separates(g, s_side)
-    ensure(len(s_side) <= delta, "returned separator is larger than delta")
-    ensure(
-        max_degree_in(g, s_side) <= delta - 3,
-        "returned separator has internal max degree above delta - 3",
-    )
     cert = GoodCutset(
         cutset=tuple(sorted(s_side)), size_bound=delta, degree_bound=delta - 3
     )
-    ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
-    return cert
+    return _verified(g, cert, "cutset failed oracle re-verification")
 
 
 def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
@@ -303,12 +290,11 @@ def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
         None,
     )
     if u is None:
-        cert = IsIcosahedron()
-        ensure(
-            verify_certificate(g, cert),
+        return _verified(
+            g,
+            IsIcosahedron(),
             "every neighborhood induces C5 yet the graph is not the icosahedron",
         )
-        return cert
     s_side = set(g.neighbors(u))
     if max_degree_in(g, s_side) <= 2:
         return _finish_thm2(g, s_side, allow_small)
@@ -364,20 +350,13 @@ def _small_or_bug(g: Graph, allow_small: bool, message: str) -> None:
 def _finish_thm2(g: Graph, s_side: set[int], allow_small: bool) -> Certificate:
     if len(components(g, s_side)) < 2:
         _small_or_bug(g, allow_small, "candidate separator does not disconnect the graph")
-    ensure(len(s_side) <= 5, "separator larger than five vertices")
-    ensure(max_degree_in(g, s_side) <= 2, "separator has internal max degree above 2")
-    ensure(
-        induced_edge_count(g, s_side) < len(s_side),
-        "separator average internal degree is not below 2",
-    )
     cert = GoodCutset(
         cutset=tuple(sorted(s_side)),
         size_bound=5,
         degree_bound=2,
         avg_bound_strict=(2, 1),
     )
-    ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
-    return cert
+    return _verified(g, cert, "cutset failed oracle re-verification")
 
 
 def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
@@ -406,9 +385,11 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
         )
     order = recognize_squared_cycle(g)
     if order is not None:
-        cert = SquaredCycleIso(order=tuple(order))
-        ensure(verify_certificate(g, cert), "recognized order failed re-verification")
-        return cert
+        return _verified(
+            g,
+            SquaredCycleIso(order=tuple(order)),
+            "recognized order failed re-verification",
+        )
     for size in range(1, 5):
         for combo in combinations(range(g.n), size):
             if 2 * induced_edge_count(g, combo) >= size:
@@ -422,8 +403,7 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
                 avg_bound_strict=(1, 1),
                 require_minimal=True,
             )
-            ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
-            return cert
+            return _verified(g, cert, "cutset failed oracle re-verification")
     raise NoCutsetFound(
         "theorem3_dichotomy: no minimal cutset of order at most 4 with average "
         f"internal degree below 1 at order {g.n}; the order may be below the "
@@ -502,8 +482,7 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
 
 def _finish_thm4(g: Graph, s: set[int]) -> Certificate:
     cert = IndependentCutset(cutset=tuple(sorted(s)), size_bound=3)
-    ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
-    return cert
+    return _verified(g, cert, "cutset failed oracle re-verification")
 
 
 def theorem5_certify(
@@ -544,7 +523,12 @@ def theorem5_certify(
         trace.append(_thm5_state(g, 1, delta, r, c, s_side, c_side, t_core))
     for i in range(2, r + 1):
         if max_degree_in(g, s_side) <= delta - c:
-            return _thm5_cutset(g, delta, r, c, s_side)
+            cert = GoodCutset(
+                cutset=tuple(sorted(s_side)),
+                size_bound=delta + (c - 3) * (r - 2),
+                degree_bound=delta - c,
+            )
+            return _verified(g, cert, "cutset failed oracle re-verification")
         ui = next(
             (
                 x
@@ -576,8 +560,7 @@ def theorem5_certify(
         side_a=tuple(sorted(c_side)),
         side_b=tuple(sorted(t_core)[:r]),
     )
-    ensure(verify_certificate(g, cert), "biclique witness failed re-verification")
-    return cert
+    return _verified(g, cert, "biclique witness failed re-verification")
 
 
 def _thm5_state(
@@ -637,23 +620,6 @@ def _audit_thm5(
         len(s_side) + len(c_side) < g.n,
         "separator and grown side swallowed the whole graph",
     )
-
-
-def _thm5_cutset(
-    g: Graph, delta: int, r: int, c: int, s_side: set[int]
-) -> Certificate:
-    _ensure_separates(g, s_side)
-    ensure(
-        max_degree_in(g, s_side) <= delta - c,
-        "separator internal max degree above delta - c",
-    )
-    bound = delta + (c - 3) * (r - 2)
-    ensure(len(s_side) <= bound, "separator exceeds the stated size bound")
-    cert = GoodCutset(
-        cutset=tuple(sorted(s_side)), size_bound=bound, degree_bound=delta - c
-    )
-    ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
-    return cert
 
 
 def prop1_is_icosahedron(g: Graph) -> bool:
@@ -726,11 +692,12 @@ def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> GoodCutset:
         return _finish_prop2(g, set(hit))
     mates: list[tuple[int, int]] = []
     for u in reps:
+        around = g.neighbor_set(u)
         mate = next(
             (
                 x
                 for x in g.neighbors(u)
-                if len(g.neighbor_set(u) & g.neighbor_set(x)) >= 2
+                if len(around.intersection(g.neighbors(x))) >= 2
             ),
             None,
         )
@@ -769,14 +736,8 @@ def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> GoodCutset:
 
 
 def _finish_prop2(g: Graph, s: set[int]) -> GoodCutset:
-    _ensure_separates(g, s)
-    ensure(
-        max_degree_in(g, s) <= 1,
-        "separator internal max degree above 1",
-    )
     cert = GoodCutset(cutset=tuple(sorted(s)), degree_bound=1)
-    ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
-    return cert
+    return _verified(g, cert, "cutset failed oracle re-verification")
 
 
 def degenerate_sparse_cutset(g: Graph, u: int) -> GoodCutset:
@@ -802,7 +763,7 @@ def degenerate_sparse_cutset(g: Graph, u: int) -> GoodCutset:
     chosen: list[int] = []
     taken: set[int] = set()
     for v in range(g.n):
-        if v in near or g.neighbor_set(v) & taken:
+        if v in near or not taken.isdisjoint(g.neighbors(v)):
             continue
         chosen.append(v)
         taken.add(v)
@@ -810,8 +771,5 @@ def degenerate_sparse_cutset(g: Graph, u: int) -> GoodCutset:
         len(chosen) * (dmax + 1) >= g.n - q,
         "far independent set fell below the (n - D^2 - 1)/(D + 1) guarantee",
     )
-    s = set(g.neighbors(u)) | taken
-    _ensure_separates(g, s)
-    cert = GoodCutset(cutset=tuple(sorted(s)))
-    ensure(verify_certificate(g, cert), "cutset failed oracle re-verification")
-    return cert
+    cert = GoodCutset(cutset=tuple(sorted(set(g.neighbors(u)) | taken)))
+    return _verified(g, cert, "cutset failed oracle re-verification")

@@ -97,35 +97,56 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return out
 
 
+def _ints(data: dict, key: str) -> tuple[int, ...]:
+    raw = data[key]
+    if not isinstance(raw, list) or any(type(v) is not int for v in raw):
+        raise ValueError(f"{key} must be a list of ints")
+    return tuple(raw)
+
+
+def _bound(data: dict, key: str) -> int | None:
+    value = data.get(key)
+    if value is not None and type(value) is not int:
+        raise ValueError(f"{key} must be an int or null")
+    return value
+
+
 def certificate_from_dict(data: dict) -> Certificate:
+    """Rebuild a certificate from its JSON form, checking every field's type."""
     try:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise GraphError("certificate payload must be an object with a 'kind' tag")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise GraphError(f"unknown certificate kind {kind!r}")
     try:
         if kind == "good-cutset":
-            avg = data.get("avg_bound_strict")
+            avg = None
+            if data.get("avg_bound_strict") is not None:
+                avg = _ints(data, "avg_bound_strict")
+                if len(avg) != 2 or avg[1] <= 0:
+                    raise ValueError("avg_bound_strict must be [numerator, positive denominator]")
+            if type(data.get("require_minimal", False)) is not bool:
+                raise ValueError("require_minimal must be true or false")
             return GoodCutset(
-                cutset=tuple(data["cutset"]),
-                size_bound=data.get("size_bound"),
-                degree_bound=data.get("degree_bound"),
-                avg_bound_strict=tuple(avg) if avg else None,
-                require_minimal=bool(data.get("require_minimal", False)),
+                cutset=_ints(data, "cutset"),
+                size_bound=_bound(data, "size_bound"),
+                degree_bound=_bound(data, "degree_bound"),
+                avg_bound_strict=avg,
+                require_minimal=data.get("require_minimal", False),
             )
         if kind == "independent-cutset":
             return IndependentCutset(
-                cutset=tuple(data["cutset"]), size_bound=data.get("size_bound")
+                cutset=_ints(data, "cutset"), size_bound=_bound(data, "size_bound")
             )
         if kind == "krr-witness":
+            if type(data["r"]) is not int:
+                raise ValueError("r must be an int")
             return KrrWitness(
-                r=int(data["r"]),
-                side_a=tuple(data["side_a"]),
-                side_b=tuple(data["side_b"]),
+                r=data["r"], side_a=_ints(data, "side_a"), side_b=_ints(data, "side_b")
             )
         if kind == "squared-cycle-iso":
-            return SquaredCycleIso(order=tuple(data["order"]))
+            return SquaredCycleIso(order=_ints(data, "order"))
         return IsIcosahedron()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise GraphError(f"malformed {kind} certificate: {exc}") from None

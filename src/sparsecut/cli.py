@@ -128,7 +128,10 @@ def _budget(args) -> OracleBudget:
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="ascii")
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"cannot read {path}: {exc}") from None
 
 
 def _looks_like_graph6(text: str) -> bool:
@@ -149,8 +152,11 @@ def _load_graph(text: str, fmt: str) -> Graph:
 def _write_out(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="ascii")
+    except OSError as exc:
+        raise GraphError(f"cannot write {path}: {exc}") from None
 
 
 def _emit(report: dict, path: str | None = None) -> None:
@@ -229,7 +235,7 @@ _NAMED_SMALL = {
 # The tables below call through this module's globals, so a function
 # rebound here (by a test or a tracer) is the one that runs.
 _FAMILIES = {
-    "icosahedron": lambda params, seed: icosahedron(),
+    "icosahedron": lambda params, seed: icosahedron(*params),
     "squared-cycle": lambda params, seed: squared_cycle(*params),
     "squared-path": lambda params, seed: squared_path(*params),
     "figure2": lambda params, seed: figure2_pattern(*params),
@@ -344,7 +350,19 @@ def _run_oracle(g: Graph, args) -> Certificate | dict:
     return _PROBES[args.probe](g, args, budget)
 
 
-# ------------------------------------------------------- find-cutset, oracle
+# -------------------------------------------------------------------- verify
+
+
+def _read_certificate(g: Graph, args) -> Certificate:
+    text = _read_text(args.certificate_file)
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise GraphError(f"certificate {args.certificate_file} is not JSON: {exc}") from None
+    return certificate_from_dict(data)
+
+
+# ----------------------------------------------- find-cutset, oracle, verify
 
 # op -> (leading parameter, optional parameters, runner, re-check failure message)
 _BATCH_OPS = {
@@ -360,6 +378,12 @@ _BATCH_OPS = {
         _run_oracle,
         "oracle result failed the certificate re-check",
     ),
+    "verify": (
+        "certificate_file",
+        (),
+        _read_certificate,
+        "certificate failed the oracle check",
+    ),
 }
 
 
@@ -372,8 +396,8 @@ def _error_report(out: dict, t0: float, code: int, kind: str, message: str) -> t
     return out, code
 
 
-def _run_once(text: str, args) -> tuple[dict, int]:
-    """Parse one input, run the op on it, and build its report and exit code."""
+def _run_once(path: str | None, args) -> tuple[dict, int]:
+    """Read one input, run the op on it, and build its report and exit code."""
     t0 = time.monotonic()
     lead, keys, run, mismatch = _BATCH_OPS[args.op]
     params = {lead: getattr(args, lead)}
@@ -383,7 +407,7 @@ def _run_once(text: str, args) -> tuple[dict, int]:
             params[key] = value
     out = _report_skeleton(args.op, None, params)
     try:
-        g = _load_graph(text, args.format)
+        g = _load_graph(_read_text(path), args.format)
         out["input_digest"] = graph_digest(g)
         result = run(g, args)
     except Exception as exc:
@@ -397,9 +421,10 @@ def _run_once(text: str, args) -> tuple[dict, int]:
         out["verified"] = verify_certificate(g, cert)
     else:
         out["verified"] = None
-    out["stats"] = result if cert is None else _stats_for(g, cert)
     if out["verified"] is False:
+        # no stats for a refuted claim: its vertex ids need not even exist
         return _error_report(out, t0, 1, "VerificationFailed", mismatch)
+    out["stats"] = result if cert is None else _stats_for(g, cert)
     out["timing_ms"] = _timing_ms(t0)
     if getattr(args, "dot", None) is not None:
         _write_out(to_dot(g, getattr(cert, "cutset", ())), args.dot)
@@ -407,32 +432,18 @@ def _run_once(text: str, args) -> tuple[dict, int]:
 
 
 def _cmd_batch(args) -> int:
-    if args.corpus is not None:
+    if getattr(args, "corpus", None) is not None:
         return _corpus_run(args)
-    out, code = _run_once(_read_text(args.input), args)
-    _emit(out, args.output)
-    return code
-
-
-# -------------------------------------------------------------------- verify
-
-
-def _cmd_verify(args) -> int:
     t0 = time.monotonic()
-    text = _read_text(args.input)
-    g = _load_graph(text, args.format)
-    cert_raw = json.loads(Path(args.certificate).read_text(encoding="ascii"))
-    cert = certificate_from_dict(cert_raw)
-    ok = verify_certificate(g, cert)
-    out = _report_skeleton(
-        "verify", graph_digest(g), {"certificate_file": str(args.certificate)}
-    )
-    out["certificate"] = certificate_to_dict(cert)
-    out["verified"] = ok
-    out["stats"] = _stats_for(g, cert)
-    out["timing_ms"] = _timing_ms(t0)
-    _emit(out, args.output)
-    return 0 if ok else 1
+    out, code = _run_once(args.input, args)
+    try:
+        _emit(out, args.output)
+    except GraphError as exc:
+        # the report cannot reach its file, so the failure is reported on stdout
+        head = {key: out[key] for key in ("schema_version", "input_digest", "command")}
+        out, code = _error_report(head, t0, 2, "GraphError", str(exc))
+        _emit(out)
+    return code
 
 
 # -------------------------------------------------------------------- report
@@ -476,15 +487,8 @@ def _corpus_run(args) -> int:
     if not files:
         raise GraphError(f"--corpus {root} holds no files")
 
-    def one(path: Path) -> tuple[dict, int]:
-        try:
-            text = path.read_text(encoding="ascii")
-        except (OSError, UnicodeDecodeError) as exc:
-            return {"error": {"code": 2, "type": "GraphError", "message": str(exc)}}, 2
-        return _run_once(text, args)
-
     # one file after another: the work is pure-Python computation under the GIL
-    rows = [(path.name, *one(path)) for path in files]
+    rows = [(path.name, *_run_once(str(path), args)) for path in files]
     results = [{"file": name, "report": out} for name, out, _ in rows]
     aggregate = {
         "schema_version": SCHEMA_VERSION,
@@ -582,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("verify", help="re-check a serialized certificate")
-    p.add_argument("--certificate", required=True, help="certificate JSON file")
+    p.add_argument("--certificate", dest="certificate_file", required=True, help="certificate file")
     _add_io_options(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_batch, verify=True)
 
     p = sub.add_parser("report", help="describe the JSON report schema")
     p.add_argument("--json", action="store_true", help="machine-readable schema")

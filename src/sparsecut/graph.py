@@ -24,14 +24,15 @@ MINIMALITY_EXHAUSTIVE_LIMIT = 6
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_edges", "_adj", "_adj_sets")
+    __slots__ = ("n", "m", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or n < 0:
             raise GraphError(f"vertex count must be a non-negative int, got {n!r}")
         self.n = n
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # sets only while building, to reject parallel edges in O(1)
+        adj: list[set[int]] = [set() for _ in range(n)]
+        m = 0
         for e in edges:
             try:
                 u, v = e
@@ -43,35 +44,30 @@ class Graph:
                 raise GraphError(f"edge {e!r} out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u} rejected")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if v in adj[u]:
+                key = (u, v) if u < v else (v, u)
                 raise GraphError(f"parallel edge {key!r} rejected")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+            adj[u].add(v)
+            adj[v].add(u)
+            m += 1
+        self.m = m
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adj)
-
-    @property
-    def m(self) -> int:
-        return len(self._edges)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as sorted (u, v) pairs with u < v."""
-        return self._edges
+        return tuple([(u, v) for u, nb in enumerate(self._adj) for v in nb if v > u])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._adj_sets[v]
+        return frozenset(self._adj[v])
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        return v in self._adj[u]
 
     def max_degree(self) -> int:
         return max((len(a) for a in self._adj), default=0)
@@ -85,10 +81,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -193,9 +193,9 @@ def _flow_between(g: Graph, s: int, t: int, stop_at: int) -> int:
 
     for v in range(g.n):
         arc(2 * v, 2 * v + 1)  # in -> out, vertex capacity 1
-    for u, v in g.edges():
-        arc(2 * u + 1, 2 * v)
-        arc(2 * v + 1, 2 * u)
+    for u in range(g.n):
+        for v in g.neighbors(u):
+            arc(2 * u + 1, 2 * v)
     src, snk = 2 * s + 1, 2 * t
     flow = 0
     while flow < stop_at:
@@ -501,9 +501,12 @@ def find_induced_squared_path(
     masks = _masks(g)
     deadline = _Deadline(budget.time_hint_s)
     counter = 0
-
-    def extend(seq: list[int], used: int) -> tuple[int, ...] | None:
-        nonlocal counter
+    # an explicit stack, so long paths cannot overflow the interpreter stack;
+    # seq[i] was chosen when trying candidate nxt[i] - 1 at depth i
+    seq: list[int] = []
+    nxt = [0]
+    used = 0
+    while nxt:
         if len(seq) == k:
             return tuple(seq)
         need = 0
@@ -514,23 +517,25 @@ def find_induced_squared_path(
         if len(seq) >= 2:
             need &= masks[seq[-2]]
             forbid ^= 1 << seq[-2]
-        for v in range(g.n):
+        v = nxt[-1]
+        while v < g.n:
             counter += 1
             if counter % 4096 == 0:
                 deadline.check()
             bit = 1 << v
-            if used & bit:
-                continue
-            if seq and not (need & bit):
-                continue
-            if masks[v] & forbid:
-                continue
-            hit = extend(seq + [v], used | bit)
-            if hit is not None:
-                return hit
-        return None
-
-    return extend([], 0)
+            if not (used & bit or (seq and not (need & bit)) or masks[v] & forbid):
+                break
+            v += 1
+        if v == g.n:
+            nxt.pop()
+            if seq:
+                used ^= 1 << seq.pop()
+            continue
+        nxt[-1] = v + 1
+        seq.append(v)
+        used |= 1 << v
+        nxt.append(0)
+    return None
 
 
 # --------------------------------------------------------------------- matching
@@ -547,18 +552,25 @@ def bipartite_matching(
         raise PreconditionError("bipartite_matching: sides must be disjoint")
     match_of: dict[int, int] = {}  # right -> left
 
-    def augment(u: int, seen: set[int]) -> bool:
-        for w in g.neighbors(u):
-            if w not in rs or w in seen:
+    for root in ls:
+        # depth-first augmenting path search on an explicit stack of
+        # (left vertex, iterator over its neighbors, right vertex it was reached by)
+        seen: set[int] = set()
+        stack = [(root, iter(g.neighbors(root)), None)]
+        while stack:
+            w = next((w for w in stack[-1][1] if w in rs and w not in seen), None)
+            if w is None:
+                stack.pop()
                 continue
             seen.add(w)
-            if w not in match_of or augment(match_of[w], seen):
+            if w in match_of:
+                stack.append((match_of[w], iter(g.neighbors(match_of[w])), w))
+                continue
+            # w is free: flip the matching along the path on the stack
+            for u, _, via in reversed(stack):
                 match_of[w] = u
-                return True
-        return False
-
-    for u in ls:
-        augment(u, set())
+                w = via
+            break
     return sorted((u, w) for w, u in match_of.items())
 
 

@@ -91,9 +91,18 @@ def disconnects(g, members):
     ],
     ids=["thm1", "thm2", "thm3", "thm4", "thm5", "prop2", "degenerate"],
 )
-def test_every_method_returns_a_verified_certificate(run, g):
+def test_every_method_returns_a_verified_certificate(run, g, monkeypatch):
+    checked = []
+
+    def counted(h, cert):
+        checked.append(cert)
+        return verify_certificate(h, cert)
+
+    monkeypatch.setattr("sparsecut.algorithms.verify_certificate", counted)
     cert = run(g)
     assert isinstance(cert, Certificate)
+    # the oracle checks the answer once, and nothing else is checked by it
+    assert checked == [cert]
     assert verify_certificate(g, cert)
 
 

@@ -67,6 +67,8 @@ def test_generate_rejects_bad_params(capsys):
     assert code == 2
     code, _ = run_cli(["generate", "k4", "7"], capsys=capsys)
     assert code == 2
+    code, out = run_cli(["generate", "icosahedron", "3"], capsys=capsys)
+    assert code == 2 and out == ""
 
 
 # -------------------------------------------------------------- find-cutset
@@ -387,7 +389,83 @@ def test_verify_round_trips_serialized_certificate(tmp_path, monkeypatch, capsys
         capsys=capsys,
     )
     assert code == 1
-    assert json.loads(out)["verified"] is False
+    report = json.loads(out)
+    assert report["verified"] is False
+    assert report["error"]["type"] == "VerificationFailed"
+
+
+_OPS = {
+    "find-cutset": ["find-cutset", "--method", "thm1", "--delta", "4"],
+    "oracle": ["oracle", "connectivity"],
+    "verify": ["verify", "--certificate", "CERT"],
+}
+
+
+@pytest.mark.parametrize("case", ["missing-input", "non-ascii-input", "output-dir-missing"])
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_unreadable_files_end_in_one_json_report(tmp_path, capsys, op, case):
+    from sparsecut.generators import squared_cycle
+    from sparsecut.io import emit_edge_list
+
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text(emit_edge_list(squared_cycle(14)), encoding="ascii")
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text('{"kind": "squared-cycle-iso", "order": [0, 1]}', encoding="ascii")
+    argv = [str(cert_file) if a == "CERT" else a for a in _OPS[op]]
+    if case == "missing-input":
+        argv += ["-i", str(tmp_path / "nope.edges")]
+    elif case == "non-ascii-input":
+        graph_file.write_bytes(graph_file.read_bytes() + "# \u00e9\n".encode("utf-8"))
+        argv += ["-i", str(graph_file)]
+    else:
+        argv += ["-i", str(graph_file), "-o", str(tmp_path / "no-dir" / "out.json")]
+    code, out = run_cli(argv, capsys=capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["command"]["op"] == op
+    assert report["error"]["code"] == 2 and report["error"]["type"] == "GraphError"
+
+
+@pytest.mark.parametrize(
+    "graph_text,cert_text",
+    [
+        ("n 3\n0 1\n0 1\n", '{"kind": "is-icosahedron"}'),
+        (None, '{"kind": '),
+        (None, "[" * 100000),
+        (None, '{"kind": "good-cutset", "cutset": ["x"]}'),
+        (None, '["not", "an", "object"]'),
+    ],
+    ids=["graph", "truncated", "deep", "field-type", "list"],
+)
+def test_verify_unparsable_input_ends_in_one_json_report(tmp_path, capsys, graph_text, cert_text):
+    from sparsecut.generators import squared_cycle
+    from sparsecut.io import emit_edge_list
+
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text(graph_text or emit_edge_list(squared_cycle(14)), encoding="ascii")
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(cert_text, encoding="ascii")
+    code, out = run_cli(
+        ["verify", "-i", str(graph_file), "--certificate", str(cert_file)], capsys=capsys
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["certificate"] is None
+    assert report["error"]["type"] == "GraphError"
+
+
+def test_verify_refuted_claim_on_missing_vertices(tmp_path, capsys):
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text("n 3\n0 1\n1 2\n", encoding="ascii")
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text('{"kind": "good-cutset", "cutset": [1, 99]}', encoding="ascii")
+    code, out = run_cli(
+        ["verify", "-i", str(graph_file), "--certificate", str(cert_file)], capsys=capsys
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["verified"] is False and report["stats"] is None
+    assert report["error"]["type"] == "VerificationFailed"
 
 
 # -------------------------------------------------------------------- corpus

@@ -6,15 +6,19 @@ implementation so the BFS in the library is never its own witness.
 
 from __future__ import annotations
 
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsecut
 from sparsecut.errors import GraphError, PreconditionError
 from sparsecut.graph import (
     Graph,
@@ -129,6 +133,16 @@ def test_constructor_fuzz(n, raw):
         g = Graph(n, raw)
         assert g.m == len(clean)
         assert sum(g.degree(v) for v in range(n)) == 2 * g.m
+        assert g.edges() == tuple(sorted(clean))
+        for u in range(n):
+            assert g.neighbor_set(u) == {b if a == u else a for a, b in clean if u in (a, b)}
+            for v in range(n):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in clean)
+        twin = Graph(n, sorted(clean, reverse=True))
+        assert twin == g and hash(twin) == hash(g)
+        if clean:
+            fewer = Graph(n, sorted(clean)[1:])
+            assert fewer != g
 
 
 # ----------------------------------------------------------------- components
@@ -300,17 +314,32 @@ def test_all_size_leq2_sets_cutset_vs_bruteforce():
                 assert is_cutset(g, s) == expect
 
 
+_HELD = """
+import sys, tracemalloc
+from sparsecut.graph import Graph
+n = int(sys.argv[1])
+edges = [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
+tracemalloc.start()
+g = Graph(n, edges)
+size, _ = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+assert g.m == 2 * n
+print(size)
+"""
+
+
 def test_graph_memory_grows_linearly_with_order():
+    # each order in a fresh interpreter: tracemalloc does not see tuples
+    # that CPython reuses from its free lists, which a process warmed by
+    # the rest of the suite holds plenty of
+    env = {**os.environ, "PYTHONPATH": str(Path(sparsecut.__file__).parents[1])}
+
     def held(n: int) -> int:
-        edges = [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
-        tracemalloc.start()
-        try:
-            g = Graph(n, edges)
-            size, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert g.m == 2 * n
-        return size
+        run = subprocess.run(
+            [sys.executable, "-c", _HELD, str(n)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        return int(run.stdout)
 
     # four times the order may hold at most five times the memory; any
     # per-vertex n-bit structure would make this ratio approach 16

@@ -192,8 +192,24 @@ def test_certificate_dict_rejects_garbage():
         certificate_from_dict({"cutset": [1]})
     with pytest.raises(GraphError, match="unknown certificate kind"):
         certificate_from_dict({"kind": "mystery"})
-    with pytest.raises(GraphError, match="malformed"):
-        certificate_from_dict({"kind": "krr-witness", "r": 2})
+    malformed = [
+        {"kind": "krr-witness", "r": 2},
+        {"kind": "good-cutset", "cutset": ["x"]},
+        {"kind": "good-cutset", "cutset": [True]},
+        {"kind": "good-cutset", "cutset": [1], "size_bound": "4"},
+        {"kind": "good-cutset", "cutset": [1], "avg_bound_strict": [1]},
+        {"kind": "good-cutset", "cutset": [1], "avg_bound_strict": [1, 0]},
+        {"kind": "good-cutset", "cutset": [1], "require_minimal": "no"},
+        {"kind": "independent-cutset", "cutset": 3},
+        {"kind": "krr-witness", "r": "2", "side_a": [0, 1], "side_b": [2, 3]},
+        {"kind": "krr-witness", "r": 2, "side_a": [[0], 1], "side_b": [2, 3]},
+        {"kind": "squared-cycle-iso", "order": [0, 1.5]},
+    ]
+    for payload in malformed:
+        with pytest.raises(GraphError, match="malformed"):
+            certificate_from_dict(payload)
+    with pytest.raises(GraphError, match="unknown certificate kind"):
+        certificate_from_dict({"kind": ["good-cutset"]})
 
 
 # -------------------------------------------------------------------- DOT

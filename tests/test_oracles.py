@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -304,7 +305,81 @@ def test_find_induced_squared_path_inside_larger_graph():
             assert g.has_edge(hit[i], hit[j]) == (j - i <= 2)
 
 
+def _squared_path_recursive(g: Graph, k: int) -> tuple[int, ...] | None:
+    """The recursive depth-first search the library replaced, as reference."""
+
+    def extend(seq: list[int]) -> tuple[int, ...] | None:
+        if len(seq) == k:
+            return tuple(seq)
+        for v in range(g.n):
+            if v in seq or (seq and not g.has_edge(seq[-1], v)):
+                continue
+            if len(seq) >= 2 and not g.has_edge(seq[-2], v):
+                continue
+            if any(g.has_edge(v, x) for x in seq[:-2]):
+                continue
+            hit = extend(seq + [v])
+            if hit is not None:
+                return hit
+        return None
+
+    return extend([])
+
+
+def test_find_induced_squared_path_deep_path_needs_no_recursion():
+    g = squared_path(1200)
+    got = find_induced_squared_path(g, 1200, OracleBudget(max_n=1200))
+    assert got == tuple(range(1200))
+
+
+def test_find_induced_squared_path_matches_recursive_order():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        for k in range(1, n + 2):
+            assert find_induced_squared_path(g, k) == _squared_path_recursive(g, k)
+
+
 # --------------------------------------------------------------------- matching
+
+
+def _matching_recursive(g: Graph, left, right) -> list[tuple[int, int]]:
+    """The recursive augmenting-path search the library replaced, as reference."""
+    rs = frozenset(right)
+    match_of: dict[int, int] = {}
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for w in g.neighbors(u):
+            if w not in rs or w in seen:
+                continue
+            seen.add(w)
+            if w not in match_of or augment(match_of[w], seen):
+                match_of[w] = u
+                return True
+        return False
+
+    for u in sorted(set(left)):
+        augment(u, set())
+    return sorted((u, w) for w, u in match_of.items())
+
+
+def test_bipartite_matching_long_augmenting_paths_need_no_recursion():
+    got = bipartite_matching(_path(3000), tuple(range(0, 3000, 2)), tuple(range(1, 3000, 2)))
+    assert got == [(u, u + 1) for u in range(0, 3000, 2)]
+
+
+def test_bipartite_matching_matches_recursive_order():
+    rng = random.Random(20261019)
+    for _ in range(500):
+        n = rng.randint(2, 12)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        verts = list(range(n))
+        rng.shuffle(verts)
+        cut = rng.randint(0, n)
+        left, right = verts[:cut], verts[cut:]
+        assert bipartite_matching(g, left, right) == _matching_recursive(g, left, right)
+
 
 
 def test_bipartite_matching_even_cycle_perfect():
