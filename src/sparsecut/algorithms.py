@@ -119,10 +119,41 @@ def _edges_between(g: Graph, a: set[int], b: set[int]) -> int:
     return sum(1 for x in a for y in g.neighbors(x) if y in b)
 
 
-def _verified(g: Graph, cert: Certificate, message: str) -> Certificate:
+def _verified(
+    g: Graph, cert: Certificate, message: str = "cutset failed oracle re-verification"
+) -> Certificate:
     """The certificate, once the independent oracle has re-checked it."""
     ensure(verify_certificate(g, cert), message)
     return cert
+
+
+def _pick(g: Graph, s_side: set[int], t: int) -> int | None:
+    """Smallest separator vertex with at least t neighbors inside S."""
+    return next(
+        (x for x in sorted(s_side) if len(g.neighbor_set(x) & s_side) >= t), None
+    )
+
+
+def _move(g: Graph, v: int, grown: set[int], s_side: set[int], cap: int) -> set[int]:
+    """Move separator vertex v into the grown side.
+
+    v must touch the grown side and have at most cap neighbors outside both
+    sides; those fresh neighbors join the separator and are returned.
+    """
+    ensure(
+        bool(g.neighbor_set(v) & grown),
+        "moved vertex has no neighbor in the grown side",
+    )
+    fresh = g.neighbor_set(v) - s_side - grown
+    ensure(
+        len(fresh) <= cap,
+        f"moved vertex has {len(fresh)} neighbors outside separator and grown side, "
+        f"above the cap of {cap}",
+    )
+    s_side.discard(v)
+    s_side |= fresh
+    grown.add(v)
+    return fresh
 
 
 def _audit_growth(g: Graph, u_side: set[int], s_side: set[int]) -> None:
@@ -145,65 +176,49 @@ def _run_growth(
     s_side: set[int],
     trace: list[GrowthState] | None,
     meter: _Meter,
-) -> None:
+) -> int:
     """Swap high-degree separator vertices into the grown side.
 
     Runs until the separator's internal max degree drops below delta - 2.
-    Mutates u_side and s_side in place and checks the two-case edge ledger
-    after every transition.
+    Mutates u_side and s_side in place, checks the two-case edge ledger
+    after every transition, records every state (the starting one
+    included) in trace, and returns the final edge count between S and U.
     """
-    while max_degree_in(g, s_side) >= delta - 2:
-        meter.tick()
-        n_before = len(s_side)
-        m_before = _edges_between(g, s_side, u_side)
-        v = next(
-            (
-                x
-                for x in sorted(s_side)
-                if len(g.neighbor_set(x) & s_side) >= delta - 2
-            ),
-            None,
-        )
-        ensure(v is not None, "no separator vertex matches the loop condition")
-        ensure(
-            bool(g.neighbor_set(v) & u_side),
-            "swap candidate has no neighbor in the grown side",
-        )
-        fresh = g.neighbor_set(v) - s_side - u_side
-        ensure(
-            len(fresh) <= 1,
-            "swap candidate has more than one neighbor outside separator and grown side",
-        )
-        s_side.discard(v)
-        s_side |= fresh
-        u_side.add(v)
-        n_after = len(s_side)
-        m_after = _edges_between(g, s_side, u_side)
-        if fresh:
-            ensure(
-                n_after == n_before and m_after >= m_before + (delta - 2),
-                "edge ledger violated in the swap-in case",
-            )
-        else:
-            ensure(
-                n_after == n_before - 1 and m_after >= m_before + (delta - 4),
-                "edge ledger violated in the shrink case",
-            )
-        ensure(
-            m_after - 2 * n_after >= m_before - 2 * n_before + (delta - 2),
-            "boundary potential m - 2n rose by less than delta - 2",
-        )
-        _audit_growth(g, u_side, s_side)
+    m_now = _edges_between(g, s_side, u_side)
+    while True:
         if trace is not None:
             trace.append(
                 GrowthState(
                     u_side=VertexSet(u_side, g.n),
                     s_side=VertexSet(s_side, g.n),
-                    n_i=n_after,
-                    m_i=m_after,
+                    n_i=len(s_side),
+                    m_i=m_now,
                     step=len(u_side),
                 )
             )
+        v = _pick(g, s_side, delta - 2)
+        if v is None:
+            return m_now
+        meter.tick()
+        n_before, m_before = len(s_side), m_now
+        fresh = _move(g, v, u_side, s_side, 1)
+        n_after = len(s_side)
+        m_now = _edges_between(g, s_side, u_side)
+        if fresh:
+            ensure(
+                n_after == n_before and m_now >= m_before + (delta - 2),
+                "edge ledger violated in the swap-in case",
+            )
+        else:
+            ensure(
+                n_after == n_before - 1 and m_now >= m_before + (delta - 4),
+                "edge ledger violated in the shrink case",
+            )
+        ensure(
+            m_now - 2 * n_after >= m_before - 2 * n_before + (delta - 2),
+            "boundary potential m - 2n rose by less than delta - 2",
+        )
+        _audit_growth(g, u_side, s_side)
 
 
 def theorem1_cutset(
@@ -235,16 +250,6 @@ def theorem1_cutset(
         return _finish_thm1(g, delta, set(g.neighbors(u)))
     u_side = {u}
     s_side = set(g.neighbors(u))
-    if trace is not None:
-        trace.append(
-            GrowthState(
-                u_side=VertexSet(u_side, g.n),
-                s_side=VertexSet(s_side, g.n),
-                n_i=len(s_side),
-                m_i=_edges_between(g, s_side, u_side),
-                step=1,
-            )
-        )
     meter = _Meter(delta + 2, "theorem1_cutset growth")
     _run_growth(g, delta, u_side, s_side, trace, meter)
     ensure(
@@ -262,7 +267,7 @@ def _finish_thm1(g: Graph, delta: int, s_side: set[int]) -> GoodCutset:
     cert = GoodCutset(
         cutset=tuple(sorted(s_side)), size_bound=delta, degree_bound=delta - 3
     )
-    return _verified(g, cert, "cutset failed oracle re-verification")
+    return _verified(g, cert)
 
 
 def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
@@ -301,8 +306,7 @@ def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
     u_side = {u}
     meter = _Meter(100, "theorem2_cutset")
     while True:
-        _run_growth(g, 5, u_side, s_side, None, meter)
-        boundary = _edges_between(g, s_side, u_side)
+        boundary = _run_growth(g, 5, u_side, s_side, None, meter)
         ensure(boundary <= 25, "boundary edge count exceeds the 5-regular ceiling")
         if any(len(g.neighbor_set(x) & s_side) != 2 for x in s_side):
             # internal max degree is <= 2 but not 2-regular, so the average
@@ -323,13 +327,9 @@ def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
             None,
         )
         ensure(v is not None, "no separator vertex with exactly two grown-side neighbors")
-        outward = g.neighbor_set(v) & rest
-        ensure(len(outward) == 1, "swap vertex must have exactly one outside neighbor")
-        w = next(iter(outward))
         size_before = len(s_side)
-        s_side.discard(v)
-        s_side.add(w)
-        u_side.add(v)
+        fresh = _move(g, v, u_side, s_side, 1)
+        ensure(len(fresh) == 1, "swap vertex must have exactly one outside neighbor")
         meter.tick()
         ensure(
             len(s_side) == size_before
@@ -356,7 +356,7 @@ def _finish_thm2(g: Graph, s_side: set[int], allow_small: bool) -> Certificate:
         degree_bound=2,
         avg_bound_strict=(2, 1),
     )
-    return _verified(g, cert, "cutset failed oracle re-verification")
+    return _verified(g, cert)
 
 
 def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
@@ -403,7 +403,7 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
                 avg_bound_strict=(1, 1),
                 require_minimal=True,
             )
-            return _verified(g, cert, "cutset failed oracle re-verification")
+            return _verified(g, cert)
     raise NoCutsetFound(
         "theorem3_dichotomy: no minimal cutset of order at most 4 with average "
         f"internal degree below 1 at order {g.n}; the order may be below the "
@@ -482,7 +482,7 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
 
 def _finish_thm4(g: Graph, s: set[int]) -> Certificate:
     cert = IndependentCutset(cutset=tuple(sorted(s)), size_bound=3)
-    return _verified(g, cert, "cutset failed oracle re-verification")
+    return _verified(g, cert)
 
 
 def theorem5_certify(
@@ -518,42 +518,32 @@ def theorem5_certify(
     c_side = {u1}
     t_core = set(s_side)
     ensure(len(s_side) == delta, "seed neighborhood smaller than delta")
-    _audit_thm5(g, 1, delta, r, c, s_side, c_side, t_core)
-    if trace is not None:
-        trace.append(_thm5_state(g, 1, delta, r, c, s_side, c_side, t_core))
-    for i in range(2, r + 1):
-        if max_degree_in(g, s_side) <= delta - c:
+    for i in range(1, r + 1):
+        _audit_thm5(g, i, delta, r, c, s_side, c_side, t_core)
+        if trace is not None:
+            trace.append(
+                Thm5State(
+                    s_side=VertexSet(s_side, g.n),
+                    c_side=VertexSet(c_side, g.n),
+                    t_core=VertexSet(t_core, g.n),
+                    step=i,
+                    delta=delta,
+                    r=r,
+                    c=c,
+                )
+            )
+        if i == r:
+            break
+        ui = _pick(g, s_side, delta - c + 1)
+        if ui is None:
             cert = GoodCutset(
                 cutset=tuple(sorted(s_side)),
                 size_bound=delta + (c - 3) * (r - 2),
                 degree_bound=delta - c,
             )
-            return _verified(g, cert, "cutset failed oracle re-verification")
-        ui = next(
-            (
-                x
-                for x in sorted(s_side)
-                if len(g.neighbor_set(x) & s_side) >= delta - c + 1
-            ),
-            None,
-        )
-        ensure(ui is not None, "no separator vertex matches the expansion condition")
-        ensure(
-            bool(g.neighbor_set(ui) & c_side),
-            "expansion vertex has no neighbor in the grown side",
-        )
-        fresh = g.neighbor_set(ui) - s_side - c_side
-        ensure(
-            len(fresh) <= c - 2,
-            "expansion vertex has more than c - 2 neighbors outside",
-        )
-        s_side.discard(ui)
-        s_side |= fresh
-        c_side.add(ui)
+            return _verified(g, cert)
+        _move(g, ui, c_side, s_side, c - 2)
         t_core = {x for x in t_core if g.has_edge(ui, x)}
-        _audit_thm5(g, i, delta, r, c, s_side, c_side, t_core)
-        if trace is not None:
-            trace.append(_thm5_state(g, i, delta, r, c, s_side, c_side, t_core))
     ensure(len(t_core) >= r, "common core smaller than r after the last step")
     cert = KrrWitness(
         r=r,
@@ -561,27 +551,6 @@ def theorem5_certify(
         side_b=tuple(sorted(t_core)[:r]),
     )
     return _verified(g, cert, "biclique witness failed re-verification")
-
-
-def _thm5_state(
-    g: Graph,
-    i: int,
-    delta: int,
-    r: int,
-    c: int,
-    s_side: set[int],
-    c_side: set[int],
-    t_core: set[int],
-) -> Thm5State:
-    return Thm5State(
-        s_side=VertexSet(s_side, g.n),
-        c_side=VertexSet(c_side, g.n),
-        t_core=VertexSet(t_core, g.n),
-        step=i,
-        delta=delta,
-        r=r,
-        c=c,
-    )
 
 
 def _audit_thm5(
@@ -608,14 +577,7 @@ def _audit_thm5(
         all(g.has_edge(x, y) for x in c_side for y in t_core),
         "grown side and core are not completely joined",
     )
-    ensure(
-        all(g.neighbor_set(x) & c_side for x in s_side),
-        "separator vertex without a neighbor in the grown side",
-    )
-    ensure(
-        any(comp.as_set() == c_side for comp in components(g, s_side)),
-        "grown side is not a full component of the graph minus the separator",
-    )
+    _audit_growth(g, c_side, s_side)
     ensure(
         len(s_side) + len(c_side) < g.n,
         "separator and grown side swallowed the whole graph",
@@ -737,7 +699,7 @@ def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> GoodCutset:
 
 def _finish_prop2(g: Graph, s: set[int]) -> GoodCutset:
     cert = GoodCutset(cutset=tuple(sorted(s)), degree_bound=1)
-    return _verified(g, cert, "cutset failed oracle re-verification")
+    return _verified(g, cert)
 
 
 def degenerate_sparse_cutset(g: Graph, u: int) -> GoodCutset:
@@ -772,4 +734,4 @@ def degenerate_sparse_cutset(g: Graph, u: int) -> GoodCutset:
         "far independent set fell below the (n - D^2 - 1)/(D + 1) guarantee",
     )
     cert = GoodCutset(cutset=tuple(sorted(set(g.neighbors(u)) | taken)))
-    return _verified(g, cert, "cutset failed oracle re-verification")
+    return _verified(g, cert)

@@ -87,41 +87,19 @@ _REPORT_FIELDS = (
 )
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise GraphError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _env_flag(name: str) -> bool | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
 def _timing_ms(t0: float) -> int:
-    if _env_flag("SPARSECUT_ZERO_TIMING"):
+    zero = os.environ.get("SPARSECUT_ZERO_TIMING", "")
+    if zero and zero.strip().lower() not in ("0", "false", "no", "off"):
         return 0
     return int((time.monotonic() - t0) * 1000)
 
 
 def _budget(args) -> OracleBudget:
-    max_n = getattr(args, "max_n", None)
-    if max_n is None:
-        max_n = _env_int("SPARSECUT_MAX_N")
-    max_subset = getattr(args, "max_subset", None)
-    if max_subset is None:
-        max_subset = _env_int("SPARSECUT_MAX_SUBSET")
     base = OracleBudget()
     return OracleBudget(
-        max_n=base.max_n if max_n is None else max_n,
-        max_subset_size=base.max_subset_size if max_subset is None else max_subset,
-        time_hint_s=getattr(args, "time_hint", None),
+        max_n=base.max_n if args.max_n is None else args.max_n,
+        max_subset_size=base.max_subset_size if args.max_subset is None else args.max_subset,
+        time_hint_s=args.time_hint,
     )
 
 
@@ -171,11 +149,8 @@ def _stats_for(g: Graph, cert: Certificate | None) -> dict | None:
 
 
 def _verification_wanted(args, g: Graph) -> bool:
-    if getattr(args, "verify", None) is not None:
+    if args.verify is not None:
         return args.verify
-    env = _env_flag("SPARSECUT_VERIFY")
-    if env is not None:
-        return env
     return g.n <= 20
 
 
@@ -209,13 +184,10 @@ def _code_for(exc: Exception) -> int | None:
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = _env_int("SPARSECUT_SEED") or 0
     name = args.family
     params = args.params
     try:
-        g = _build_family(name, params, seed)
+        g = _build_family(name, params, args.seed)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, (GraphError, PreconditionError)):
             raise
@@ -425,22 +397,28 @@ def _run_once(path: str | None, args) -> tuple[dict, int]:
         # no stats for a refuted claim: its vertex ids need not even exist
         return _error_report(out, t0, 1, "VerificationFailed", mismatch)
     out["stats"] = result if cert is None else _stats_for(g, cert)
-    out["timing_ms"] = _timing_ms(t0)
     if getattr(args, "dot", None) is not None:
-        _write_out(to_dot(g, getattr(cert, "cutset", ())), args.dot)
+        try:
+            _write_out(to_dot(g, getattr(cert, "cutset", ())), args.dot)
+        except GraphError as exc:
+            return _error_report(out, t0, 2, "GraphError", str(exc))
+    out["timing_ms"] = _timing_ms(t0)
     return out, 0
 
 
 def _cmd_batch(args) -> int:
-    if getattr(args, "corpus", None) is not None:
-        return _corpus_run(args)
     t0 = time.monotonic()
-    out, code = _run_once(args.input, args)
+    if getattr(args, "corpus", None) is not None:
+        out, code = _corpus_run(args)
+        head_keys = ("schema_version", "corpus")
+    else:
+        out, code = _run_once(args.input, args)
+        head_keys = ("schema_version", "input_digest", "command")
     try:
         _emit(out, args.output)
     except GraphError as exc:
         # the report cannot reach its file, so the failure is reported on stdout
-        head = {key: out[key] for key in ("schema_version", "input_digest", "command")}
+        head = {key: out[key] for key in head_keys}
         out, code = _error_report(head, t0, 2, "GraphError", str(exc))
         _emit(out)
     return code
@@ -479,29 +457,27 @@ def _cmd_report(args) -> int:
 # -------------------------------------------------------------------- corpus
 
 
-def _corpus_run(args) -> int:
+def _corpus_run(args) -> tuple[dict, int]:
+    """Run every file of the corpus directory; the aggregate and worst exit code."""
+    t0 = time.monotonic()
     root = Path(args.corpus)
-    if not root.is_dir():
-        raise GraphError(f"--corpus {root} is not a directory")
-    files = sorted(p for p in root.iterdir() if p.is_file())
+    aggregate = {"schema_version": SCHEMA_VERSION, "corpus": str(root)}
+    try:
+        files = sorted(p for p in root.iterdir() if p.is_file())
+    except OSError as exc:
+        return _error_report(aggregate, t0, 2, "GraphError", f"cannot list --corpus {root}: {exc}")
     if not files:
-        raise GraphError(f"--corpus {root} holds no files")
+        return _error_report(aggregate, t0, 2, "GraphError", f"--corpus {root} holds no files")
 
     # one file after another: the work is pure-Python computation under the GIL
     rows = [(path.name, *_run_once(str(path), args)) for path in files]
-    results = [{"file": name, "report": out} for name, out, _ in rows]
-    aggregate = {
-        "schema_version": SCHEMA_VERSION,
-        "corpus": str(root),
-        "count": len(results),
-        "results": results,
-    }
-    _emit(aggregate, args.output)
+    aggregate["count"] = len(rows)
+    aggregate["results"] = [{"file": name, "report": out} for name, out, _ in rows]
     codes = {code for _, _, code in rows}
     for severe in (1, 3, 2):
         if severe in codes:
-            return severe
-    return 0
+            return aggregate, severe
+    return aggregate, 0
 
 
 # ---------------------------------------------------------------- arg wiring
@@ -534,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a fixture graph")
     p.add_argument("family", help="icosahedron, squared-cycle, figure2, ...")
     p.add_argument("params", nargs="*", type=int, help="family parameters")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed for random families")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for random families")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("edge-list", "graph6"), default="edge-list")
     p.set_defaults(func=_cmd_generate)

@@ -35,6 +35,11 @@ class OracleBudget:
     max_n gates every exponential enumeration, max_subset_size caps
     searches that go subset-size by subset-size, and time_hint_s is a soft
     wall-clock limit checked between enumeration batches.
+
+    max_subset_size does not cap find_independent_cutset or
+    find_constrained_cutset(max_delta=...): both are exhaustive, so their
+    None means "no such cutset at all", and a cap would turn those answers
+    into BudgetExhausted.
     """
 
     max_n: int = 24

@@ -56,6 +56,7 @@ from sparsecut.generators import (
     squared_cycle,
 )
 from sparsecut.graph import Graph, induced_stats, max_degree_in
+from sparsecut.io import parse_graph6
 from sparsecut.oracles import (
     OracleBudget,
     enumerate_min_cutsets,
@@ -181,6 +182,17 @@ def test_theorem2_block_pattern():
     assert verify_certificate(g, cert)
     stats = induced_stats(g, set(cert.cutset))
     assert Fraction(2 * stats.induced_edge_count, 5) < 2
+
+
+def test_theorem2_swaps_a_separator_vertex_outward():
+    # a 5-regular graph found among random degree-preserving edge switches
+    # of figure2_pattern(5): after the growth the separator induces a cycle
+    # whose every vertex sees the rest, so the construction must swap a
+    # vertex with two grown-side neighbors for its one outside neighbor
+    g = parse_graph6("Sziw?kI?w@_J?I?B_?W?J?_g??}O?Yc?g")
+    cert = theorem2_cutset(g)
+    assert cert.cutset == (3, 4, 5, 18, 19)
+    assert verify_certificate(g, cert)
 
 
 def test_theorem2_icosahedron_is_recognized():

@@ -148,18 +148,6 @@ def test_find_cutset_default_verification_tracks_order(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["verified"] is None
 
 
-def test_find_cutset_verify_env_toggle(monkeypatch, capsys):
-    monkeypatch.setenv("SPARSECUT_VERIFY", "1")
-    code, out = pipe(
-        monkeypatch,
-        capsys,
-        ["generate", "squared-cycle", "30"],
-        ["find-cutset", "--method", "thm1", "--delta", "4"],
-    )
-    assert code == 0
-    assert json.loads(out)["verified"] is True
-
-
 def test_find_cutset_thm4_from_file(tmp_path, monkeypatch, capsys):
     from helpers import four_regular_cut2
     from sparsecut.io import emit_edge_list
@@ -211,6 +199,23 @@ def test_find_cutset_dot_export(tmp_path, monkeypatch, capsys):
     text = out_dot.read_text(encoding="ascii")
     assert "style=filled" in text
     assert "2 [" in text and "13 [" in text
+
+
+def test_find_cutset_unwritable_dot_keeps_the_report(tmp_path, monkeypatch, capsys):
+    code, out = pipe(
+        monkeypatch,
+        capsys,
+        ["generate", "squared-cycle", "14"],
+        ["find-cutset", "--method", "thm1", "--delta", "4", "--verify",
+         "--dot", str(tmp_path / "no-dir" / "cut.dot")],
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"]["code"] == 2 and report["error"]["type"] == "GraphError"
+    assert report["certificate"]["cutset"] == [2, 3, 12, 13]
+    assert report["verified"] is True
+    assert report["stats"]["max_degree_in_s"] == 1
+    assert list(report)[-2:] == ["error", "timing_ms"]
 
 
 # -------------------------------------------------------------------- oracle
@@ -273,6 +278,14 @@ def test_oracle_budget_exhausted_exit(monkeypatch, capsys):
     )
     assert code == 3
     assert json.loads(out)["error"]["type"] == "BudgetExhausted"
+    code, out = pipe(
+        monkeypatch,
+        capsys,
+        ["generate", "squared-cycle", "14"],
+        ["oracle", "min-cutsets", "--max-subset", "3"],
+    )
+    assert code == 3
+    assert "max_subset_size=3" in json.loads(out)["error"]["message"]
 
 
 def test_oracle_long_cycle_search_ends_in_one_report(monkeypatch, capsys):
@@ -313,18 +326,6 @@ def test_oracle_rejects_negative_budget(monkeypatch, capsys):
     )
     assert code == 2
     assert json.loads(out)["error"]["type"] == "PreconditionError"
-
-
-def test_oracle_env_cap_override(monkeypatch, capsys):
-    monkeypatch.setenv("SPARSECUT_MAX_N", "30")
-    code, out = pipe(
-        monkeypatch,
-        capsys,
-        ["generate", "squared-cycle", "30"],
-        ["oracle", "connectivity"],
-    )
-    assert code == 0
-    assert json.loads(out)["stats"]["connectivity"] == 4
 
 
 def test_oracle_squared_cycle_recognizer(monkeypatch, capsys):
@@ -515,6 +516,28 @@ def test_corpus_propagates_worst_exit_code(tmp_path, monkeypatch, capsys):
     assert by_name["good.edges"]["certificate"]["kind"] == "good-cutset"
     assert "error" not in by_name["good.edges"]
     assert by_name["small.edges"]["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("case", ["output-dir-missing", "not-a-directory", "empty-directory"])
+def test_corpus_failures_end_in_one_json_report(tmp_path, capsys, case):
+    from sparsecut.generators import squared_cycle
+    from sparsecut.io import emit_edge_list
+
+    corpus = tmp_path / "corpus"
+    argv = ["find-cutset", "--method", "thm1", "--delta", "4", "--corpus", str(corpus)]
+    if case == "output-dir-missing":
+        corpus.mkdir()
+        (corpus / "a.edges").write_text(emit_edge_list(squared_cycle(14)), encoding="ascii")
+        argv += ["-o", str(tmp_path / "no-dir" / "out.json")]
+    elif case == "not-a-directory":
+        corpus.write_text(emit_edge_list(squared_cycle(14)), encoding="ascii")
+    else:
+        corpus.mkdir()
+    code, out = run_cli(argv, capsys=capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["corpus"] == str(corpus)
+    assert report["error"]["code"] == 2 and report["error"]["type"] == "GraphError"
 
 
 # ------------------------------------------------------------- determinism

@@ -1,0 +1,119 @@
+"""Property tests: the grow-and-swap methods on random connected graphs.
+
+Every input meets the method's stated preconditions, so each run must end
+in a certificate that the independent oracle accepts; any exception,
+InternalInvariantError included, fails the property.
+"""
+
+from __future__ import annotations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from sparsecut.algorithms import theorem1_cutset, theorem2_cutset, theorem5_certify
+from sparsecut.errors import BudgetExhausted
+from sparsecut.generators import random_regular
+from sparsecut.graph import Graph, is_connected
+from sparsecut.oracles import verify_certificate
+
+
+@st.composite
+def connected_capped(draw, delta: int, min_n: int, max_n: int, hub: bool = False) -> Graph:
+    """A random spanning tree plus random extra edges, every degree <= delta.
+
+    Two draws in three then saturate the graph: a lowest-degree vertex is
+    joined to a random vertex with room until no pair fits under the cap.
+    In the "nearby" mode that vertex is, where possible, at most
+    (delta + 1) // 2 steps away around the vertex cycle, which makes the
+    neighborhoods dense. Nearly every degree then reaches delta, so the
+    growth loops run and move vertices. With hub, vertex 0 is then joined
+    to the first vertices with room left until its degree is exactly delta.
+    """
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    deg = [0] * n
+    edges: set[tuple[int, int]] = set()
+
+    def add(a: int, b: int) -> None:
+        key = (min(a, b), max(a, b))
+        if a != b and key not in edges and deg[a] < delta and deg[b] < delta:
+            edges.add(key)
+            deg[a] += 1
+            deg[b] += 1
+
+    for v in range(1, n):
+        add(draw(st.sampled_from([w for w in range(v) if deg[w] < delta])), v)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b in draw(st.lists(pair, max_size=delta * n)):
+        add(a, b)
+    saturate = draw(st.sampled_from(["no", "anywhere", "nearby"]))
+    if saturate != "no":
+        stuck: set[int] = set()
+        while True:
+            room = [v for v in range(n) if deg[v] < delta and v not in stuck]
+            if not room:
+                break
+            a = min(room, key=lambda v: (deg[v], v))
+            mates = [b for b in room if b != a and (min(a, b), max(a, b)) not in edges]
+            near = [b for b in mates if min((a - b) % n, (b - a) % n) <= (delta + 1) // 2]
+            if saturate == "nearby" and near:
+                mates = near
+            if mates:
+                add(a, draw(st.sampled_from(mates)))
+            else:
+                stuck.add(a)
+    if hub:
+        for w in range(1, n):
+            if deg[0] == delta:
+                break
+            add(0, w)
+        assume(deg[0] == delta)
+    return Graph(n, sorted(edges))
+
+
+@st.composite
+def thm1_inputs(draw) -> tuple[Graph, int]:
+    delta = draw(st.integers(min_value=3, max_value=6))
+    return draw(connected_capped(delta, 2 * delta + 4, 2 * delta + 16)), delta
+
+
+@given(case=thm1_inputs())
+@settings(max_examples=150, deadline=None)
+def test_theorem1_certifies_and_keeps_its_ledger(case):
+    g, delta = case
+    trace = []
+    cert = theorem1_cutset(g, delta, trace=trace)
+    assert verify_certificate(g, cert)
+    assert len(trace) <= delta + 3
+    for state in trace:
+        assert state.step == len(state.u_side.members)
+    potentials = [s.m_i - 2 * s.n_i for s in trace]
+    for before, after in zip(potentials, potentials[1:]):
+        assert after - before >= delta - 2
+
+
+@given(
+    case=st.one_of(
+        connected_capped(5, 9, 30, hub=True).map(lambda g: (g, 5, 2)),
+        connected_capped(14, 22, 34, hub=True).map(lambda g: (g, 14, 3)),
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_theorem5_certifies(case):
+    g, delta, r = case
+    cert = theorem5_certify(g, delta, r)
+    assert verify_certificate(g, cert)
+
+
+@given(
+    n=st.integers(min_value=7, max_value=24).map(lambda k: 2 * k),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_theorem2_certifies_on_random_regular(n, seed):
+    try:
+        g = random_regular(n, 5, seed)
+    except BudgetExhausted:
+        assume(False)
+    assume(is_connected(g))
+    cert = theorem2_cutset(g)
+    assert verify_certificate(g, cert)
