@@ -603,7 +603,7 @@ def prop1_is_icosahedron(g: Graph) -> bool:
     return True
 
 
-def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> GoodCutset:
+def prop2_cutset(g: Graph) -> GoodCutset:
     """Cutset with internal max degree <= 1 for connected graphs satisfying
     the exact edge-count gate m <= (2 + 1/(D^2+1)) n - 4 with D = max degree.
 
@@ -611,7 +611,7 @@ def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> GoodCutset:
     edgeless neighborhood that already separates, or all of them sit in
     dense pockets; then each is contracted with a well-chosen neighbor and
     the bounded independent-cutset search runs on the contracted graph,
-    whose sparsity guarantees a hit. The budget caps that search.
+    whose sparsity guarantees a hit. The default OracleBudget caps that search.
     """
     _require_connected(g, "prop2_cutset")
     dmax = g.max_degree()
@@ -645,7 +645,7 @@ def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> GoodCutset:
             return _finish_prop2(g, set(g.neighbors(sparse)))
         # the neighborhood swallows the whole graph (a dominating seed);
         # fall back to the exhaustive bounded search
-        hit = find_constrained_cutset(g, max_delta=1, budget=budget)
+        hit = find_constrained_cutset(g, max_delta=1)
         if hit is None:
             raise NoCutsetFound(
                 "prop2_cutset: no cutset with internal max degree at most 1 "
@@ -685,7 +685,7 @@ def prop2_cutset(g: Graph, budget: OracleBudget | None = None) -> GoodCutset:
         "contraction removed fewer than three edges per merged pair",
     )
     ensure(gp.m <= 2 * gp.n - 4, "contracted graph misses the sparse edge bound")
-    sprime = find_independent_cutset(gp, budget)
+    sprime = find_independent_cutset(gp)
     ensure(
         sprime is not None,
         "sparse contracted graph has no independent cutset at all",

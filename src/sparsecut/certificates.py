@@ -7,7 +7,7 @@ Average-degree bounds are strict and kept as integer fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import GraphError
 
@@ -75,25 +75,12 @@ def certificate_kind(cert: Certificate) -> str:
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    """Stable JSON-ready form with a 'kind' tag and sorted-field payload."""
+    """Stable JSON-ready form: a 'kind' tag, then each field in declaration
+    order, with tuples as lists."""
     out: dict = {"kind": certificate_kind(cert)}
-    if isinstance(cert, GoodCutset):
-        out["cutset"] = list(cert.cutset)
-        out["size_bound"] = cert.size_bound
-        out["degree_bound"] = cert.degree_bound
-        out["avg_bound_strict"] = (
-            list(cert.avg_bound_strict) if cert.avg_bound_strict else None
-        )
-        out["require_minimal"] = cert.require_minimal
-    elif isinstance(cert, IndependentCutset):
-        out["cutset"] = list(cert.cutset)
-        out["size_bound"] = cert.size_bound
-    elif isinstance(cert, KrrWitness):
-        out["r"] = cert.r
-        out["side_a"] = list(cert.side_a)
-        out["side_b"] = list(cert.side_b)
-    elif isinstance(cert, SquaredCycleIso):
-        out["order"] = list(cert.order)
+    for field in fields(cert):
+        value = getattr(cert, field.name)
+        out[field.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 

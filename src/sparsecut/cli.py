@@ -249,8 +249,6 @@ _METHODS = {
 
 
 def _run_method(g: Graph, args) -> Certificate:
-    if args.method not in _METHODS:
-        raise GraphError(f"unknown method {args.method!r}")
     needs, run = _METHODS[args.method]
     _require_options(f"find-cutset --method {args.method}", args, needs)
     return run(g, args)
@@ -316,10 +314,7 @@ _PROBES = {
 
 
 def _run_oracle(g: Graph, args) -> Certificate | dict:
-    budget = _budget(args)
-    if args.probe not in _PROBES:
-        raise GraphError(f"unknown oracle {args.probe!r}")
-    return _PROBES[args.probe](g, args, budget)
+    return _PROBES[args.probe](g, args, _budget(args))
 
 
 # -------------------------------------------------------------------- verify
@@ -519,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         required=True,
-        choices=("thm1", "thm2", "thm3", "thm4", "thm5", "prop2", "degenerate"),
+        choices=tuple(_METHODS),
     )
     p.add_argument("--delta", type=int, default=None, help="degree bound for thm1/thm5")
     p.add_argument("--r", type=int, default=None, help="biclique order for thm5")
@@ -538,14 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run a brute-force search or check")
     p.add_argument(
         "probe",
-        choices=(
-            "independent-cutset",
-            "constrained-cutset",
-            "connectivity",
-            "krr",
-            "min-cutsets",
-            "squared-cycle",
-        ),
+        choices=tuple(_PROBES),
     )
     p.add_argument("--r", type=int, default=None, help="biclique order for krr")
     p.add_argument("--max-delta", type=int, default=None, help="internal degree cap")

@@ -237,7 +237,11 @@ def _line_graph_petersen() -> Graph:
     return Graph(len(pe), edges)
 
 
-def random_regular(n: int, d: int, seed: int, max_retries: int = 2000) -> Graph:
+# whole pairings random_regular draws before it gives up
+_PAIRING_ATTEMPTS = 2000
+
+
+def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph by the pairing model with full rejection.
 
     All n*d stubs are shuffled and paired; any pairing with a self-loop or
@@ -252,7 +256,7 @@ def random_regular(n: int, d: int, seed: int, max_retries: int = 2000) -> Graph:
         raise PreconditionError(f"n*d must be even, got n={n} d={d}")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_retries):
+    for _ in range(_PAIRING_ATTEMPTS):
         rng.shuffle(stubs)
         seen = set()
         ok = True
@@ -270,5 +274,5 @@ def random_regular(n: int, d: int, seed: int, max_retries: int = 2000) -> Graph:
             return Graph(n, sorted(seen))
     raise BudgetExhausted(
         f"random_regular(n={n}, d={d}, seed={seed}) found no simple pairing "
-        f"in {max_retries} attempts"
+        f"in {_PAIRING_ATTEMPTS} attempts"
     )

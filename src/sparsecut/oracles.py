@@ -6,6 +6,14 @@ and shares no logic with the constructive algorithms it audits.
 Exponential searches are gated by an OracleBudget; running out of budget
 raises BudgetExhausted, which is a first-class outcome distinct from a
 definitive "none".
+
+The five exponential searches (enumerate_min_cutsets,
+find_independent_cutset, find_constrained_cutset, find_krr and
+find_induced_squared_path) each build one _Search from the graph, the
+budget and their own name. It rejects an order above max_n, holds the
+adjacency bitmasks, counts search steps in tick(), which checks the time
+hint every 64 steps, and walks k-subsets in lexicographic order on an
+explicit stack, so no search recurses.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Iterator
 
 from .certificates import (
     Certificate,
@@ -34,7 +43,9 @@ class OracleBudget:
 
     max_n gates every exponential enumeration, max_subset_size caps
     searches that go subset-size by subset-size, and time_hint_s is a soft
-    wall-clock limit checked between enumeration batches.
+    wall-clock limit, counted from the start of each search and checked
+    once every 64 search steps, so a search that ends within 64 steps never
+    reads it.
 
     max_subset_size does not cap find_independent_cutset or
     find_constrained_cutset(max_delta=...): both are exhaustive, so their
@@ -59,16 +70,6 @@ class OracleBudget:
             raise PreconditionError(
                 f"OracleBudget: time_hint_s must be positive, got {self.time_hint_s}"
             )
-
-
-class _Deadline:
-    def __init__(self, seconds: float | None):
-        self.seconds = seconds
-        self.start = time.monotonic()
-
-    def check(self) -> None:
-        if self.seconds is not None and time.monotonic() - self.start > self.seconds:
-            raise BudgetExhausted(f"oracle time budget of {self.seconds}s exceeded")
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -101,19 +102,6 @@ def _component_count(masks: tuple[int, ...], alive: int) -> int:
     return count
 
 
-def _masks(g: Graph) -> tuple[int, ...]:
-    """Neighbors of each vertex as a bitmask (bit w set iff vw is an edge).
-
-    Each mask has n bits, so only searches gated by _require_small build them.
-    """
-    return tuple(sum(1 << w for w in g.neighbors(v)) for v in range(g.n))
-
-
-def _is_cutset_bits(masks: tuple[int, ...], full: int, smask: int) -> bool:
-    alive = full & ~smask
-    return alive != 0 and _component_count(masks, alive) >= 2
-
-
 def _separates(g: Graph, removed: tuple[int, ...]) -> bool:
     """Whether g minus removed has at least two components, by flood fill."""
     seen = set(removed)
@@ -130,11 +118,70 @@ def _separates(g: Graph, removed: tuple[int, ...]) -> bool:
     return len(seen) < g.n
 
 
-def _require_small(g: Graph, budget: OracleBudget, what: str) -> None:
-    if g.n > budget.max_n:
-        raise BudgetExhausted(
-            f"{what}: n={g.n} exceeds oracle cap max_n={budget.max_n}"
-        )
+class _Search:
+    """What one exponential search over g needs: its order gate, the
+    adjacency bitmasks, a step clock for the time hint and a subset walk."""
+
+    def __init__(self, g: Graph, budget: OracleBudget | None, what: str):
+        self.budget = budget or OracleBudget()
+        if g.n > self.budget.max_n:
+            raise BudgetExhausted(
+                f"{what}: n={g.n} exceeds oracle cap max_n={self.budget.max_n}"
+            )
+        self.n = g.n
+        # bit w of masks[v] is set iff vw is an edge; each mask has n bits,
+        # which is why they are built only past the order gate
+        self.masks = tuple(sum(1 << w for w in g.neighbors(v)) for v in range(g.n))
+        self.full = (1 << g.n) - 1
+        self.steps = 0
+        self.start = time.monotonic()
+
+    def tick(self) -> None:
+        """Count one search step; every 64 steps, enforce the time hint."""
+        self.steps += 1
+        # a step can cost O(n) big-int work on deep sets, so check often
+        if self.steps % 64 == 0:
+            limit = self.budget.time_hint_s
+            if limit is not None and time.monotonic() - self.start > limit:
+                raise BudgetExhausted(f"oracle time budget of {limit}s exceeded")
+
+    def cuts(self, smask: int) -> bool:
+        """Whether removing the vertices in smask leaves two or more components."""
+        alive = self.full & ~smask
+        return alive != 0 and _component_count(self.masks, alive) >= 2
+
+    def subsets(self, k: int, independent: bool = False) -> Iterator[int]:
+        """Every k-subset of the vertices as a bitmask, in lexicographic
+        order; with independent, vertices adjacent to the chosen ones are
+        skipped, so only independent sets come out. Each vertex added to
+        the chosen set is one tick()."""
+        n, masks = self.n, self.masks
+        if k == 0:
+            yield 0
+            return
+        picks: list[int] = []
+        chosen = 0
+        v = 0
+        while True:
+            if len(picks) == k - 1:
+                # the last member: each vertex left completes a set, and
+                # looping here spares a push and a pop per set
+                for w in range(v, n):
+                    if not (independent and masks[w] & chosen):
+                        self.tick()
+                        yield chosen | 1 << w
+            elif v <= n - k + len(picks):
+                if not (independent and masks[v] & chosen):
+                    self.tick()
+                    picks.append(v)
+                    chosen |= 1 << v
+                v += 1
+                continue
+            if not picks:
+                return
+            v = picks.pop()
+            chosen ^= 1 << v
+            v += 1
 
 
 # --------------------------------------------------------- cutset enumeration
@@ -146,33 +193,23 @@ def enumerate_min_cutsets(g: Graph, budget: OracleBudget | None = None) -> list[
     A complete graph has no cutset at all and yields the empty list (its
     connectivity is the conventional n-1). Requires a connected input.
     """
-    budget = budget or OracleBudget()
-    _require_small(g, budget, "enumerate_min_cutsets")
-    masks = _masks(g)
-    full = (1 << g.n) - 1
-    if g.n > 0 and _component_count(masks, full) != 1:
+    search = _Search(g, budget, "enumerate_min_cutsets")
+    if search.cuts(0):
         raise PreconditionError("enumerate_min_cutsets requires a connected graph")
     if g.m == g.n * (g.n - 1) // 2:
         return []
-    deadline = _Deadline(budget.time_hint_s)
     # kappa <= min degree for connected non-complete graphs, so the scan
     # below is guaranteed to stop by then
     limit = g.min_degree()
     for k in range(1, limit + 1):
-        if k > budget.max_subset_size:
+        if k > search.budget.max_subset_size:
             raise BudgetExhausted(
                 f"enumerate_min_cutsets: min cutset order exceeds cap "
-                f"max_subset_size={budget.max_subset_size}"
+                f"max_subset_size={search.budget.max_subset_size}"
             )
-        found = []
-        for i, combo in enumerate(combinations(range(g.n), k)):
-            if i % 4096 == 0:
-                deadline.check()
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            if _is_cutset_bits(masks, full, smask):
-                found.append(VertexSet(combo, g.n))
+        found = [
+            VertexSet(_bits(smask), g.n) for smask in search.subsets(k) if search.cuts(smask)
+        ]
         if found:
             return found
     raise PreconditionError(
@@ -265,34 +302,14 @@ def find_independent_cutset(
     finishes empty, or raises BudgetExhausted. A disconnected input
     returns the empty set, which is an independent cutset by convention.
     """
-    budget = budget or OracleBudget()
-    _require_small(g, budget, "find_independent_cutset")
+    search = _Search(g, budget, "find_independent_cutset")
     if g.n == 0:
         return None
-    masks = _masks(g)
-    full = (1 << g.n) - 1
-    if _component_count(masks, full) >= 2:
+    if search.cuts(0):
         return VertexSet([], g.n)
-    deadline = _Deadline(budget.time_hint_s)
-    counter = 0
-
-    def sized(start: int, chosen: int, left: int):
-        nonlocal counter
-        if left == 0:
-            yield chosen
-            return
-        for v in range(start, g.n - left + 1):
-            if masks[v] & chosen:
-                continue
-            counter += 1
-            if counter % 4096 == 0:
-                deadline.check()
-            yield from sized(v + 1, chosen | (1 << v), left - 1)
-
     for k in range(1, g.n - 1):
-        deadline.check()
-        for smask in sized(0, 0, k):
-            if _is_cutset_bits(masks, full, smask):
+        for smask in search.subsets(k, independent=True):
+            if search.cuts(smask):
                 return VertexSet(_bits(smask), g.n)
     return None
 
@@ -313,17 +330,13 @@ def find_constrained_cutset(
     scan covers sizes up to budget.max_subset_size and None means "none
     within that cap".
     """
-    budget = budget or OracleBudget()
-    _require_small(g, budget, "find_constrained_cutset")
+    search = _Search(g, budget, "find_constrained_cutset")
     if max_delta is None and max_avg is None:
         raise PreconditionError("find_constrained_cutset needs at least one constraint")
     avg: Fraction | None = None
     if max_avg is not None:
         avg = max_avg if isinstance(max_avg, Fraction) else Fraction(*max_avg)
-    masks = _masks(g)
-    full = (1 << g.n) - 1
-    deadline = _Deadline(budget.time_hint_s)
-    counter = 0
+    masks = search.masks
 
     def avg_ok(smask: int, size: int) -> bool:
         if avg is None:
@@ -356,10 +369,7 @@ def find_constrained_cutset(
                     deg_in_s[u] -= 1
                 v += 1
                 continue
-            counter += 1
-            # a step can cost O(n) big-int work on deep sets, so check often
-            if counter % 64 == 0:
-                deadline.check()
+            search.tick()
             inside = masks[v] & smask
             dv = inside.bit_count()
             if dv > max_delta or any(deg_in_s[u] >= max_delta for u in _bits(inside)):
@@ -370,19 +380,14 @@ def find_constrained_cutset(
             deg_in_s[v] = dv
             chosen.append((v, inside))
             smask |= 1 << v
-            if avg_ok(smask, len(chosen)) and _is_cutset_bits(masks, full, smask):
+            if avg_ok(smask, len(chosen)) and search.cuts(smask):
                 return VertexSet(_bits(smask), g.n)
             v += 1
 
-    for k in range(1, min(budget.max_subset_size, g.n - 1) + 1):
-        for i, combo in enumerate(combinations(range(g.n), k)):
-            if i % 4096 == 0:
-                deadline.check()
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            if avg_ok(smask, k) and _is_cutset_bits(masks, full, smask):
-                return VertexSet(combo, g.n)
+    for k in range(1, min(search.budget.max_subset_size, g.n - 1) + 1):
+        for smask in search.subsets(k):
+            if avg_ok(smask, k) and search.cuts(smask):
+                return VertexSet(_bits(smask), g.n)
     return None
 
 
@@ -396,19 +401,15 @@ def find_krr(
     """
     if r < 1:
         raise PreconditionError(f"find_krr requires r >= 1, got {r}")
-    budget = budget or OracleBudget()
-    _require_small(g, budget, "find_krr")
-    masks = _masks(g)
-    deadline = _Deadline(budget.time_hint_s)
-    for i, combo in enumerate(combinations(range(g.n), r)):
-        if i % 4096 == 0:
-            deadline.check()
-        common = (1 << g.n) - 1
-        for v in combo:
-            common &= masks[v]
+    search = _Search(g, budget, "find_krr")
+    for smask in search.subsets(r):
+        side_a = _bits(smask)
+        common = search.full
+        for v in side_a:
+            common &= search.masks[v]
         if common.bit_count() >= r:
             side_b = _bits(common)[:r]
-            return VertexSet(combo, g.n), VertexSet(side_b, g.n)
+            return VertexSet(side_a, g.n), VertexSet(side_b, g.n)
     return None
 
 
@@ -501,11 +502,8 @@ def find_induced_squared_path(
     """
     if k < 1:
         raise PreconditionError(f"find_induced_squared_path requires k >= 1, got {k}")
-    budget = budget or OracleBudget()
-    _require_small(g, budget, "find_induced_squared_path")
-    masks = _masks(g)
-    deadline = _Deadline(budget.time_hint_s)
-    counter = 0
+    search = _Search(g, budget, "find_induced_squared_path")
+    masks = search.masks
     # an explicit stack, so long paths cannot overflow the interpreter stack;
     # seq[i] was chosen when trying candidate nxt[i] - 1 at depth i
     seq: list[int] = []
@@ -524,9 +522,7 @@ def find_induced_squared_path(
             forbid ^= 1 << seq[-2]
         v = nxt[-1]
         while v < g.n:
-            counter += 1
-            if counter % 4096 == 0:
-                deadline.check()
+            search.tick()
             bit = 1 << v
             if not (used & bit or (seq and not (need & bit)) or masks[v] & forbid):
                 break

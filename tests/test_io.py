@@ -6,6 +6,7 @@ graph6 correctness is pinned twice: against a byhand encoding of the
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -185,6 +186,34 @@ def test_certificate_dict_round_trip(cert):
     data = certificate_to_dict(cert)
     assert data["kind"]
     assert certificate_from_dict(data) == cert
+
+
+@pytest.mark.parametrize(
+    "cert, text",
+    [
+        (
+            GoodCutset(cutset=(1, 2, 4), size_bound=4, avg_bound_strict=(1, 1)),
+            '{"kind": "good-cutset", "cutset": [1, 2, 4], "size_bound": 4, '
+            '"degree_bound": null, "avg_bound_strict": [1, 1], "require_minimal": false}',
+        ),
+        (
+            IndependentCutset(cutset=(3, 5), size_bound=3),
+            '{"kind": "independent-cutset", "cutset": [3, 5], "size_bound": 3}',
+        ),
+        (
+            KrrWitness(r=2, side_a=(0, 1), side_b=(2, 19)),
+            '{"kind": "krr-witness", "r": 2, "side_a": [0, 1], "side_b": [2, 19]}',
+        ),
+        (
+            SquaredCycleIso(order=(0, 1, 2, 3, 4)),
+            '{"kind": "squared-cycle-iso", "order": [0, 1, 2, 3, 4]}',
+        ),
+        (IsIcosahedron(), '{"kind": "is-icosahedron"}'),
+    ],
+)
+def test_certificate_dict_key_order(cert, text):
+    # reports are compared byte for byte, so the key order is part of the format
+    assert json.dumps(certificate_to_dict(cert)) == text
 
 
 def test_certificate_dict_rejects_garbage():

@@ -25,7 +25,7 @@ from sparsecut.generators import (
     squared_cycle,
     squared_path,
 )
-from sparsecut.graph import Graph, induced_stats, is_cutset
+from sparsecut.graph import Graph, VertexSet, induced_stats, is_connected, is_cutset
 from sparsecut.oracles import (
     OracleBudget,
     bipartite_matching,
@@ -240,6 +240,153 @@ def test_find_krr_r1_is_any_edge():
 def test_find_krr_validates_r():
     with pytest.raises(PreconditionError):
         find_krr(_path(3), 0)
+
+
+# ------------------------------------------------ searches against references
+#
+# Plain versions of the exhaustive searches, written from the Graph API: the
+# unpruned scans over itertools.combinations, the independent search and
+# the degree-capped search as the recursive walks the library replaced.
+
+
+def _separated(g: Graph, s) -> bool:
+    return len(s) < g.n and is_cutset(g, s)
+
+
+def _avg_below(g: Graph, s, avg: Fraction | None) -> bool:
+    if avg is None:
+        return True
+    edges2 = sum(g.has_edge(u, v) for u in s for v in s)
+    return edges2 * avg.denominator < avg.numerator * len(s)
+
+
+def _min_cutsets_reference(g: Graph, budget: OracleBudget):
+    if not is_connected(g):
+        raise PreconditionError("not connected")
+    if g.m == g.n * (g.n - 1) // 2:
+        return []
+    for k in range(1, g.min_degree() + 1):
+        if k > budget.max_subset_size:
+            raise BudgetExhausted("max_subset_size")
+        found = [c for c in combinations(range(g.n), k) if _separated(g, c)]
+        if found:
+            return found
+    raise PreconditionError("no cutset up to the minimum degree")
+
+
+def _independent_reference(g: Graph):
+    if g.n == 0:
+        return None
+    if not is_connected(g):
+        return ()
+
+    def sized(start: int, chosen: tuple[int, ...], left: int):
+        if left == 0:
+            yield chosen
+            return
+        for v in range(start, g.n - left + 1):
+            if any(g.has_edge(v, u) for u in chosen):
+                continue
+            yield from sized(v + 1, chosen + (v,), left - 1)
+
+    for k in range(1, g.n - 1):
+        for s in sized(0, (), k):
+            if _separated(g, s):
+                return s
+    return None
+
+
+def _constrained_reference(g: Graph, max_delta, avg, budget: OracleBudget):
+    if max_delta is not None:
+
+        def extend(start: int, chosen: tuple[int, ...]):
+            for v in range(start, g.n):
+                s = chosen + (v,)
+                if max(sum(g.has_edge(u, w) for w in s) for u in s) > max_delta:
+                    continue
+                if _avg_below(g, s, avg) and _separated(g, s):
+                    return s
+                hit = extend(v + 1, s)
+                if hit is not None:
+                    return hit
+            return None
+
+        return extend(0, ())
+    for k in range(1, min(budget.max_subset_size, g.n - 1) + 1):
+        for s in combinations(range(g.n), k):
+            if _avg_below(g, s, avg) and _separated(g, s):
+                return s
+    return None
+
+
+def _krr_reference(g: Graph, r: int):
+    for side_a in combinations(range(g.n), r):
+        common = [w for w in range(g.n) if all(g.has_edge(v, w) for v in side_a)]
+        if len(common) >= r:
+            return side_a, tuple(common[:r])
+    return None
+
+
+def _plain(answer):
+    if isinstance(answer, (list, tuple, VertexSet)):
+        return tuple(_plain(x) for x in answer)
+    return answer
+
+
+def _outcome(run):
+    """The answer with every VertexSet and list as a tuple, or the type of
+    what was raised."""
+    try:
+        return _plain(run())
+    except (PreconditionError, BudgetExhausted) as exc:
+        return type(exc)
+
+
+def test_searches_match_plain_references():
+    rng = random.Random(20261020)
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        budget = OracleBudget(max_subset_size=rng.choice((1, 2, 3, 6)))
+        max_delta = rng.choice((None, 0, 1, 2))
+        avg = rng.choice((None, Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2)))
+        if max_delta is None and avg is None:
+            avg = Fraction(1)
+        r = rng.randint(1, 3)
+        pairs = [
+            (
+                lambda: enumerate_min_cutsets(g, budget),
+                lambda: _min_cutsets_reference(g, budget),
+            ),
+            (lambda: find_independent_cutset(g, budget), lambda: _independent_reference(g)),
+            (
+                lambda: find_constrained_cutset(g, max_delta, avg, budget),
+                lambda: _constrained_reference(g, max_delta, avg, budget),
+            ),
+            (lambda: find_krr(g, r, budget), lambda: _krr_reference(g, r)),
+        ]
+        for run, reference in pairs:
+            assert _outcome(run) == _outcome(reference)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda b: enumerate_min_cutsets(squared_cycle(14), b),
+        lambda b: find_independent_cutset(squared_cycle(14), b),
+        lambda b: find_constrained_cutset(icosahedron(), max_delta=1, budget=b),
+        lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
+        lambda b: find_krr(petersen(), 3, b),
+        lambda b: find_induced_squared_path(_path(20), 3, b),
+    ],
+    ids=["min-cutsets", "independent", "constrained-delta", "constrained-avg", "krr", "squared-path"],
+)
+def test_time_hint_stops_every_search(search):
+    # each search runs well over 64 steps before its answer
+    search(OracleBudget())
+    with pytest.raises(BudgetExhausted, match="time budget"):
+        search(OracleBudget(time_hint_s=1e-9))
 
 
 # ------------------------------------------------------------------ recognizers

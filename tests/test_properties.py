@@ -1,8 +1,12 @@
-"""Property tests: the grow-and-swap methods on random connected graphs.
+"""Property tests: every constructive method against the oracles.
 
-Every input meets the method's stated preconditions, so each run must end
-in a certificate that the independent oracle accepts; any exception,
-InternalInvariantError included, fails the property.
+The grow-and-swap methods (thm1, thm2, thm5) get inputs that meet their
+stated preconditions, so each run must end in a certificate that the
+independent oracle accepts; any exception, InternalInvariantError
+included, fails the property. thm3, thm4, prop2 and degenerate get inputs
+near their preconditions, and must either return such a certificate or
+raise one of their documented outcomes: PreconditionError (NoCutsetFound
+included) or BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -10,8 +14,16 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsecut.algorithms import theorem1_cutset, theorem2_cutset, theorem5_certify
-from sparsecut.errors import BudgetExhausted
+from sparsecut.algorithms import (
+    degenerate_sparse_cutset,
+    prop2_cutset,
+    theorem1_cutset,
+    theorem2_cutset,
+    theorem3_dichotomy,
+    theorem4_independent_cutset,
+    theorem5_certify,
+)
+from sparsecut.errors import BudgetExhausted, PreconditionError
 from sparsecut.generators import random_regular
 from sparsecut.graph import Graph, is_connected
 from sparsecut.oracles import verify_certificate
@@ -117,3 +129,93 @@ def test_theorem2_certifies_on_random_regular(n, seed):
     assume(is_connected(g))
     cert = theorem2_cutset(g)
     assert verify_certificate(g, cert)
+
+
+def certifies_or_declines(g: Graph, run) -> None:
+    """run(g) returns a certificate the oracle accepts, or raises a
+    documented outcome."""
+    try:
+        cert = run(g)
+    except (PreconditionError, BudgetExhausted):
+        return
+    assert verify_certificate(g, cert)
+
+
+@st.composite
+def four_regular(draw, max_piece: int) -> Graph:
+    """A 4-regular graph, often of low connectivity: one random 4-regular
+    piece, two side by side, two joined through a cut vertex, or two
+    joined by rewiring one or two edges of each across."""
+    pieces = []
+    for _ in range(2):
+        n = draw(st.integers(min_value=5, max_value=max_piece))
+        try:
+            pieces.append(random_regular(n, 4, draw(st.integers(0, 10**6))))
+        except BudgetExhausted:
+            assume(False)
+    how = draw(st.sampled_from(["one", "apart", "cut-vertex", "rewire-1", "rewire-2"]))
+    a, b = pieces
+    if how == "one":
+        return a
+    edges = set(a.edges()) | {(u + a.n, v + a.n) for u, v in b.edges()}
+    n = a.n + b.n
+    if how == "apart":
+        return Graph(n, sorted(edges))
+    k = 2 if how == "rewire-2" else 1
+    # k vertex-disjoint edges out of each piece; their ends are joined
+    # pairwise across, or all four to one new vertex
+    ends = []
+    for piece, base in ((a, 0), (b, a.n)):
+        cut = draw(st.lists(st.sampled_from(piece.edges()), min_size=k, max_size=k, unique=True))
+        assume(len({v for e in cut for v in e}) == 2 * k)
+        edges -= {(u + base, v + base) for u, v in cut}
+        ends.append([v + base for e in cut for v in e])
+    if how == "cut-vertex":
+        edges |= {(v, n) for v in ends[0] + ends[1]}
+        return Graph(n + 1, sorted(edges))
+    edges |= set(zip(ends[0], ends[1]))
+    return Graph(n, sorted(edges))
+
+
+@given(g=four_regular(max_piece=10))
+@settings(max_examples=60, deadline=None)
+def test_theorem3_certifies_or_declines(g):
+    certifies_or_declines(g, theorem3_dichotomy)
+
+
+@given(g=four_regular(max_piece=14))
+@settings(max_examples=60, deadline=None)
+def test_theorem4_certifies_or_declines(g):
+    certifies_or_declines(g, theorem4_independent_cutset)
+
+
+@st.composite
+def sparse_connected(draw) -> Graph:
+    """A random tree plus at most n - 3 extra edges, so m <= 2n - 4 and
+    the prop2 edge-count gate holds whenever n >= 3."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pair, max_size=max(n - 3, 0))):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+@given(g=sparse_connected())
+@settings(max_examples=100, deadline=None)
+def test_prop2_certifies_or_declines(g):
+    certifies_or_declines(g, prop2_cutset)
+
+
+@given(
+    case=st.integers(min_value=2, max_value=4).flatmap(
+        lambda d: st.tuples(
+            connected_capped(d, d * d + 1, d * d + 14), st.integers(min_value=0, max_value=10**6)
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_degenerate_certifies_or_declines(case):
+    g, pick = case
+    certifies_or_declines(g, lambda h: degenerate_sparse_cutset(h, pick % h.n))
