@@ -31,15 +31,11 @@ from .graph import (
     is_connected,
     max_degree_in,
     min_degree_vertex,
-    neighborhood_induced,
 )
 from .oracles import (
     OracleBudget,
-    bipartite_matching,
     enumerate_min_cutsets,
-    find_constrained_cutset,
     find_independent_cutset,
-    recognize_pattern,
     recognize_squared_cycle,
     verify_certificate,
     vertex_connectivity,
@@ -117,6 +113,15 @@ def _require_regular(g: Graph, d: int, who: str) -> None:
 def _edges_between(g: Graph, a: set[int], b: set[int]) -> int:
     """Edge count between two disjoint vertex sets."""
     return sum(1 for x in a for y in g.neighbors(x) if y in b)
+
+
+def _link_is(g: Graph, v: int, size: int, k: int) -> bool:
+    """Whether N(v) has size vertices, each with exactly k neighbors inside
+    N(v): (5, 2) means N(v) induces C5 and (4, 1) means it induces 2K2."""
+    link = g.neighbor_set(v)
+    return len(link) == size and all(
+        len(link.intersection(g.neighbors(u))) == k for u in link
+    )
 
 
 def _verified(
@@ -286,14 +291,7 @@ def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
             f"theorem2_cutset: order {g.n} is below the supported threshold 14 "
             "(pass allow_small to experiment)"
         )
-    u = next(
-        (
-            v
-            for v in g.vertices()
-            if not recognize_pattern(neighborhood_induced(g, v)[0], "C5")
-        ),
-        None,
-    )
+    u = next((v for v in g.vertices() if not _link_is(g, v, 5, 2)), None)
     if u is None:
         return _verified(
             g,
@@ -371,10 +369,7 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
     """
     _require_connected(g, "theorem3_dichotomy")
     _require_regular(g, 4, "theorem3_dichotomy")
-    if all(
-        recognize_pattern(neighborhood_induced(g, v)[0], "TwoK2")
-        for v in g.vertices()
-    ):
+    if all(_link_is(g, v, 4, 1) for v in g.vertices()):
         raise PreconditionError(
             "theorem3_dichotomy: every neighborhood induces 2K2 "
             "(vertex 0 already does), so the dichotomy does not apply"
@@ -478,6 +473,39 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
         )
         swapped = (s - {v}) | {v2}
     return _finish_thm4(g, set(swapped))
+
+
+def bipartite_matching(
+    g: Graph, left: VertexSet | tuple[int, ...], right: VertexSet | tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """Maximum matching between two disjoint vertex sets, by augmenting
+    paths in deterministic ascending order. Returns (left, right) pairs."""
+    ls = tuple(sorted(set(left)))
+    rs = frozenset(right)
+    if set(ls) & rs:
+        raise PreconditionError("bipartite_matching: sides must be disjoint")
+    match_of: dict[int, int] = {}  # right -> left
+
+    for root in ls:
+        # depth-first augmenting path search on an explicit stack of
+        # (left vertex, iterator over its neighbors, right vertex it was reached by)
+        seen: set[int] = set()
+        stack = [(root, iter(g.neighbors(root)), None)]
+        while stack:
+            w = next((w for w in stack[-1][1] if w in rs and w not in seen), None)
+            if w is None:
+                stack.pop()
+                continue
+            seen.add(w)
+            if w in match_of:
+                stack.append((match_of[w], iter(g.neighbors(match_of[w])), w))
+                continue
+            # w is free: flip the matching along the path on the stack
+            for u, _, via in reversed(stack):
+                match_of[w] = u
+                w = via
+            break
+    return sorted((u, w) for w, u in match_of.items())
 
 
 def _finish_thm4(g: Graph, s: set[int]) -> Certificate:
@@ -589,9 +617,8 @@ def prop1_is_icosahedron(g: Graph) -> bool:
     the icosahedron. Disconnected graphs simply return False."""
     if g.n == 0 or not is_connected(g):
         return False
-    for v in g.vertices():
-        if not recognize_pattern(neighborhood_induced(g, v)[0], "C5"):
-            return False
+    if not all(_link_is(g, v, 5, 2) for v in g.vertices()):
+        return False
     ensure(
         g.n == 12 and g.m == 30,
         "all neighborhoods induce C5 yet the graph is not of order 12 and size 30",
@@ -608,8 +635,9 @@ def prop2_cutset(g: Graph) -> GoodCutset:
     the exact edge-count gate m <= (2 + 1/(D^2+1)) n - 4 with D = max degree.
 
     Either some member of a greedy square-independent set has a near
-    edgeless neighborhood that already separates, or all of them sit in
-    dense pockets; then each is contracted with a well-chosen neighbor and
+    edgeless neighborhood that already separates (or, when that
+    neighborhood is the rest of the graph, the member alone separates), or
+    all of them sit in dense pockets; then each is contracted with a well-chosen neighbor and
     the bounded independent-cutset search runs on the contracted graph,
     whose sparsity guarantees a hit. The default OracleBudget caps that search.
     """
@@ -643,15 +671,14 @@ def prop2_cutset(g: Graph) -> GoodCutset:
     if sparse is not None:
         if g.degree(sparse) + 1 < g.n:
             return _finish_prop2(g, set(g.neighbors(sparse)))
-        # the neighborhood swallows the whole graph (a dominating seed);
-        # fall back to the exhaustive bounded search
-        hit = find_constrained_cutset(g, max_delta=1)
-        if hit is None:
+        # the seed dominates the graph, so G - seed has max degree <= 1 and
+        # the seed alone separates unless G is K2
+        if len(components(g, {sparse})) < 2:
             raise NoCutsetFound(
                 "prop2_cutset: no cutset with internal max degree at most 1 "
                 f"exists at order {g.n}"
             )
-        return _finish_prop2(g, set(hit))
+        return _finish_prop2(g, {sparse})
     mates: list[tuple[int, int]] = []
     for u in reps:
         around = g.neighbor_set(u)

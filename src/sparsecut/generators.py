@@ -110,11 +110,11 @@ class CliqueChainParams:
 
     @property
     def connector_degree(self) -> int:
-        return math.isqrt(self.delta - 1) + 1  # ceil(sqrt(delta)) for non-squares
+        return _ceil_sqrt(self.delta)
 
     @property
     def clique_order(self) -> int:
-        return self.delta + 1 - 2 * _ceil_sqrt(self.delta)
+        return self.delta + 1 - 2 * self.connector_degree
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -160,7 +160,7 @@ def clique_chain(params: CliqueChainParams) -> Graph:
             f"clique_chain requires base_length >= 3, got {params.base_length}"
         )
     k = params.clique_order
-    d = _ceil_sqrt(params.delta)
+    d = params.connector_degree
     if k < d:
         raise PreconditionError(
             f"clique order {k} below connector degree {d}; delta={params.delta} "

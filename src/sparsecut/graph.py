@@ -278,10 +278,3 @@ def induced_subgraph(g: Graph, vertices: Iterable[int] | VertexSet) -> tuple[Gra
         if w > u and w in index
     ]
     return Graph(len(old), edges), old
-
-
-def neighborhood_induced(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by the open neighborhood of v, with id mapping."""
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex id {v} out of range for n={g.n}")
-    return induced_subgraph(g, g.neighbors(v))

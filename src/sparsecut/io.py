@@ -9,6 +9,8 @@ the same vertex count and edge set always share a digest.
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 from typing import Iterable
 
 from .errors import GraphError
@@ -16,6 +18,10 @@ from .graph import Graph
 
 _G6_HEADER = ">>graph6<<"
 _G6_MAX_N = 258047
+# printable graph6 bytes run from '?' (63) to '~' (126)
+_G6_INVALID = re.compile(r"[^?-~]")
+_G6_NONZERO = re.compile(rb"[^?]")
+_G6_PLUS_63 = bytes((b + 63) % 256 for b in range(256))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -88,26 +94,21 @@ def emit_graph6(g: Graph) -> str:
     n = g.n
     if n > _G6_MAX_N:
         raise GraphError(f"graph6 supports at most {_G6_MAX_N} vertices, got {n}")
-    out = bytearray()
     if n <= 62:
-        out.append(n + 63)
+        order = bytes([n])
     else:
-        out.append(126)
-        out.append(((n >> 12) & 63) + 63)
-        out.append(((n >> 6) & 63) + 63)
-        out.append((n & 63) + 63)
-    acc = 0
-    filled = 0
+        order = bytes([63, (n >> 12) & 63, (n >> 6) & 63, n & 63])
+    # bit k = j(j-1)/2 + i stands for the edge ij with i < j, six to a byte
+    # from the high bit down
+    bits = bytearray((n * (n - 1) // 2 + 5) // 6)
     for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
-            filled += 1
-            if filled == 6:
-                out.append(acc + 63)
-                acc, filled = 0, 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return out.decode("ascii")
+        base = j * (j - 1) // 2
+        for i in g.neighbors(j):
+            if i >= j:
+                break
+            k = base + i
+            bits[k // 6] |= 32 >> (k % 6)
+    return (order + bits).translate(_G6_PLUS_63).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -115,10 +116,10 @@ def parse_graph6(text: str) -> Graph:
     line = text.strip()
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
-    data = line.encode("ascii", errors="replace")
-    for pos, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise GraphError(f"graph6: invalid character at position {pos}")
+    bad = _G6_INVALID.search(line)
+    if bad:
+        raise GraphError(f"graph6: invalid character at position {bad.start()}")
+    data = line.encode("ascii")
     if not data:
         raise GraphError("graph6: empty input")
     if data[0] == 126:
@@ -137,19 +138,22 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError(
             f"graph6: order {n} needs {want} payload bytes, got {len(body)}"
         )
-    edges: list[tuple[int, int]] = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[idx // 6] - 63
-            if (byte >> (5 - idx % 6)) & 1:
-                edges.append((i, j))
-            idx += 1
     if want:
         tail = body[-1] - 63
         pad = want * 6 - nbits
         if pad and tail & ((1 << pad) - 1):
             raise GraphError("graph6: nonzero padding bits")
+    edges: list[tuple[int, int]] = []
+    # only bytes other than '?' hold edges; bit k is the edge ij with
+    # j(j-1)/2 <= k < j(j+1)/2 and i = k - j(j-1)/2
+    for hit in _G6_NONZERO.finditer(body):
+        pos = hit.start()
+        byte = body[pos] - 63
+        for shift in range(6):
+            if byte & (32 >> shift):
+                k = 6 * pos + shift
+                j = (math.isqrt(8 * k + 1) + 1) // 2
+                edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 

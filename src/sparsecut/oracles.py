@@ -7,13 +7,12 @@ Exponential searches are gated by an OracleBudget; running out of budget
 raises BudgetExhausted, which is a first-class outcome distinct from a
 definitive "none".
 
-The five exponential searches (enumerate_min_cutsets,
-find_independent_cutset, find_constrained_cutset, find_krr and
-find_induced_squared_path) each build one _Search from the graph, the
-budget and their own name. It rejects an order above max_n, holds the
-adjacency bitmasks, counts search steps in tick(), which checks the time
-hint every 64 steps, and walks k-subsets in lexicographic order on an
-explicit stack, so no search recurses.
+The four exponential searches (enumerate_min_cutsets,
+find_independent_cutset, find_constrained_cutset and find_krr) each build
+one _Search from the graph, the budget and their own name. It rejects an
+order above max_n, holds the adjacency bitmasks, counts search steps in
+tick(), which checks the time hint every 64 steps, and walks k-subsets in
+lexicographic order on an explicit stack, so no search recurses.
 """
 
 from __future__ import annotations
@@ -413,28 +412,7 @@ def find_krr(
     return None
 
 
-# ------------------------------------------------------------------ recognizers
-
-
-def recognize_pattern(g: Graph, pattern: str) -> bool:
-    """Exact isomorphism test against one of the tiny named patterns."""
-    degs = sorted(g.degree(v) for v in range(g.n))
-    if pattern == "C5":
-        return g.n == 5 and g.m == 5 and degs == [2] * 5 and _connected(g)
-    if pattern == "TwoK2":
-        return g.n == 4 and g.m == 2 and degs == [1, 1, 1, 1]
-    if pattern == "P4":
-        return g.n == 4 and g.m == 3 and degs == [1, 1, 2, 2] and _connected(g)
-    raise PreconditionError(f"unknown pattern {pattern!r}; known: C5, P4, TwoK2")
-
-
-def _connected(g: Graph) -> bool:
-    return not _separates(g, ())
-
-
-def _cyclic_dist(i: int, j: int, n: int) -> int:
-    d = abs(i - j) % n
-    return min(d, n - d)
+# ------------------------------------------------------------------- recognizer
 
 
 def recognize_squared_cycle(g: Graph) -> tuple[int, ...] | None:
@@ -475,7 +453,7 @@ def recognize_squared_cycle(g: Graph) -> tuple[int, ...] | None:
             nxt = a
         else:
             return None
-        if nxt in (order[0], order[1]) or nxt in order[2:]:
+        if nxt in order:
             return None
         order.append(nxt)
     perm = tuple(order)
@@ -483,96 +461,14 @@ def recognize_squared_cycle(g: Graph) -> tuple[int, ...] | None:
 
 
 def _order_matches(g: Graph, order: tuple[int, ...]) -> bool:
-    n = g.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            expect = _cyclic_dist(i, j, n) in (1, 2)
-            if g.has_edge(order[i], order[j]) != expect:
-                return False
-    return True
-
-
-def find_induced_squared_path(
-    g: Graph, k: int, budget: OracleBudget | None = None
-) -> tuple[int, ...] | None:
-    """Vertices, in path order, whose induced subgraph is P_k squared.
-
-    Position i must be adjacent to positions i-1 and i-2 and to nothing
-    earlier. Returns the first hit in depth-first lexicographic order.
-    """
-    if k < 1:
-        raise PreconditionError(f"find_induced_squared_path requires k >= 1, got {k}")
-    search = _Search(g, budget, "find_induced_squared_path")
-    masks = search.masks
-    # an explicit stack, so long paths cannot overflow the interpreter stack;
-    # seq[i] was chosen when trying candidate nxt[i] - 1 at depth i
-    seq: list[int] = []
-    nxt = [0]
-    used = 0
-    while nxt:
-        if len(seq) == k:
-            return tuple(seq)
-        need = 0
-        forbid = used
-        if seq:
-            need = masks[seq[-1]]
-            forbid ^= 1 << seq[-1]
-        if len(seq) >= 2:
-            need &= masks[seq[-2]]
-            forbid ^= 1 << seq[-2]
-        v = nxt[-1]
-        while v < g.n:
-            search.tick()
-            bit = 1 << v
-            if not (used & bit or (seq and not (need & bit)) or masks[v] & forbid):
-                break
-            v += 1
-        if v == g.n:
-            nxt.pop()
-            if seq:
-                used ^= 1 << seq.pop()
-            continue
-        nxt[-1] = v + 1
-        seq.append(v)
-        used |= 1 << v
-        nxt.append(0)
-    return None
-
-
-# --------------------------------------------------------------------- matching
-
-
-def bipartite_matching(
-    g: Graph, left: VertexSet | tuple[int, ...], right: VertexSet | tuple[int, ...]
-) -> list[tuple[int, int]]:
-    """Maximum matching between two disjoint vertex sets, by augmenting
-    paths in deterministic ascending order. Returns (left, right) pairs."""
-    ls = tuple(sorted(set(left)))
-    rs = frozenset(right)
-    if set(ls) & rs:
-        raise PreconditionError("bipartite_matching: sides must be disjoint")
-    match_of: dict[int, int] = {}  # right -> left
-
-    for root in ls:
-        # depth-first augmenting path search on an explicit stack of
-        # (left vertex, iterator over its neighbors, right vertex it was reached by)
-        seen: set[int] = set()
-        stack = [(root, iter(g.neighbors(root)), None)]
-        while stack:
-            w = next((w for w in stack[-1][1] if w in rs and w not in seen), None)
-            if w is None:
-                stack.pop()
-                continue
-            seen.add(w)
-            if w in match_of:
-                stack.append((match_of[w], iter(g.neighbors(match_of[w])), w))
-                continue
-            # w is free: flip the matching along the path on the stack
-            for u, _, via in reversed(stack):
-                match_of[w] = u
-                w = via
-            break
-    return sorted((u, w) for w, u in match_of.items())
+    """Whether each vertex's neighbors are exactly the two before and the
+    two after it around order, a permutation of the n >= 5 vertices."""
+    n = len(order)
+    return all(
+        g.neighbor_set(v)
+        == {order[i - 2], order[i - 1], order[(i + 1) % n], order[(i + 2) % n]}
+        for i, v in enumerate(order)
+    )
 
 
 # ------------------------------------------------------------------ verification

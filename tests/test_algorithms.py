@@ -7,6 +7,7 @@ same invariants the routines promise to maintain.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,8 @@ from helpers import (
     union_find_components,
 )
 from sparsecut.algorithms import (
+    _link_is,
+    bipartite_matching,
     degenerate_sparse_cutset,
     prop1_is_icosahedron,
     prop2_cutset,
@@ -55,7 +58,7 @@ from sparsecut.generators import (
     named_small,
     squared_cycle,
 )
-from sparsecut.graph import Graph, induced_stats, max_degree_in
+from sparsecut.graph import Graph, induced_stats, induced_subgraph, is_connected, max_degree_in
 from sparsecut.io import parse_graph6
 from sparsecut.oracles import (
     OracleBudget,
@@ -172,6 +175,33 @@ def test_theorem1_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------- theorem 2
+
+
+def _link_reference(g: Graph, v: int, size: int, k: int) -> bool:
+    """The induced-subgraph pattern test the methods replaced, as reference:
+    C5 for (5, 2) and 2K2 for (4, 1)."""
+    sub, _ = induced_subgraph(g, g.neighbors(v))
+    degs = sorted(sub.degree(u) for u in range(sub.n))
+    if (size, k) == (5, 2):
+        return sub.n == 5 and sub.m == 5 and degs == [2] * 5 and is_connected(sub)
+    return sub.n == 4 and sub.m == 2 and degs == [1] * 4
+
+
+@pytest.mark.parametrize("size,k", [(5, 2), (4, 1)], ids=["C5", "2K2"])
+def test_link_test_matches_induced_pattern(size, k):
+    # vertex 0 is a hub joined to every graph on 4 or 5 further vertices,
+    # so its neighborhood runs through all of them
+    hits = 0
+    for order in (4, 5):
+        pairs = list(combinations(range(1, order + 1), 2))
+        for chosen in range(1 << len(pairs)):
+            edges = [(0, x) for x in range(1, order + 1)]
+            edges += [e for bit, e in enumerate(pairs) if chosen >> bit & 1]
+            g = Graph(order + 1, edges)
+            want = _link_reference(g, 0, size, k)
+            assert _link_is(g, 0, size, k) == want
+            hits += want
+    assert hits == {(5, 2): 12, (4, 1): 3}[size, k]
 
 
 def test_theorem2_block_pattern():
@@ -349,6 +379,66 @@ def test_theorem4_random_low_connectivity():
     assert found == 2
 
 
+# ------------------------------------------------------- theorem 4 matching
+
+
+def _matching_recursive(g: Graph, left, right) -> list[tuple[int, int]]:
+    """The recursive augmenting-path search the library replaced, as reference."""
+    rs = frozenset(right)
+    match_of: dict[int, int] = {}
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for w in g.neighbors(u):
+            if w not in rs or w in seen:
+                continue
+            seen.add(w)
+            if w not in match_of or augment(match_of[w], seen):
+                match_of[w] = u
+                return True
+        return False
+
+    for u in sorted(set(left)):
+        augment(u, set())
+    return sorted((u, w) for w, u in match_of.items())
+
+
+def test_bipartite_matching_long_augmenting_paths_need_no_recursion():
+    got = bipartite_matching(path(3000), tuple(range(0, 3000, 2)), tuple(range(1, 3000, 2)))
+    assert got == [(u, u + 1) for u in range(0, 3000, 2)]
+
+
+def test_bipartite_matching_matches_recursive_order():
+    rng = random.Random(20261019)
+    for _ in range(500):
+        n = rng.randint(2, 12)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+        verts = list(range(n))
+        rng.shuffle(verts)
+        cut = rng.randint(0, n)
+        left, right = verts[:cut], verts[cut:]
+        assert bipartite_matching(g, left, right) == _matching_recursive(g, left, right)
+
+
+def test_bipartite_matching_even_cycle_perfect():
+    got = bipartite_matching(cycle(6), (0, 2, 4), (1, 3, 5))
+    assert len(got) == 3
+    assert got == sorted(got)
+    used_left = {u for u, _ in got}
+    used_right = {w for _, w in got}
+    assert used_left == {0, 2, 4} and used_right == {1, 3, 5}
+
+
+def test_bipartite_matching_deterministic_and_partial():
+    g = Graph(5, [(0, 3), (1, 3), (2, 4)])
+    got = bipartite_matching(g, (0, 1, 2), (3, 4))
+    assert got == [(0, 3), (2, 4)]
+
+
+def test_bipartite_matching_rejects_overlap():
+    with pytest.raises(PreconditionError):
+        bipartite_matching(cycle(4), (0, 1), (1, 2))
+
+
 # ---------------------------------------------------------------- theorem 5
 
 
@@ -458,8 +548,9 @@ def test_prop2_contracts_diamond_chains(k):
     assert disconnects(g, report.cutset.members)
 
 
-def test_prop2_dominating_center_falls_back():
-    star = Graph(6, [(0, i) for i in range(1, 6)])
+@pytest.mark.parametrize("n", [6, 25, 40])
+def test_prop2_dominating_center_falls_back(n):
+    star = Graph(n, [(0, i) for i in range(1, n)])
     assert prop2_cutset(star).cutset == (0,)
 
 

@@ -30,7 +30,6 @@ from sparsecut.graph import (
     is_cutset,
     max_degree_in,
     min_degree_vertex,
-    neighborhood_induced,
 )
 
 
@@ -274,15 +273,6 @@ def test_induced_subgraph_mapping():
     sub, mapping = induced_subgraph(g, [0, 2, 4])
     assert mapping == (0, 2, 4)
     assert sub.n == 3 and sub.edges() == ((0, 1), (0, 2), (1, 2))
-
-
-def test_neighborhood_induced_of_wheel_hub():
-    hub_edges = [(4, i) for i in range(4)]
-    rim = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    g = Graph(5, hub_edges + rim)
-    sub, mapping = neighborhood_induced(g, 4)
-    assert mapping == (0, 1, 2, 3)
-    assert sub.m == 4 and max_degree_in(sub, range(4)) == 2
 
 
 def test_max_degree_in_subset():

@@ -136,6 +136,7 @@ def test_graph6_extended_order():
     "line,needle",
     [
         ("D\x19c", "invalid character"),
+        ("Déc", "invalid character"),
         ("", "empty"),
         ("Dhcc", "payload bytes"),
         ("Dh", "payload bytes"),
@@ -165,6 +166,34 @@ def test_graph6_round_trips(n, rnd):
 def test_graph6_matches_edge_list_on_fixture():
     g = squared_cycle(14)
     assert parse_graph6(emit_graph6(g)).edges() == g.edges()
+
+
+def _graph6_bit_by_bit(g: Graph) -> str:
+    """The pair-by-pair emitter the library replaced, as reference."""
+    n = g.n
+    out = bytearray([n + 63] if n <= 62 else [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    acc, filled = 0, 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | g.has_edge(i, j)
+            filled += 1
+            if filled == 6:
+                out.append(acc + 63)
+                acc, filled = 0, 0
+    if filled:
+        out.append((acc << (6 - filled)) + 63)
+    return out.decode("ascii")
+
+
+def test_graph6_matches_bit_by_bit_reference():
+    rng = random.Random(20261021)
+    for _ in range(150):
+        n = rng.randint(0, 140)
+        p = rng.random()
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+        line = _graph6_bit_by_bit(g)
+        assert emit_graph6(g) == line
+        assert parse_graph6(line) == g
 
 
 # ----------------------------------------------------------- certificates

@@ -1,7 +1,9 @@
-"""Oracles: exhaustive searches, connectivity, recognizers, verification."""
+"""Oracles: exhaustive searches, connectivity, the squared-cycle recognizer,
+verification."""
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from helpers import brute_connectivity, connected_random_regular, petersen
+from sparsecut import oracles
 from sparsecut.certificates import (
     GoodCutset,
     IndependentCutset,
@@ -23,18 +26,14 @@ from sparsecut.generators import (
     named_small,
     random_regular,
     squared_cycle,
-    squared_path,
 )
 from sparsecut.graph import Graph, VertexSet, induced_stats, is_connected, is_cutset
 from sparsecut.oracles import (
     OracleBudget,
-    bipartite_matching,
     enumerate_min_cutsets,
     find_constrained_cutset,
     find_independent_cutset,
-    find_induced_squared_path,
     find_krr,
-    recognize_pattern,
     recognize_squared_cycle,
     vertex_connectivity,
     verify_certificate,
@@ -378,9 +377,8 @@ def test_searches_match_plain_references():
         lambda b: find_constrained_cutset(icosahedron(), max_delta=1, budget=b),
         lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
         lambda b: find_krr(petersen(), 3, b),
-        lambda b: find_induced_squared_path(_path(20), 3, b),
     ],
-    ids=["min-cutsets", "independent", "constrained-delta", "constrained-avg", "krr", "squared-path"],
+    ids=["min-cutsets", "independent", "constrained-delta", "constrained-avg", "krr"],
 )
 def test_time_hint_stops_every_search(search):
     # each search runs well over 64 steps before its answer
@@ -389,21 +387,7 @@ def test_time_hint_stops_every_search(search):
         search(OracleBudget(time_hint_s=1e-9))
 
 
-# ------------------------------------------------------------------ recognizers
-
-
-def test_recognize_pattern_positive_cases():
-    assert recognize_pattern(_cycle(5), "C5")
-    assert recognize_pattern(Graph(4, [(0, 2), (1, 3)]), "TwoK2")
-    assert recognize_pattern(_path(4), "P4")
-
-
-def test_recognize_pattern_negative_cases():
-    assert not recognize_pattern(_cycle(4), "C5")
-    assert not recognize_pattern(_path(4), "TwoK2")
-    assert not recognize_pattern(Graph(4, [(0, 1), (1, 2), (2, 0)]), "P4")
-    with pytest.raises(PreconditionError):
-        recognize_pattern(_cycle(5), "C6")
+# ------------------------------------------------------------------- recognizer
 
 
 @pytest.mark.parametrize("n", list(range(5, 17)))
@@ -437,116 +421,35 @@ def test_recognize_squared_cycle_rejects_non_instances():
         pytest.skip("random graph happened to be a squared cycle")
 
 
-def test_find_induced_squared_path():
-    assert find_induced_squared_path(squared_path(6), 6) == (0, 1, 2, 3, 4, 5)
-    assert find_induced_squared_path(squared_path(3), 3) == (0, 1, 2)
-    assert find_induced_squared_path(_path(5), 3) is None  # no triangle
+def _squared_cycle_order_pairwise(g: Graph, order: tuple[int, ...]) -> bool:
+    """The all-pairs check the library replaced, as reference: vertices at
+    cyclic distance 1 or 2 along order are adjacent, all others are not."""
+    n = len(order)
+    for i, j in combinations(range(n), 2):
+        d = (j - i) % n
+        if g.has_edge(order[i], order[j]) != (min(d, n - d) in (1, 2)):
+            return False
+    return True
 
 
-def test_find_induced_squared_path_inside_larger_graph():
-    g = squared_cycle(12)
-    hit = find_induced_squared_path(g, 5)
-    assert hit is not None
-    for i in range(5):
-        for j in range(i + 1, 5):
-            assert g.has_edge(hit[i], hit[j]) == (j - i <= 2)
-
-
-def _squared_path_recursive(g: Graph, k: int) -> tuple[int, ...] | None:
-    """The recursive depth-first search the library replaced, as reference."""
-
-    def extend(seq: list[int]) -> tuple[int, ...] | None:
-        if len(seq) == k:
-            return tuple(seq)
-        for v in range(g.n):
-            if v in seq or (seq and not g.has_edge(seq[-1], v)):
-                continue
-            if len(seq) >= 2 and not g.has_edge(seq[-2], v):
-                continue
-            if any(g.has_edge(v, x) for x in seq[:-2]):
-                continue
-            hit = extend(seq + [v])
-            if hit is not None:
-                return hit
-        return None
-
-    return extend([])
-
-
-def test_find_induced_squared_path_deep_path_needs_no_recursion():
-    g = squared_path(1200)
-    got = find_induced_squared_path(g, 1200, OracleBudget(max_n=1200))
-    assert got == tuple(range(1200))
-
-
-def test_find_induced_squared_path_matches_recursive_order():
-    rng = random.Random(20261018)
-    for _ in range(300):
-        n = rng.randint(1, 9)
-        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
-        for k in range(1, n + 2):
-            assert find_induced_squared_path(g, k) == _squared_path_recursive(g, k)
-
-
-# --------------------------------------------------------------------- matching
-
-
-def _matching_recursive(g: Graph, left, right) -> list[tuple[int, int]]:
-    """The recursive augmenting-path search the library replaced, as reference."""
-    rs = frozenset(right)
-    match_of: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for w in g.neighbors(u):
-            if w not in rs or w in seen:
-                continue
-            seen.add(w)
-            if w not in match_of or augment(match_of[w], seen):
-                match_of[w] = u
-                return True
-        return False
-
-    for u in sorted(set(left)):
-        augment(u, set())
-    return sorted((u, w) for w, u in match_of.items())
-
-
-def test_bipartite_matching_long_augmenting_paths_need_no_recursion():
-    got = bipartite_matching(_path(3000), tuple(range(0, 3000, 2)), tuple(range(1, 3000, 2)))
-    assert got == [(u, u + 1) for u in range(0, 3000, 2)]
-
-
-def test_bipartite_matching_matches_recursive_order():
-    rng = random.Random(20261019)
-    for _ in range(500):
-        n = rng.randint(2, 12)
-        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
-        verts = list(range(n))
-        rng.shuffle(verts)
-        cut = rng.randint(0, n)
-        left, right = verts[:cut], verts[cut:]
-        assert bipartite_matching(g, left, right) == _matching_recursive(g, left, right)
-
-
-
-def test_bipartite_matching_even_cycle_perfect():
-    got = bipartite_matching(_cycle(6), (0, 2, 4), (1, 3, 5))
-    assert len(got) == 3
-    assert got == sorted(got)
-    used_left = {u for u, _ in got}
-    used_right = {w for _, w in got}
-    assert used_left == {0, 2, 4} and used_right == {1, 3, 5}
-
-
-def test_bipartite_matching_deterministic_and_partial():
-    g = Graph(5, [(0, 3), (1, 3), (2, 4)])
-    got = bipartite_matching(g, (0, 1, 2), (3, 4))
-    assert got == [(0, 3), (2, 4)]
-
-
-def test_bipartite_matching_rejects_overlap():
-    with pytest.raises(PreconditionError):
-        bipartite_matching(_cycle(4), (0, 1), (1, 2))
+def test_squared_cycle_check_matches_pairwise_reference():
+    rng = random.Random(20261020)
+    for _ in range(1500):
+        n = rng.randint(5, 9)
+        order = list(range(n))
+        rng.shuffle(order)
+        if rng.random() < 0.5:
+            # a squared cycle along order, with a few pairs toggled
+            edges = {
+                tuple(sorted((order[i], order[(i + d) % n]))) for i in range(n) for d in (1, 2)
+            }
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+        else:
+            edges = {e for e in combinations(range(n), 2) if rng.random() < 0.6}
+        g = Graph(n, sorted(edges))
+        cert = SquaredCycleIso(tuple(order))
+        assert verify_certificate(g, cert) == _squared_cycle_order_pairwise(g, tuple(order))
 
 
 # ----------------------------------------------------------------- verification
@@ -603,3 +506,22 @@ def test_verify_is_icosahedron():
     assert verify_certificate(figure2_pattern(3), IsIcosahedron())
     assert not verify_certificate(figure2_pattern(4), IsIcosahedron())
     assert not verify_certificate(squared_cycle(12), IsIcosahedron())
+
+
+def test_oracles_module_holds_only_the_probes_and_the_verifier():
+    public = {
+        name
+        for name, obj in vars(oracles).items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == oracles.__name__
+        and not name.startswith("_")
+    }
+    assert public == {
+        "enumerate_min_cutsets",
+        "find_constrained_cutset",
+        "find_independent_cutset",
+        "find_krr",
+        "recognize_squared_cycle",
+        "vertex_connectivity",
+        "verify_certificate",
+    }
