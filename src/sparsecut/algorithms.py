@@ -24,7 +24,6 @@ from .certificates import (
 from .errors import GraphError, NoCutsetFound, PreconditionError, ensure
 from .graph import (
     Graph,
-    VertexSet,
     components,
     induced_edge_count,
     induced_stats,
@@ -51,8 +50,8 @@ class GrowthState:
     states from 1, so u_side always has exactly step vertices.
     """
 
-    u_side: VertexSet
-    s_side: VertexSet
+    u_side: tuple[int, ...]
+    s_side: tuple[int, ...]
     n_i: int
     m_i: int
     step: int
@@ -67,9 +66,9 @@ class Thm5State:
     sparsity constant 3 + floor(2(delta - 3r + 2) / (r(r-1))).
     """
 
-    s_side: VertexSet
-    c_side: VertexSet
-    t_core: VertexSet
+    s_side: tuple[int, ...]
+    c_side: tuple[int, ...]
+    t_core: tuple[int, ...]
     step: int
     delta: int
     r: int
@@ -163,9 +162,8 @@ def _move(g: Graph, v: int, grown: set[int], s_side: set[int], cap: int) -> set[
 
 def _audit_growth(g: Graph, u_side: set[int], s_side: set[int]) -> None:
     """Recompute the two standing growth invariants from scratch."""
-    comps = components(g, s_side)
     ensure(
-        any(c.as_set() == u_side for c in comps),
+        tuple(sorted(u_side)) in components(g, s_side),
         "grown side is not a full component of the graph minus the separator",
     )
     ensure(
@@ -194,8 +192,8 @@ def _run_growth(
         if trace is not None:
             trace.append(
                 GrowthState(
-                    u_side=VertexSet(u_side, g.n),
-                    s_side=VertexSet(s_side, g.n),
+                    u_side=tuple(sorted(u_side)),
+                    s_side=tuple(sorted(s_side)),
                     n_i=len(s_side),
                     m_i=m_now,
                     step=len(u_side),
@@ -430,34 +428,32 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
     )
     if kappa == 1:
         return _finish_thm4(g, set(cuts[0]))
-    best: VertexSet | None = None
+    best: tuple[int, ...] | None = None
     best_small = g.n + 1
     for c in cuts:
         small = min(len(comp) for comp in components(g, c))
         if small < best_small:
             best, best_small = c, small
     assert best is not None
-    s = best.as_set()
+    s = set(best)
     if induced_edge_count(g, best) == 0:
-        return _finish_thm4(g, set(s))
+        return _finish_thm4(g, s)
     comps = components(g, best)
     ensure(
         len(comps) == 2,
         "a non-independent minimum cutset here must leave exactly two components",
     )
-    near = min(comps, key=lambda comp: (len(comp), comp.members[0]))
+    near = min(comps, key=lambda comp: (len(comp), comp[0]))
     far = next(comp for comp in comps if comp is not near)
     ensure(len(near) >= 2, "small side of the separator has fewer than two vertices")
     ensure(
-        all(len(g.neighbor_set(x) & near.as_set()) == 2 for x in s),
+        all(len(g.neighbor_set(x).intersection(near)) == 2 for x in s),
         "some separator vertex does not have exactly two neighbors on the small side",
     )
-    inside = [
-        (a, b) for a, b in combinations(sorted(s), 2) if g.has_edge(a, b)
-    ]
+    inside = [(a, b) for a, b in combinations(best, 2) if g.has_edge(a, b)]
     ensure(len(inside) == 1, "separator must induce exactly one edge at this point")
     u, v = inside[0]
-    matching = bipartite_matching(g, best.members, far.members)
+    matching = bipartite_matching(g, best, far)
     ensure(
         len(matching) == kappa,
         "matching between separator and large side is smaller than the connectivity",
@@ -476,7 +472,7 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
 
 
 def bipartite_matching(
-    g: Graph, left: VertexSet | tuple[int, ...], right: VertexSet | tuple[int, ...]
+    g: Graph, left: tuple[int, ...], right: tuple[int, ...]
 ) -> list[tuple[int, int]]:
     """Maximum matching between two disjoint vertex sets, by augmenting
     paths in deterministic ascending order. Returns (left, right) pairs."""
@@ -551,9 +547,9 @@ def theorem5_certify(
         if trace is not None:
             trace.append(
                 Thm5State(
-                    s_side=VertexSet(s_side, g.n),
-                    c_side=VertexSet(c_side, g.n),
-                    t_core=VertexSet(t_core, g.n),
+                    s_side=tuple(sorted(s_side)),
+                    c_side=tuple(sorted(c_side)),
+                    t_core=tuple(sorted(t_core)),
                     step=i,
                     delta=delta,
                     r=r,

@@ -1,9 +1,14 @@
-"""Immutable simple-graph core: vertex sets, components, cutset reports.
+"""Immutable simple-graph core: components, induced statistics, cutset reports.
 
 Vertices are dense 0-based ints. The constructor rejects self-loops and
 parallel edges instead of normalizing them, so every Graph is a simple
 graph by construction. All derived quantities that feed certificates are
 exact: average degrees are rationals, never floats.
+
+A vertex set is a sorted tuple of distinct ids, the same shape that
+certificates hold. The functions here accept any iterable of ids, drop
+repeats, and reject a non-int or out-of-range id with GraphError; every
+set they return is such a tuple.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import GraphError, PreconditionError
 
@@ -91,40 +96,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class VertexSet:
-    """A duplicate-free sorted set of vertex ids tied to a parent order.
-
-    The constructor normalizes any iterable of ids and validates the range,
-    so downstream code can rely on members being sorted and in-range.
-    """
-
-    members: tuple[int, ...]
-    parent_n: int
-
-    def __init__(self, members: Iterable[int], parent_n: int):
-        ms = tuple(sorted(set(members)))
-        for v in ms:
-            if not isinstance(v, int):
-                raise GraphError(f"vertex id must be an int, got {v!r}")
-            if not (0 <= v < parent_n):
-                raise GraphError(f"vertex id {v} out of range for n={parent_n}")
-        object.__setattr__(self, "members", ms)
-        object.__setattr__(self, "parent_n", parent_n)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __contains__(self, v: object) -> bool:
-        return v in self.members
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-
-@dataclass(frozen=True)
 class CutsetReport:
     """Exact statistics for a vertex set considered as a cutset.
 
@@ -133,7 +104,7 @@ class CutsetReport:
     the set is too large for the exhaustive subset check.
     """
 
-    cutset: VertexSet
+    cutset: tuple[int, ...]
     max_degree_in_s: int
     induced_edge_count: int
     component_count: int
@@ -152,7 +123,7 @@ class CutsetReport:
     def to_dict(self) -> dict:
         avg = self.avg_degree_in_s
         return {
-            "cutset": list(self.cutset.members),
+            "cutset": list(self.cutset),
             "max_degree_in_s": self.max_degree_in_s,
             "induced_edge_count": self.induced_edge_count,
             "avg_degree_in_s": [avg.numerator, avg.denominator],
@@ -161,20 +132,23 @@ class CutsetReport:
         }
 
 
-def as_vertex_set(g: Graph, s: Iterable[int] | VertexSet) -> VertexSet:
-    """Coerce an iterable of ids into a VertexSet of g."""
-    if isinstance(s, VertexSet):
-        if s.parent_n != g.n:
-            raise GraphError(f"vertex set for n={s.parent_n} used with graph n={g.n}")
-        return s
-    return VertexSet(s, g.n)
+def _ids(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
+    """The distinct ids of s, sorted, each checked to be a vertex of g."""
+    ids = tuple(sorted(set(s)))
+    for v in ids:
+        if not isinstance(v, int):
+            raise GraphError(f"vertex id must be an int, got {v!r}")
+        if not (0 <= v < g.n):
+            raise GraphError(f"vertex id {v} out of range for n={g.n}")
+    return ids
 
 
-def components(g: Graph, removed: Iterable[int] | VertexSet = ()) -> list[VertexSet]:
-    """Connected components of g minus the removed set, by smallest member."""
-    gone = as_vertex_set(g, removed).as_set()
+def components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
+    """Connected components of g minus the removed set, each sorted, ordered
+    by smallest member."""
+    gone = set(_ids(g, removed))
     seen = [False] * g.n
-    out: list[VertexSet] = []
+    out: list[tuple[int, ...]] = []
     for start in range(g.n):
         if seen[start] or start in gone:
             continue
@@ -188,7 +162,7 @@ def components(g: Graph, removed: Iterable[int] | VertexSet = ()) -> list[Vertex
                 if not seen[w] and w not in gone:
                     seen[w] = True
                     queue.append(w)
-        out.append(VertexSet(comp, g.n))
+        out.append(tuple(sorted(comp)))
     return out
 
 
@@ -196,26 +170,26 @@ def is_connected(g: Graph) -> bool:
     return g.n == 0 or len(components(g)) == 1
 
 
-def is_cutset(g: Graph, s: Iterable[int] | VertexSet) -> bool:
+def is_cutset(g: Graph, s: Iterable[int]) -> bool:
     """Whether removing s leaves at least two components.
 
     The empty set is a cutset exactly when g is already disconnected.
     Passing all of V(G) is an error: there is nothing left to disconnect.
     """
-    vs = as_vertex_set(g, s)
-    if len(vs) == g.n:
+    ids = _ids(g, s)
+    if len(ids) == g.n:
         raise PreconditionError("is_cutset: S must be a proper subset of V(G)")
-    return len(components(g, vs)) >= 2
+    return len(components(g, ids)) >= 2
 
 
-def induced_edge_count(g: Graph, s: Iterable[int] | VertexSet) -> int:
-    vs = as_vertex_set(g, s).as_set()
+def induced_edge_count(g: Graph, s: Iterable[int]) -> int:
+    vs = set(_ids(g, s))
     return sum(1 for u in vs for w in g.neighbors(u) if w > u and w in vs)
 
 
-def max_degree_in(g: Graph, s: Iterable[int] | VertexSet) -> int:
+def max_degree_in(g: Graph, s: Iterable[int]) -> int:
     """Maximum degree of the subgraph induced by s."""
-    vs = as_vertex_set(g, s).as_set()
+    vs = set(_ids(g, s))
     best = 0
     for u in vs:
         d = len(g.neighbor_set(u) & vs)
@@ -224,30 +198,29 @@ def max_degree_in(g: Graph, s: Iterable[int] | VertexSet) -> int:
     return best
 
 
-def induced_stats(g: Graph, s: Iterable[int] | VertexSet) -> CutsetReport:
+def induced_stats(g: Graph, s: Iterable[int]) -> CutsetReport:
     """Full exact report for s: degrees, components, minimality."""
-    vs = as_vertex_set(g, s)
-    comp_count = len(components(g, vs))
-    report = CutsetReport(
-        cutset=vs,
-        max_degree_in_s=max_degree_in(g, vs),
-        induced_edge_count=induced_edge_count(g, vs),
+    ids = _ids(g, s)
+    comp_count = len(components(g, ids))
+    return CutsetReport(
+        cutset=ids,
+        max_degree_in_s=max_degree_in(g, ids),
+        induced_edge_count=induced_edge_count(g, ids),
         component_count=comp_count,
-        minimal=_minimality(g, vs, comp_count >= 2),
+        minimal=_minimality(g, ids, comp_count >= 2),
     )
-    return report
 
 
-def _minimality(g: Graph, vs: VertexSet, cuts: bool) -> bool | None:
-    if not cuts or len(vs) == g.n:
+def _minimality(g: Graph, ids: tuple[int, ...], cuts: bool) -> bool | None:
+    if not cuts or len(ids) == g.n:
         return False
-    if len(vs) > MINIMALITY_EXHAUSTIVE_LIMIT:
+    if len(ids) > MINIMALITY_EXHAUSTIVE_LIMIT:
         return None
     # minimal iff no proper subset is a cutset; single-vertex deletions
     # alone do not suffice because cutset-ness is not upward monotone
-    for size in range(len(vs)):
-        for sub in combinations(vs.members, size):
-            if len(components(g, VertexSet(sub, g.n))) >= 2:
+    for size in range(len(ids)):
+        for sub in combinations(ids, size):
+            if len(components(g, sub)) >= 2:
                 return False
     return True
 
@@ -263,13 +236,12 @@ def min_degree_vertex(g: Graph) -> int:
     return best
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int] | VertexSet) -> tuple[Graph, tuple[int, ...]]:
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph plus the mapping from new ids to original ids.
 
     Position i of the mapping holds the original id of new vertex i.
     """
-    vs = as_vertex_set(g, vertices)
-    old = vs.members
+    old = _ids(g, vertices)
     index = {v: i for i, v in enumerate(old)}
     edges = [
         (index[u], index[w])

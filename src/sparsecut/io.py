@@ -24,13 +24,30 @@ _G6_NONZERO = re.compile(rb"[^?]")
 _G6_PLUS_63 = bytes((b + 63) % 256 for b in range(256))
 
 
+def parse_graph(text: str, fmt: str = "auto") -> Graph:
+    """Parse text as a graph6 line or as an edge list.
+
+    fmt "graph6" reads graph6 and "edge-list" reads an edge list. "auto"
+    reads graph6 when the stripped text starts with the ">>graph6<<"
+    header, or is non-empty and holds only the printable graph6 bytes '?'
+    to '~' (so no whitespace); anything else is read as an edge list.
+    """
+    if fmt == "auto":
+        line = text.strip()
+        graph6 = line.startswith(_G6_HEADER) or (line != "" and not _G6_INVALID.search(line))
+    else:
+        graph6 = fmt == "graph6"
+    return parse_graph6(text) if graph6 else parse_edge_list(text)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse "u v" lines into a graph.
 
     A '#' starts a comment anywhere on a line. An optional header line
     "n <count>" may appear before the first edge and fixes the vertex
-    count; otherwise the count is one past the largest id seen. Errors
-    carry the offending line number.
+    count; otherwise the count is one past the largest id seen. Counts and
+    ids are plain ASCII decimals; an id may carry a '-', which is then
+    rejected as negative. Errors carry the offending line number.
     """
     declared: int | None = None
     edges: list[tuple[int, int]] = []
@@ -45,18 +62,18 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: header must precede all edges")
             if declared is not None:
                 raise GraphError(f"line {lineno}: repeated 'n' header")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (line.isascii() and parts[1].isdigit()):
                 raise GraphError(f"line {lineno}: malformed header {line!r}")
             declared = int(parts[1])
             continue
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphError(
-                f"line {lineno}: non-integer vertex id in {line!r}"
-            ) from None
+        a, b = parts
+        # plain ASCII decimals only: int() would also take '+', '_' and the
+        # digits of other scripts
+        if not (line.isascii() and a.removeprefix("-").isdigit() and b.removeprefix("-").isdigit()):
+            raise GraphError(f"line {lineno}: non-integer vertex id in {line!r}")
+        u, v = int(a), int(b)
         if u < 0 or v < 0:
             raise GraphError(f"line {lineno}: negative vertex id in {line!r}")
         if u == v:

@@ -33,7 +33,7 @@ from .certificates import (
     SquaredCycleIso,
 )
 from .errors import BudgetExhausted, PreconditionError
-from .graph import Graph, VertexSet
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,9 @@ class _Search:
 # --------------------------------------------------------- cutset enumeration
 
 
-def enumerate_min_cutsets(g: Graph, budget: OracleBudget | None = None) -> list[VertexSet]:
+def enumerate_min_cutsets(
+    g: Graph, budget: OracleBudget | None = None
+) -> list[tuple[int, ...]]:
     """All cutsets of minimum order, in lexicographic order.
 
     A complete graph has no cutset at all and yields the empty list (its
@@ -206,9 +208,7 @@ def enumerate_min_cutsets(g: Graph, budget: OracleBudget | None = None) -> list[
                 f"enumerate_min_cutsets: min cutset order exceeds cap "
                 f"max_subset_size={search.budget.max_subset_size}"
             )
-        found = [
-            VertexSet(_bits(smask), g.n) for smask in search.subsets(k) if search.cuts(smask)
-        ]
+        found = [_bits(smask) for smask in search.subsets(k) if search.cuts(smask)]
         if found:
             return found
     raise PreconditionError(
@@ -294,22 +294,22 @@ def vertex_connectivity(g: Graph) -> int:
 
 def find_independent_cutset(
     g: Graph, budget: OracleBudget | None = None
-) -> VertexSet | None:
+) -> tuple[int, ...] | None:
     """Independent cutset by increasing size, lexicographic within a size.
 
     Returns the first hit, a definitive None when the full enumeration
     finishes empty, or raises BudgetExhausted. A disconnected input
-    returns the empty set, which is an independent cutset by convention.
+    returns (), the empty set, which is an independent cutset by convention.
     """
     search = _Search(g, budget, "find_independent_cutset")
     if g.n == 0:
         return None
     if search.cuts(0):
-        return VertexSet([], g.n)
+        return ()
     for k in range(1, g.n - 1):
         for smask in search.subsets(k, independent=True):
             if search.cuts(smask):
-                return VertexSet(_bits(smask), g.n)
+                return _bits(smask)
     return None
 
 
@@ -318,7 +318,7 @@ def find_constrained_cutset(
     max_delta: int | None = None,
     max_avg: tuple[int, int] | Fraction | None = None,
     budget: OracleBudget | None = None,
-) -> VertexSet | None:
+) -> tuple[int, ...] | None:
     """Cutset with max internal degree <= max_delta and/or average internal
     degree strictly below max_avg.
 
@@ -380,19 +380,19 @@ def find_constrained_cutset(
             chosen.append((v, inside))
             smask |= 1 << v
             if avg_ok(smask, len(chosen)) and search.cuts(smask):
-                return VertexSet(_bits(smask), g.n)
+                return _bits(smask)
             v += 1
 
     for k in range(1, min(search.budget.max_subset_size, g.n - 1) + 1):
         for smask in search.subsets(k):
             if avg_ok(smask, k) and search.cuts(smask):
-                return VertexSet(_bits(smask), g.n)
+                return _bits(smask)
     return None
 
 
 def find_krr(
     g: Graph, r: int, budget: OracleBudget | None = None
-) -> tuple[VertexSet, VertexSet] | None:
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """A complete bipartite K_{r,r} subgraph, as (side_a, side_b), or None.
 
     Scans r-subsets in lexicographic order; side_b is the r smallest
@@ -407,8 +407,7 @@ def find_krr(
         for v in side_a:
             common &= search.masks[v]
         if common.bit_count() >= r:
-            side_b = _bits(common)[:r]
-            return VertexSet(side_a, g.n), VertexSet(side_b, g.n)
+            return side_a, _bits(common)[:r]
     return None
 
 

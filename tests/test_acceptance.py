@@ -117,7 +117,7 @@ def test_criterion_1_theorem1_guarantees():
         for g, delta in cases:
             trace = []
             report = induced_stats(g, theorem1_cutset(g, delta, trace=trace).cutset)
-            s = report.cutset.members
+            s = report.cutset
             assert 1 <= len(s) <= delta
             assert report.max_degree_in_s <= delta - 3
             assert len(trace) <= delta + 3
@@ -335,7 +335,7 @@ def test_criterion_8_prop2_sparse_corpus():
         rng = random.Random(808)
         for g in _gated_sparse_corpus(100, rng):
             report = induced_stats(g, prop2_cutset(g).cutset)
-            s = report.cutset.members
+            s = report.cutset
             assert report.max_degree_in_s <= 1
             assert max_degree_in(g, set(s)) <= 1
             assert separates(g, s)
@@ -369,7 +369,7 @@ def test_criterion_9_trivial_bound_audit():
         audited = 0
         for g in shelf:
             for cut in enumerate_min_cutsets(g):
-                assert max_degree_in(g, set(cut.members)) <= g.max_degree() - 2
+                assert max_degree_in(g, set(cut)) <= g.max_degree() - 2
                 audited += 1
         assert audited > 100
 

@@ -116,16 +116,16 @@ def test_every_method_returns_a_verified_certificate(run, g, monkeypatch):
 def test_theorem1_squared_cycle_exact():
     g = squared_cycle(14)
     report = induced_stats(g, theorem1_cutset(g, 4).cutset)
-    assert report.cutset.members == (2, 3, 12, 13)
+    assert report.cutset == (2, 3, 12, 13)
     assert report.max_degree_in_s == 1
-    assert disconnects(g, report.cutset.members)
+    assert disconnects(g, report.cutset)
 
 
 def test_theorem1_path_early_exit():
     # an endpoint has degree 1 <= delta - 2, so its neighborhood is the answer
     g = path(20)
     report = induced_stats(g, theorem1_cutset(g, 3).cutset)
-    assert report.cutset.members == (1,)
+    assert report.cutset == (1,)
     assert report.max_degree_in_s == 0
 
 
@@ -135,12 +135,12 @@ def test_theorem1_trace_ledger():
     theorem1_cutset(g, 4, trace=trace)
     assert trace, "growth loop should record at least the initial state"
     for state in trace:
-        assert len(state.u_side.members) == state.step
-        assert not state.u_side.as_set() & state.s_side.as_set()
-        assert state.n_i == len(state.s_side.members)
+        assert len(state.u_side) == state.step
+        assert not set(state.u_side) & set(state.s_side)
+        assert state.n_i == len(state.s_side)
         # every separator vertex keeps a neighbor on the grown side
-        u = state.u_side.as_set()
-        for v in state.s_side.members:
+        u = set(state.u_side)
+        for v in state.s_side:
             assert g.neighbor_set(v) & u
     potentials = [s.m_i - 2 * s.n_i for s in trace]
     for before, after in zip(potentials, potentials[1:]):
@@ -154,7 +154,7 @@ def test_theorem1_random_sweep():
             g = bounded_degree_connected(n, delta, rng)
             trace = []
             report = induced_stats(g, theorem1_cutset(g, delta, trace=trace).cutset)
-            s = report.cutset.members
+            s = report.cutset
             assert 1 <= len(s) <= delta
             assert report.max_degree_in_s <= delta - 3
             assert disconnects(g, s)
@@ -323,7 +323,7 @@ def test_theorem4_cut_vertex():
 
 def test_theorem4_pair_exchange():
     g = four_regular_cut2()
-    cuts = [c.members for c in enumerate_min_cutsets(g, OracleBudget(max_n=g.n))]
+    cuts = enumerate_min_cutsets(g, OracleBudget(max_n=g.n))
     # the adjacent pair is present and wins the smallest-component race,
     # so the returned certificate must be its exchanged variant
     assert (13, 14) in cuts
@@ -336,7 +336,7 @@ def test_theorem4_pair_exchange():
 
 def test_theorem4_triple_exchange():
     g = four_regular_cut3()
-    cuts = [c.members for c in enumerate_min_cutsets(g, OracleBudget(max_n=g.n))]
+    cuts = enumerate_min_cutsets(g, OracleBudget(max_n=g.n))
     assert (16, 17, 18) in cuts
     assert g.has_edge(16, 17)
     cert = theorem4_independent_cutset(g)
@@ -480,11 +480,11 @@ def test_theorem5_trace_invariants():
     assert trace
     for state in trace:
         assert state.c == 4
-        assert len(state.c_side.members) == state.step
-        t = state.t_core.as_set()
-        assert t <= state.s_side.as_set()
-        assert len(state.s_side.members) <= 5 + (state.c - 3) * (state.step - 1)
-        for a in state.c_side.members:
+        assert len(state.c_side) == state.step
+        t = set(state.t_core)
+        assert t <= set(state.s_side)
+        assert len(state.s_side) <= 5 + (state.c - 3) * (state.step - 1)
+        for a in state.c_side:
             for b in t:
                 assert g.has_edge(a, b)
 
@@ -543,9 +543,9 @@ def test_prop2_contracts_diamond_chains(k):
     for r in reps:
         assert max_degree_in(g, g.neighbor_set(r)) >= 2
     report = induced_stats(g, prop2_cutset(g).cutset)
-    assert report.cutset.members == (0, 1)
+    assert report.cutset == (0, 1)
     assert report.max_degree_in_s <= 1
-    assert disconnects(g, report.cutset.members)
+    assert disconnects(g, report.cutset)
 
 
 @pytest.mark.parametrize("n", [6, 25, 40])
@@ -579,7 +579,7 @@ def test_prop2_random_sparse():
         g = Graph(n, edges)
         report = induced_stats(g, prop2_cutset(g).cutset)
         assert report.max_degree_in_s <= 1
-        assert disconnects(g, report.cutset.members)
+        assert disconnects(g, report.cutset)
 
 
 # ------------------------------------------------- degenerate construction
@@ -588,7 +588,7 @@ def test_prop2_random_sparse():
 def test_degenerate_path_middle():
     g = path(50)
     report = induced_stats(g, degenerate_sparse_cutset(g, 25).cutset)
-    s = set(report.cutset.members)
+    s = set(report.cutset)
     assert {24, 26} <= s and 25 not in s
     assert len(s) == 25
     assert report.max_degree_in_s == 0
@@ -599,10 +599,10 @@ def test_degenerate_dilutes_average_degree():
     g = squared_cycle(100)
     hood = induced_stats(g, set(g.neighbors(0)))
     report = induced_stats(g, degenerate_sparse_cutset(g, 0).cutset)
-    lhs = Fraction(2 * report.induced_edge_count, len(report.cutset.members))
+    lhs = Fraction(2 * report.induced_edge_count, len(report.cutset))
     rhs = Fraction(2 * hood.induced_edge_count, 4)
     assert lhs < rhs
-    assert disconnects(g, report.cutset.members)
+    assert disconnects(g, report.cutset)
 
 
 def test_degenerate_rejects():

@@ -347,14 +347,22 @@ def test_oracle_squared_cycle_recognizer(monkeypatch, capsys):
     ],
 )
 def test_failed_recheck_reports_in_documented_order(monkeypatch, capsys, run_argv):
-    monkeypatch.setattr("sparsecut.cli.verify_certificate", lambda g, cert: False)
+    # find-cutset reports the method's own check, so a failed check ends the
+    # method as a broken invariant; oracle probes are re-checked by the CLI
+    own_check = run_argv[0] == "find-cutset"
+    where = "algorithms" if own_check else "cli"
+    monkeypatch.setattr(f"sparsecut.{where}.verify_certificate", lambda g, cert: False)
     code, out = pipe(monkeypatch, capsys, ["generate", "squared-cycle", "14"], run_argv)
     assert code == 1
     report = json.loads(out)
     _, schema = run_cli(["report", "--json"], capsys=capsys)
     assert list(report) == [f["name"] for f in json.loads(schema)["fields"]]
-    assert report["verified"] is False
-    assert report["error"]["type"] == "VerificationFailed"
+    if own_check:
+        assert report["verified"] is None
+        assert report["error"]["type"] == "InternalInvariantError"
+    else:
+        assert report["verified"] is False
+        assert report["error"]["type"] == "VerificationFailed"
 
 
 # -------------------------------------------------------------------- verify
@@ -425,6 +433,53 @@ def test_unreadable_files_end_in_one_json_report(tmp_path, capsys, op, case):
     report = json.loads(out)
     assert report["command"]["op"] == op
     assert report["error"]["code"] == 2 and report["error"]["type"] == "GraphError"
+
+
+@pytest.mark.parametrize(
+    "data,argv",
+    [
+        (b"\xff\xfe 1\n", ["find-cutset", "--method", "thm1", "--delta", "4"]),
+        # an Arabic-Indic three, which int() would read as vertex 3
+        ("\u0663 1\n0 1\n".encode("utf-8"), ["oracle", "connectivity"]),
+    ],
+    ids=["not-utf8", "non-ascii-digit"],
+)
+def test_stdin_is_held_to_the_file_ascii_rule(tmp_path, monkeypatch, capsys, data, argv):
+    monkeypatch.setattr(
+        sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    )
+    code, out = run_cli(argv, capsys=capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"]["type"] == "GraphError"
+    assert report["error"]["message"].startswith("cannot read stdin: ")
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_bytes(data)
+    code, out = run_cli([*argv, "-i", str(graph_file)], capsys=capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "GraphError"
+
+
+def test_find_cutset_verifies_its_certificate_once(monkeypatch, capsys):
+    import sparsecut.algorithms
+    import sparsecut.cli
+
+    calls = []
+    for module in (sparsecut.algorithms, sparsecut.cli):
+        def counted(g, cert, check=module.verify_certificate):
+            calls.append(cert)
+            return check(g, cert)
+
+        monkeypatch.setattr(module, "verify_certificate", counted)
+    code, out = pipe(
+        monkeypatch,
+        capsys,
+        ["generate", "squared-cycle", "14"],
+        ["find-cutset", "--method", "thm1", "--delta", "4", "--verify"],
+    )
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -22,8 +22,8 @@ import sparsecut
 from sparsecut.errors import GraphError, PreconditionError
 from sparsecut.graph import (
     Graph,
-    VertexSet,
     components,
+    induced_edge_count,
     induced_stats,
     induced_subgraph,
     is_connected,
@@ -101,11 +101,31 @@ def test_adjacency_is_symmetric():
 
 
 def test_vertex_set_normalizes_and_validates():
-    vs = VertexSet([3, 1, 1, 2], 5)
-    assert vs.members == (1, 2, 3)
-    assert len(vs) == 3 and 2 in vs
+    g = _path(5)
+    assert induced_stats(g, [3, 1, 1, 2]).cutset == (1, 2, 3)
+    assert components(g, iter([3, 1, 1])) == [(0,), (2,), (4,)]
     with pytest.raises(GraphError):
-        VertexSet([0, 5], 5)
+        induced_stats(g, [0, 5])
+    with pytest.raises(GraphError):
+        components(g, [0, 5])
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [components, is_cutset, induced_edge_count, max_degree_in, induced_stats, induced_subgraph],
+)
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([2, 1.5], "vertex id must be an int, got 1.5"),
+        ([0, 5], "vertex id 5 out of range for n=5"),
+        ({-1, 3}, "vertex id -1 out of range for n=5"),
+    ],
+)
+def test_every_vertex_set_entry_checks_ids(fn, ids, message):
+    with pytest.raises(GraphError) as err:
+        fn(_path(5), ids)
+    assert str(err.value) == message
 
 
 @given(
@@ -150,7 +170,7 @@ def test_constructor_fuzz(n, raw):
 def test_components_partition_and_order():
     g = Graph(6, [(0, 1), (2, 3), (4, 5), (1, 2)])
     comps = components(g, [1])
-    assert [c.members for c in comps] == [(0,), (2, 3), (4, 5)]
+    assert comps == [(0,), (2, 3), (4, 5)]
     covered = sorted(v for c in comps for v in c)
     assert covered == [0, 2, 3, 4, 5]
 
@@ -167,7 +187,7 @@ def test_components_against_union_find_1000_instances():
         ]
         g = Graph(n, edges)
         removed = {v for v in range(n) if rng.random() < 0.2}
-        got = [list(c.members) for c in components(g, removed)]
+        got = [list(c) for c in components(g, removed)]
         assert got == _union_find_components(n, edges, removed)
 
 

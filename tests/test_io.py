@@ -30,6 +30,7 @@ from sparsecut.io import (
     emit_graph6,
     graph_digest,
     parse_edge_list,
+    parse_graph,
     parse_graph6,
     to_dot,
 )
@@ -78,11 +79,65 @@ def test_parse_empty_text_is_empty_graph():
         ("0 1\nn 4", "precede"),
         ("n 4\nn 4", "repeated"),
         ("n four", "malformed header"),
+        # int() takes these, but none is a plain ASCII decimal
+        ("n \u00b2", "malformed header"),
+        ("n +3", "malformed header"),
+        ("1_0 2", "non-integer"),
+        ("+1 2", "non-integer"),
+        ("0 \u0663", "non-integer"),
+        ("0 \uff11", "non-integer"),
+        ("--1 2", "non-integer"),
     ],
 )
 def test_parse_rejects(text, needle):
     with pytest.raises(GraphError, match=needle):
         parse_edge_list(text)
+
+
+def _sniff_then_parse(text: str, fmt: str) -> Graph:
+    """The graph6 sniff the CLI used before parse_graph, kept as the
+    reference: a per-character check of the stripped text."""
+    line = text.strip()
+    looks_like_graph6 = line.startswith(">>graph6<<") or (
+        bool(line)
+        and not any(ch.isspace() for ch in line)
+        and all(63 <= ord(ch) <= 126 for ch in line)
+    )
+    if fmt == "graph6" or (fmt == "auto" and looks_like_graph6):
+        return parse_graph6(text)
+    return parse_edge_list(text)
+
+
+def _outcome(parse, text, fmt):
+    try:
+        return parse(text, fmt)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+_PIECES = [
+    ">>graph6<<", " ", "\n", "\t", "\r", ">", "?", "~", "\x7f", "\u00e9", "\u3000",
+    "A", "_", "0", "1", "n", "#", "Dhc", "Bw",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from(_PIECES), max_size=8).map("".join),
+    st.sampled_from(["auto", "graph6", "edge-list"]),
+)
+def test_parse_graph_keeps_the_sniff_rule(text, fmt):
+    assert _outcome(parse_graph, text, fmt) == _outcome(_sniff_then_parse, text, fmt)
+
+
+def test_parse_graph_reads_either_format():
+    g = squared_cycle(14)
+    assert parse_graph(emit_graph6(g)) == g
+    assert parse_graph(">>graph6<<" + emit_graph6(g) + "\n") == g
+    assert parse_graph(emit_edge_list(g)) == g
+    assert parse_graph("") == Graph(0, [])
+    with pytest.raises(GraphError, match="expected 'u v'"):
+        parse_graph(emit_graph6(g), "edge-list")
 
 
 def test_edge_list_round_trip_fixture():

@@ -27,7 +27,7 @@ from sparsecut.generators import (
     random_regular,
     squared_cycle,
 )
-from sparsecut.graph import Graph, VertexSet, induced_stats, is_connected, is_cutset
+from sparsecut.graph import Graph, induced_stats, is_connected, is_cutset
 from sparsecut.oracles import (
     OracleBudget,
     enumerate_min_cutsets,
@@ -58,12 +58,12 @@ def test_enumerate_min_cutsets_complete_graph_has_none():
 
 def test_enumerate_min_cutsets_path():
     cuts = enumerate_min_cutsets(_path(4))
-    assert [c.members for c in cuts] == [(1,), (2,)]
+    assert cuts == [(1,), (2,)]
 
 
 def test_enumerate_min_cutsets_cycle_lexicographic():
     cuts = enumerate_min_cutsets(_cycle(5))
-    assert [c.members for c in cuts] == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+    assert cuts == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
 
 
 def test_enumerate_min_cutsets_results_are_minimal_cutsets():
@@ -130,7 +130,7 @@ def test_vertex_connectivity_against_subset_scan():
 
 def test_find_independent_cutset_first_hit_is_lex_least():
     got = find_independent_cutset(_cycle(6))
-    assert got is not None and got.members == (0, 2)
+    assert got is not None and got == (0, 2)
 
 
 def test_find_independent_cutset_none_cases():
@@ -141,7 +141,7 @@ def test_find_independent_cutset_none_cases():
 
 def test_find_independent_cutset_disconnected_returns_empty():
     got = find_independent_cutset(Graph(4, [(0, 1), (2, 3)]))
-    assert got is not None and got.members == ()
+    assert got is not None and got == ()
 
 
 def test_find_independent_cutset_cubic_graphs_of_order_8_plus():
@@ -182,7 +182,7 @@ def test_oracle_budget_rejects_invalid_caps(fields):
 
 def test_find_constrained_cutset_delta_zero_matches_independent():
     got = find_constrained_cutset(_cycle(6), max_delta=0)
-    assert got is not None and got.members == (0, 2)
+    assert got is not None and got == (0, 2)
 
 
 def test_find_constrained_cutset_exhaustive_none_on_dense_families():
@@ -193,7 +193,7 @@ def test_find_constrained_cutset_exhaustive_none_on_dense_families():
 
 def test_find_constrained_cutset_avg_only_within_size_cap():
     got = find_constrained_cutset(_path(5), max_avg=(1, 1))
-    assert got is not None and got.members == (1,)
+    assert got is not None and got == (1,)
     # strictness: a single edge in S of size 2 has average exactly 1
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
     hit = find_constrained_cutset(g, max_avg=Fraction(1))
@@ -221,7 +221,7 @@ def test_find_krr_squared_cycle_has_k22():
     got = find_krr(squared_cycle(14), 2)
     assert got is not None
     a, b = got
-    assert a.members == (0, 1) and b.members == (2, 13)
+    assert a == (0, 1) and b == (2, 13)
 
 
 def test_find_krr_none_on_petersen():
@@ -233,7 +233,7 @@ def test_find_krr_r1_is_any_edge():
     got = find_krr(_path(3), 1)
     assert got is not None
     a, b = got
-    assert a.members == (0,) and b.members == (1,)
+    assert a == (0,) and b == (1,)
 
 
 def test_find_krr_validates_r():
@@ -327,14 +327,13 @@ def _krr_reference(g: Graph, r: int):
 
 
 def _plain(answer):
-    if isinstance(answer, (list, tuple, VertexSet)):
+    if isinstance(answer, (list, tuple)):
         return tuple(_plain(x) for x in answer)
     return answer
 
 
 def _outcome(run):
-    """The answer with every VertexSet and list as a tuple, or the type of
-    what was raised."""
+    """The answer with every list as a tuple, or the type of what was raised."""
     try:
         return _plain(run())
     except (PreconditionError, BudgetExhausted) as exc:

@@ -97,7 +97,7 @@ def test_theorem1_certifies_and_keeps_its_ledger(case):
     assert verify_certificate(g, cert)
     assert len(trace) <= delta + 3
     for state in trace:
-        assert state.step == len(state.u_side.members)
+        assert state.step == len(state.u_side)
     potentials = [s.m_i - 2 * s.n_i for s in trace]
     for before, after in zip(potentials, potentials[1:]):
         assert after - before >= delta - 2
