@@ -24,6 +24,7 @@ from .certificates import (
 from .errors import GraphError, NoCutsetFound, PreconditionError, ensure
 from .graph import (
     Graph,
+    _ids,
     components,
     induced_edge_count,
     induced_stats,
@@ -476,8 +477,8 @@ def bipartite_matching(
 ) -> list[tuple[int, int]]:
     """Maximum matching between two disjoint vertex sets, by augmenting
     paths in deterministic ascending order. Returns (left, right) pairs."""
-    ls = tuple(sorted(set(left)))
-    rs = frozenset(right)
+    ls = _ids(g, left)
+    rs = frozenset(_ids(g, right))
     if set(ls) & rs:
         raise PreconditionError("bipartite_matching: sides must be disjoint")
     match_of: dict[int, int] = {}  # right -> left

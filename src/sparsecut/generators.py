@@ -254,10 +254,18 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise PreconditionError(f"random_regular requires d < n, got n={n} d={d}")
     if (n * d) % 2 != 0:
         raise PreconditionError(f"n*d must be even, got n={n} d={d}")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     stubs = [v for v in range(n) for _ in range(d)]
+    # random.Random.shuffle inlined, drawing exactly the same getrandbits
+    # calls: for each i from the top down, j is drawn on i+1's bit length
+    # until it is at most i
+    steps = [(i, (i + 1).bit_length()) for i in range(len(stubs) - 1, 0, -1)]
     for _ in range(_PAIRING_ATTEMPTS):
-        rng.shuffle(stubs)
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
         seen = set()
         ok = True
         for i in range(0, len(stubs), 2):

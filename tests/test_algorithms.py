@@ -439,6 +439,21 @@ def test_bipartite_matching_rejects_overlap():
         bipartite_matching(cycle(4), (0, 1), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "left, right, message",
+    [
+        ((-1,), (0, 1), "vertex id -1 out of range for n=8"),
+        ((0, 1), (99,), "vertex id 99 out of range for n=8"),
+        (("a",), (0,), "vertex id must be an int, got 'a'"),
+    ],
+)
+def test_bipartite_matching_checks_vertex_ids(left, right, message):
+    # a negative id would otherwise read another vertex's neighbors, and a
+    # large one would end in a bare IndexError
+    with pytest.raises(GraphError, match=message):
+        bipartite_matching(squared_cycle(8), left, right)
+
+
 # ---------------------------------------------------------------- theorem 5
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from sparsecut.errors import PreconditionError
+from sparsecut.errors import BudgetExhausted, PreconditionError
 from sparsecut.generators import (
     CliqueChainParams,
     clique_chain,
@@ -213,3 +215,44 @@ def test_random_regular_rejects_bad_parameters():
         random_regular(5, 3, seed=0)
     with pytest.raises(PreconditionError, match="d < n"):
         random_regular(4, 4, seed=0)
+
+
+def _shuffle_reference(n: int, d: int, seed: int) -> Graph:
+    """The pairing model as first written, on random.Random.shuffle."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(d)]
+    for _ in range(2000):
+        rng.shuffle(stubs)
+        seen = set()
+        for i in range(0, len(stubs), 2):
+            u, v = sorted((stubs[i], stubs[i + 1]))
+            if u == v or (u, v) in seen:
+                break
+            seen.add((u, v))
+        else:
+            return Graph(n, sorted(seen))
+    raise BudgetExhausted(
+        f"random_regular(n={n}, d={d}, seed={seed}) found no simple pairing "
+        f"in 2000 attempts"
+    )
+
+
+def _outcome(make, n: int, d: int, seed: int):
+    try:
+        return make(n, d, seed).edges()
+    except BudgetExhausted as exc:
+        return str(exc)
+
+
+def test_random_regular_keeps_the_shuffle_stream():
+    grid = [
+        (n, d, seed)
+        for n, d in ((2, 1), (5, 0), (3, 2), (6, 3), (10, 3), (12, 5), (20, 4),
+                     (60, 5), (101, 4), (7, 6), (16, 10))
+        for seed in range(3)
+    ]
+    got = [_outcome(random_regular, *case) for case in grid]
+    assert got == [_outcome(_shuffle_reference, *case) for case in grid]
+    # the grid reaches both outcomes: graphs and exhausted attempts
+    kinds = {type(x) for x in got}
+    assert kinds == {tuple, str}

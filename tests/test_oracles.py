@@ -5,12 +5,22 @@ from __future__ import annotations
 
 import inspect
 import random
+from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_connectivity, connected_random_regular, petersen
+from helpers import (
+    brute_connectivity,
+    connected_random_regular,
+    four_regular_cut1,
+    four_regular_cut2,
+    four_regular_cut3,
+    petersen,
+)
 from sparsecut import oracles
 from sparsecut.certificates import (
     GoodCutset,
@@ -21,6 +31,8 @@ from sparsecut.certificates import (
 )
 from sparsecut.errors import BudgetExhausted, PreconditionError
 from sparsecut.generators import (
+    CliqueChainParams,
+    clique_chain,
     icosahedron,
     figure2_pattern,
     named_small,
@@ -123,6 +135,161 @@ def test_vertex_connectivity_against_subset_scan():
         ]
         g = Graph(n, edges)
         assert vertex_connectivity(g) == brute_connectivity(g)
+
+
+def _special_graphs() -> list[Graph]:
+    return [
+        Graph(0, []),
+        Graph(1, []),
+        Graph(2, []),
+        Graph(6, [(0, 1), (1, 2), (3, 4)]),
+        *(Graph(n, list(combinations(range(n), 2))) for n in (2, 3, 5, 8, 12)),
+        *(Graph(n, [(0, v) for v in range(1, n)]) for n in (2, 3, 7, 12)),
+        *(_path(n) for n in (2, 3, 9, 12)),
+        *(_cycle(n) for n in (3, 4, 11)),
+    ]
+
+
+@st.composite
+def _small_graphs(draw) -> Graph:
+    n = draw(st.integers(0, 12))
+    p = draw(st.sampled_from((0.15, 0.3, 0.5, 0.7, 0.9)))
+    pairs = list(combinations(range(n), 2))
+    picks = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, x in zip(pairs, picks) if x < p])
+
+
+@given(g=st.one_of(_small_graphs(), st.sampled_from(_special_graphs())))
+@settings(max_examples=200, deadline=None)
+def test_vertex_connectivity_matches_subset_scan_property(g):
+    kappa = vertex_connectivity(g)
+    assert kappa == brute_connectivity(g)
+    if is_connected(g) and g.m < g.n * (g.n - 1) // 2:
+        cutsets = enumerate_min_cutsets(g, OracleBudget(max_subset_size=g.n))
+        assert {len(s) for s in cutsets} == {kappa}
+
+
+def _reference_flow(g: Graph, s: int, t: int, stop_at: int) -> int:
+    """The earlier flow routine: a dict-of-tuples split digraph rebuilt for
+    every pair, kept as an independent reference."""
+    cap: dict[tuple[int, int], int] = defaultdict(int)
+    adj: dict[int, list[int]] = defaultdict(list)
+
+    def arc(a: int, b: int) -> None:
+        if cap[(a, b)] == 0 and cap[(b, a)] == 0:
+            adj[a].append(b)
+            adj[b].append(a)
+        cap[(a, b)] += 1
+
+    for v in range(g.n):
+        arc(2 * v, 2 * v + 1)
+    for u in range(g.n):
+        for v in g.neighbors(u):
+            arc(2 * u + 1, 2 * v)
+    src, snk = 2 * s + 1, 2 * t
+    flow = 0
+    while flow < stop_at:
+        prev: dict[int, int | None] = {src: None}
+        queue = deque([src])
+        while queue and snk not in prev:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in prev and cap[(x, y)] > 0:
+                    prev[y] = x
+                    queue.append(y)
+        if snk not in prev:
+            break
+        y = snk
+        while prev[y] is not None:
+            x = prev[y]
+            cap[(x, y)] -= 1
+            cap[(y, x)] += 1
+            y = x
+        flow += 1
+    return flow
+
+
+def _reference_connectivity(g: Graph) -> int:
+    """The earlier pair selection: flows from a minimum-degree vertex and
+    from each of its neighbors to every non-neighbor."""
+    if g.n <= 1:
+        return max(g.n - 1, 0)
+    if not is_connected(g):
+        return 0
+    if g.m == g.n * (g.n - 1) // 2:
+        return g.n - 1
+    v0 = 0
+    for v in range(1, g.n):
+        if g.degree(v) < g.degree(v0):
+            v0 = v
+    best = g.degree(v0)
+    for r in (v0,) + g.neighbors(v0):
+        for u in range(g.n):
+            if u == r or g.has_edge(r, u):
+                continue
+            best = min(best, _reference_flow(g, r, u, best))
+            if best == 0:
+                return 0
+    return best
+
+
+def _joined_at_cut_vertex(seed: int) -> Graph:
+    """Two random 4-regular graphs, each missing one edge, whose four loose
+    ends meet in one new vertex: 4-regular with a cut vertex."""
+    (a, _), (b, _) = connected_random_regular(16, 4, seed), connected_random_regular(20, 4, seed + 50)
+    (u1, v1), (u2, v2) = a.edges()[0], b.edges()[0]
+    hub = a.n + b.n
+    edges = [e for e in a.edges() if e != (u1, v1)]
+    edges += [(x + a.n, y + a.n) for x, y in b.edges() if (x, y) != (u2, v2)]
+    edges += [(u1, hub), (v1, hub), (u2 + a.n, hub), (v2 + a.n, hub)]
+    return Graph(hub + 1, edges)
+
+
+def _comparison_graphs() -> list[Graph]:
+    out = []
+    for d, orders in ((3, (8, 20, 40, 60)), (4, (9, 24, 60)), (5, (10, 30, 60))):
+        for n in orders:
+            for seed in range(2):
+                try:
+                    out.append(random_regular(n, d, seed))
+                except BudgetExhausted:
+                    pass
+    out += [squared_cycle(n) for n in (5, 6, 7, 9, 13, 30, 61)]
+    out += [_joined_at_cut_vertex(seed) for seed in range(3)]
+    # two squared cycles side by side, disconnected
+    side = [(x + 7, y + 7) for x, y in squared_cycle(9).edges()]
+    out.append(Graph(16, [*squared_cycle(7).edges(), *side]))
+    out += [
+        clique_chain(CliqueChainParams(delta, length, cyclic, seed))
+        for delta, length, cyclic, seed in ((9, 3, False, 0), (9, 5, True, 1), (16, 3, False, 2), (12, 4, True, 3))
+    ]
+    out += [four_regular_cut1(), four_regular_cut2(), four_regular_cut3(), petersen(), icosahedron()]
+    return out
+
+
+def test_vertex_connectivity_matches_earlier_flow_code():
+    graphs = _comparison_graphs()
+    kappas = [vertex_connectivity(g) for g in graphs]
+    assert kappas == [_reference_connectivity(g) for g in graphs]
+    # the comparison covers every connectivity from 0 to 5
+    assert set(kappas) >= {0, 1, 2, 3, 4, 5}
+
+
+def test_vertex_connectivity_flow_count(monkeypatch):
+    pairs = []
+    flow = oracles._flow_between
+
+    def counted(net, s, t, stop_at):
+        pairs.append((s, t))
+        return flow(net, s, t, stop_at)
+
+    monkeypatch.setattr(oracles, "_flow_between", counted)
+    assert vertex_connectivity(squared_cycle(160)) == 4
+    n, delta = 160, 4
+    assert len(pairs) <= n - delta - 1 + delta * (delta - 1) // 2 == 161
+    # root 0: its 155 non-neighbors, then the non-adjacent pairs of
+    # neighbors 1, 2, 158, 159 in ascending order
+    assert pairs[155:] == [(1, 158), (2, 158), (2, 159)]
 
 
 # ---------------------------------------------------------- independent cutsets
