@@ -6,6 +6,12 @@ transition via ensure(). The answer itself is checked once, at the end:
 every returned certificate passes the independent oracle check
 (verify_certificate), which recomputes separation, size and internal
 degree from the graph alone, before it is handed back.
+
+thm3 and thm4 take the vertex connectivity from a unit-capacity flow of
+this module's own (_connectivity). The oracle's vertex_connectivity
+computes the same value by separate code, so thm4's check of its flow
+against the oracle's enumeration of minimum cutsets is a real second
+opinion.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .graph import (
     _ids,
     components,
     induced_edge_count,
-    induced_stats,
     is_connected,
     max_degree_in,
     min_degree_vertex,
@@ -38,7 +43,6 @@ from .oracles import (
     find_independent_cutset,
     recognize_squared_cycle,
     verify_certificate,
-    vertex_connectivity,
 )
 
 
@@ -356,15 +360,125 @@ def _finish_thm2(g: Graph, s_side: set[int], allow_small: bool) -> Certificate:
     return _verified(g, cert)
 
 
+def _connectivity(g: Graph) -> int:
+    """Vertex connectivity of a nonempty graph by unit-capacity max flow,
+    with the pair selection of Esfahanian and Hakimi, "On computing the
+    connectivities of graphs and digraphs" (Networks 1984).
+
+    Let v0 be the smallest-id vertex of minimum degree δ. A minimum cutset
+    that misses v0 separates it from a non-neighbor; one that holds v0
+    keeps two non-adjacent neighbors of v0 apart. So κ is δ or the least
+    flow over those pairs, and every flow stops at the best value so far.
+    A complete graph has no such pair and gets δ = n - 1; a disconnected
+    one gets 0 from v0 and a vertex of another component.
+    """
+    v0 = min_degree_vertex(g)
+    near = g.neighbor_set(v0)
+    pairs = [(v0, t) for t in range(g.n) if t != v0 and t not in near]
+    pairs += [(x, y) for x, y in combinations(g.neighbors(v0), 2) if not g.has_edge(x, y)]
+    # the split network's residual arcs: node v is v's in side, node n + v
+    # its out side. Every arc has capacity 1 and no arc has a reverse twin,
+    # so the set of heads per node is the whole residual state.
+    n = g.n
+    residual = [{n + v} for v in range(n)] + [set(g.neighbors(v)) for v in range(n)]
+    best = g.degree(v0)
+    for s, t in pairs:
+        if best == 0:
+            break
+        best = _disjoint_paths(residual, n + s, t, best)
+    return best
+
+
+def _disjoint_paths(residual: list[set[int]], source: int, sink: int, cap: int) -> int:
+    """Augment breadth first from the out side source of one vertex to the
+    in side sink of a non-adjacent one until cap paths are found or none is
+    left; return the count and leave residual as it came.
+
+    A search stops as soon as it meets a node with an arc into the sink.
+    It steps over a vertex that carries no path yet, from its in side
+    straight to its out side, the in side's only arc."""
+    n = len(residual) // 2
+    flipped: list[tuple[int, int]] = []
+    paths = 0
+    while paths < cap:
+        came_from = [-1] * len(residual)
+        came_from[source] = source
+        last = -1
+        queue = [source]
+        for x in queue:
+            for y in residual[x]:
+                if came_from[y] >= 0:
+                    continue
+                came_from[y] = x
+                if y < n and n + y in residual[y]:
+                    if came_from[n + y] >= 0:
+                        continue  # the source vertex's own in side
+                    came_from[n + y] = y
+                    y += n
+                if sink in residual[y]:
+                    last = y
+                    break
+                queue.append(y)
+            if last >= 0:
+                break
+        else:
+            break  # the sink is out of reach: the flow is maximum
+        came_from[sink] = last
+        y = sink
+        while y != source:
+            x = came_from[y]
+            residual[x].remove(y)
+            residual[y].add(x)
+            flipped.append((x, y))
+            y = x
+        paths += 1
+    for x, y in reversed(flipped):
+        residual[y].remove(x)
+        residual[x].add(y)
+    return paths
+
+
+def _splits_minimally(masks: list[int], alive: int, s: int) -> bool:
+    """Whether the vertices in alive, all of a connected graph but the
+    nonempty set s, fall into two or more components that each have a
+    neighbor at every vertex of s. That holds exactly when s is an
+    inclusion-minimal cutset: a vertex x of s that misses a component
+    leaves s - x a cutset, and otherwise any vertex of s outside a proper
+    subset joins every component back together."""
+    parts = 0
+    while alive:
+        comp = frontier = alive & -alive
+        seen = 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            seen |= reach
+            frontier = reach & alive & ~comp
+            comp |= frontier
+        if seen & s != s:
+            return False
+        alive &= ~comp
+        parts += 1
+    return parts >= 2
+
+
 def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
     """Squared-cycle recognition or a minimal sparse cutset, for connected
     4-regular graphs with at least one neighborhood not inducing 2K2.
 
-    The cutset branch scans all vertex subsets of size 1..4 smallest first,
-    then lexicographically, and returns the first minimal cutset whose
-    average internal degree is strictly below 1. Exhausting the scan raises
-    NoCutsetFound, a reported outcome covering orders below the (unknown)
-    threshold where the dichotomy kicks in.
+    The cutset branch scans vertex subsets smallest first, then
+    lexicographically, and returns the first minimal cutset whose average
+    internal degree is strictly below 1. No set smaller than the
+    connectivity κ separates, so the scan runs over sizes κ..4, with κ
+    from a flow computed once the graph is known not to be a squared
+    cycle. Each set costs one pass over adjacency bitmasks: the induced
+    edge count, then one flood fill that tests minimality by the rule that
+    every component of G - S sees every vertex of S. Exhausting the scan
+    raises NoCutsetFound, a reported outcome covering orders below the
+    (unknown) threshold where the dichotomy kicks in.
     """
     _require_connected(g, "theorem3_dichotomy")
     _require_regular(g, 4, "theorem3_dichotomy")
@@ -384,12 +498,15 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
             SquaredCycleIso(order=tuple(order)),
             "recognized order failed re-verification",
         )
-    for size in range(1, 5):
+    masks = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    everyone = (1 << g.n) - 1
+    for size in range(_connectivity(g), 5):
         for combo in combinations(range(g.n), size):
-            if 2 * induced_edge_count(g, combo) >= size:
+            s = sum(1 << v for v in combo)
+            # twice the induced edge count, which must stay below |S|
+            if sum((masks[v] & s).bit_count() for v in combo) >= size:
                 continue
-            stats = induced_stats(g, combo)
-            if not stats.is_cutset or stats.minimal is not True:
+            if not _splits_minimally(masks, everyone & ~s, s):
                 continue
             cert = GoodCutset(
                 cutset=combo,
@@ -409,12 +526,13 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
     """Independent cutset of order at most 3 in a 4-regular graph whose
     connectivity is at most 3.
 
-    For connectivity 2 or 3 the minimum cutsets are enumerated and the one
-    minimizing its smallest component is taken; if it induces an edge, one
-    endpoint is swapped for its matched partner across the larger side.
+    The connectivity comes from this module's flow. For connectivity 2 or
+    3 the minimum cutsets are enumerated and the one minimizing its
+    smallest component is taken; if it induces an edge, one endpoint is
+    swapped for its matched partner across the larger side.
     """
     _require_regular(g, 4, "theorem4_independent_cutset")
-    kappa = vertex_connectivity(g)
+    kappa = _connectivity(g)
     if kappa > 3:
         raise PreconditionError(
             f"theorem4_independent_cutset: connectivity {kappa} exceeds 3"

@@ -134,10 +134,14 @@ class CutsetReport:
 
 def _ids(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
     """The distinct ids of s, sorted, each checked to be a vertex of g."""
-    ids = tuple(sorted(set(s)))
-    for v in ids:
+    given = list(s)
+    # types first, in the given order: sorting a mix of ints and other
+    # values would raise a bare TypeError
+    for v in given:
         if not isinstance(v, int):
             raise GraphError(f"vertex id must be an int, got {v!r}")
+    ids = tuple(sorted(set(given)))
+    for v in ids:
         if not (0 <= v < g.n):
             raise GraphError(f"vertex id {v} out of range for n={g.n}")
     return ids

@@ -5,6 +5,8 @@ small fixtures, and the growth traces are audited step by step with the
 same invariants the routines promise to maintain.
 """
 
+import ast
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -24,8 +26,11 @@ from helpers import (
     petersen,
     union_find_components,
 )
+import sparsecut.algorithms as algorithms
 from sparsecut.algorithms import (
+    _connectivity,
     _link_is,
+    _splits_minimally,
     bipartite_matching,
     degenerate_sparse_cutset,
     prop1_is_icosahedron,
@@ -56,6 +61,7 @@ from sparsecut.generators import (
     figure2_pattern,
     icosahedron,
     named_small,
+    random_regular,
     squared_cycle,
 )
 from sparsecut.graph import Graph, induced_stats, induced_subgraph, is_connected, max_degree_in
@@ -64,6 +70,7 @@ from sparsecut.oracles import (
     OracleBudget,
     enumerate_min_cutsets,
     verify_certificate,
+    vertex_connectivity,
 )
 
 
@@ -308,6 +315,63 @@ def test_theorem3_bipartite_side_cutset():
     assert isinstance(out, GoodCutset)
     assert out.cutset == (0, 1, 2, 3)
     assert verify_certificate(k44, out)
+
+
+def test_theorem3_pins_the_random_regular_80_cutset():
+    # connectivity 4: the scan starts at size 4
+    assert theorem3_dichotomy(random_regular(80, 4, 1)).cutset == (0, 3, 14, 68)
+
+
+def test_theorem3_squared_cycles_run_no_flow(monkeypatch):
+    def no_flow(g):
+        raise AssertionError("connectivity computed for a squared cycle")
+
+    monkeypatch.setattr("sparsecut.algorithms._connectivity", no_flow)
+    assert isinstance(theorem3_dichotomy(squared_cycle(12)), SquaredCycleIso)
+
+
+def test_minimal_cutset_rule_matches_the_exhaustive_check():
+    # every nonempty set of at most 4 vertices of random connected graphs:
+    # the one-pass full-component rule against induced_stats' subset scan
+    rng = random.Random(3)
+    checked = minimal = 0
+    for _ in range(30):
+        g = bounded_degree_connected(rng.randint(2, 10), rng.randint(2, 5), rng)
+        masks = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+        for size in range(1, min(4, g.n) + 1):
+            for s in combinations(range(g.n), size):
+                smask = sum(1 << v for v in s)
+                rule = _splits_minimally(masks, (1 << g.n) - 1 & ~smask, smask)
+                assert rule == induced_stats(g, s).minimal, (g.edges(), s)
+                checked += 1
+                minimal += rule
+    assert checked > 3000 and minimal > 50
+
+
+def test_connectivity_flow_matches_the_oracle_on_four_regular_graphs():
+    graphs = [four_regular_cut1(), four_regular_cut2(), four_regular_cut3()]
+    graphs += [random_regular(n, 4, seed) for n in range(5, 61, 5) for seed in (0, 1)]
+    kappas = [_connectivity(g) for g in graphs]
+    assert kappas == [vertex_connectivity(g) for g in graphs]
+    assert kappas[:3] == [1, 2, 3]
+
+
+def test_algorithms_borrow_only_these_oracle_names():
+    # thm3 and thm4 take the connectivity from the algorithms' own flow
+    tree = ast.parse(inspect.getsource(algorithms))
+    borrowed = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        for alias in node.names
+    }
+    assert borrowed == {
+        "OracleBudget",
+        "enumerate_min_cutsets",
+        "find_independent_cutset",
+        "recognize_squared_cycle",
+        "verify_certificate",
+    }
 
 
 # ---------------------------------------------------------------- theorem 4

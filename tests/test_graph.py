@@ -120,6 +120,10 @@ def test_vertex_set_normalizes_and_validates():
         ([2, 1.5], "vertex id must be an int, got 1.5"),
         ([0, 5], "vertex id 5 out of range for n=5"),
         ({-1, 3}, "vertex id -1 out of range for n=5"),
+        # mixed ids: the type is checked before anything is sorted
+        (["a", 0], "vertex id must be an int, got 'a'"),
+        ([0, "a"], "vertex id must be an int, got 'a'"),
+        ([7, None], "vertex id must be an int, got None"),
     ],
 )
 def test_every_vertex_set_entry_checks_ids(fn, ids, message):

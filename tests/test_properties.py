@@ -11,10 +11,16 @@ included) or BudgetExhausted.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsecut.algorithms import (
+    _connectivity,
+    _link_is,
+    _require_connected,
+    _require_regular,
     degenerate_sparse_cutset,
     prop2_cutset,
     theorem1_cutset,
@@ -23,10 +29,11 @@ from sparsecut.algorithms import (
     theorem4_independent_cutset,
     theorem5_certify,
 )
-from sparsecut.errors import BudgetExhausted, PreconditionError
+from sparsecut.certificates import GoodCutset, SquaredCycleIso
+from sparsecut.errors import BudgetExhausted, NoCutsetFound, PreconditionError
 from sparsecut.generators import random_regular
-from sparsecut.graph import Graph, is_connected
-from sparsecut.oracles import verify_certificate
+from sparsecut.graph import Graph, induced_edge_count, induced_stats, is_connected
+from sparsecut.oracles import recognize_squared_cycle, verify_certificate, vertex_connectivity
 
 
 @st.composite
@@ -181,6 +188,71 @@ def four_regular(draw, max_piece: int) -> Graph:
 @settings(max_examples=60, deadline=None)
 def test_theorem3_certifies_or_declines(g):
     certifies_or_declines(g, theorem3_dichotomy)
+
+
+def _theorem3_reference(g: Graph, min_order: int):
+    """theorem3_dichotomy as it was before its scan started at the
+    connectivity: every size from 1 up, and induced_stats, with its
+    exhaustive minimality check, on every set that is sparse enough."""
+    _require_connected(g, "theorem3_dichotomy")
+    _require_regular(g, 4, "theorem3_dichotomy")
+    if all(_link_is(g, v, 4, 1) for v in g.vertices()):
+        raise PreconditionError(
+            "theorem3_dichotomy: every neighborhood induces 2K2 "
+            "(vertex 0 already does), so the dichotomy does not apply"
+        )
+    if g.n < min_order:
+        raise PreconditionError(
+            f"theorem3_dichotomy: order {g.n} is below the configured threshold {min_order}"
+        )
+    order = recognize_squared_cycle(g)
+    if order is not None:
+        return SquaredCycleIso(order=tuple(order))
+    for size in range(1, 5):
+        for combo in combinations(range(g.n), size):
+            if 2 * induced_edge_count(g, combo) >= size:
+                continue
+            stats = induced_stats(g, combo)
+            if stats.is_cutset and stats.minimal is True:
+                return GoodCutset(
+                    cutset=combo, size_bound=4, avg_bound_strict=(1, 1), require_minimal=True
+                )
+    raise NoCutsetFound(
+        "theorem3_dichotomy: no minimal cutset of order at most 4 with average "
+        f"internal degree below 1 at order {g.n}; the order may be below the "
+        "dichotomy threshold"
+    )
+
+
+def _outcome(run, g: Graph):
+    try:
+        return run(g)
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+
+
+@given(g=four_regular(max_piece=10), min_order=st.sampled_from([5, 10]))
+@settings(max_examples=80, deadline=None)
+def test_theorem3_matches_the_subset_scan_reference(g, min_order):
+    # min_order 5 sends the small pieces through the cutset branch too
+    got = _outcome(lambda h: theorem3_dichotomy(h, min_order=min_order), g)
+    assert got == _outcome(lambda h: _theorem3_reference(h, min_order), g)
+
+
+@st.composite
+def small_graphs(draw) -> Graph:
+    """Any simple graph on 1..12 vertices, from sparse to complete."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(g=st.one_of(small_graphs(), four_regular(max_piece=6)))
+@settings(max_examples=200, deadline=None)
+def test_connectivity_flow_matches_the_oracle(g):
+    assume(g.n <= 12)
+    assert _connectivity(g) == vertex_connectivity(g)
 
 
 @given(g=four_regular(max_piece=14))
