@@ -11,9 +11,13 @@ definitive "none".
 The four exponential searches (enumerate_min_cutsets,
 find_independent_cutset, find_constrained_cutset and find_krr) each build
 one _Search from the graph, the budget and their own name. It rejects an
-order above max_n, holds the adjacency bitmasks, counts search steps in
-tick(), which checks the time hint every 64 steps, and walks k-subsets in
-lexicographic order on an explicit stack, so no search recurses.
+order above max_n, holds the adjacency bitmasks, counts search steps and
+checks the time hint every 64 of them, and walks k-subsets in
+lexicographic order on an explicit stack, so no search recurses. Its cut
+test fills one component level by level. Up to 64 vertices it expands a
+level through byte tables, one lookup per byte of the level: at most 8
+tables of 256 entries. Above 64 vertices the tables would grow with n
+(4.4 MB at n = 1200), so the fill there expands one vertex at a time.
 """
 
 from __future__ import annotations
@@ -80,27 +84,6 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _component_count(masks: tuple[int, ...], alive: int) -> int:
-    count = 0
-    rest = alive
-    while rest:
-        count += 1
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= masks[b.bit_length() - 1]
-                f ^= b
-            nxt &= rest & ~comp
-            comp |= nxt
-            frontier = nxt
-        rest &= ~comp
-    return count
-
-
 def _separates(g: Graph, removed: tuple[int, ...]) -> bool:
     """Whether g minus removed has at least two components, by flood fill."""
     seen = set(removed)
@@ -119,7 +102,15 @@ def _separates(g: Graph, removed: tuple[int, ...]) -> bool:
 
 class _Search:
     """What one exponential search over g needs: its order gate, the
-    adjacency bitmasks, a step clock for the time hint and a subset walk."""
+    adjacency bitmasks, a step clock for the time hint and a subset walk.
+
+    Up to 64 vertices it also holds byte tables: tabs[i][x] is the union
+    of the neighbor masks of the vertices 8i + j for each set bit j of the
+    byte x, so cuts() expands a whole BFS level with one lookup per byte.
+    That is at most 8 tables of 256 small ints. The bound keeps the tables
+    small: at n = 1200 they would hold 4.4 MB of big ints, built anew for
+    every search, so larger orders expand one vertex at a time.
+    """
 
     def __init__(self, g: Graph, budget: OracleBudget | None, what: str):
         self.budget = budget or OracleBudget()
@@ -131,6 +122,15 @@ class _Search:
         # bit w of masks[v] is set iff vw is an edge; each mask has n bits,
         # which is why they are built only past the order gate
         self.masks = tuple(sum(1 << w for w in g.neighbors(v)) for v in range(g.n))
+        self.tabs: list[list[int]] | None = None
+        if g.n <= 64:
+            self.tabs = []
+            for i in range(0, g.n, 8):
+                # doubling: each vertex of the byte adds its mask to a copy
+                tab = [0]
+                for m in self.masks[i : i + 8]:
+                    tab += [x | m for x in tab]
+                self.tabs.append(tab)
         self.full = (1 << g.n) - 1
         self.steps = 0
         self.start = time.monotonic()
@@ -138,22 +138,46 @@ class _Search:
     def tick(self) -> None:
         """Count one search step; every 64 steps, enforce the time hint."""
         self.steps += 1
-        # a step can cost O(n) big-int work on deep sets, so check often
-        if self.steps % 64 == 0:
-            limit = self.budget.time_hint_s
-            if limit is not None and time.monotonic() - self.start > limit:
-                raise BudgetExhausted(f"oracle time budget of {limit}s exceeded")
+        if not self.steps & 63:
+            self.check_clock()
+
+    def check_clock(self) -> None:
+        """Enforce the time hint. A step can cost O(n) big-int work on deep
+        sets, so the steps call this often: once every 64."""
+        limit = self.budget.time_hint_s
+        if limit is not None and time.monotonic() - self.start > limit:
+            raise BudgetExhausted(f"oracle time budget of {limit}s exceeded")
 
     def cuts(self, smask: int) -> bool:
-        """Whether removing the vertices in smask leaves two or more components."""
+        """Whether removing the vertices in smask leaves two or more
+        components: fill the component of the lowest vertex left, one BFS
+        level at a time, and stop there."""
         alive = self.full & ~smask
-        return alive != 0 and _component_count(self.masks, alive) >= 2
+        frontier = alive & -alive
+        rest = alive ^ frontier  # the vertices left that the fill has not reached
+        masks, tabs = self.masks, self.tabs
+        while frontier:
+            nxt = 0
+            if tabs is None:
+                while frontier:
+                    b = frontier & -frontier
+                    nxt |= masks[b.bit_length() - 1]
+                    frontier ^= b
+            else:
+                i = 0
+                while frontier:
+                    nxt |= tabs[i][frontier & 255]
+                    frontier >>= 8
+                    i += 1
+            frontier = nxt & rest
+            rest ^= frontier
+        return rest != 0
 
     def subsets(self, k: int, independent: bool = False) -> Iterator[int]:
         """Every k-subset of the vertices as a bitmask, in lexicographic
         order; with independent, vertices adjacent to the chosen ones are
         skipped, so only independent sets come out. Each vertex added to
-        the chosen set is one tick()."""
+        the chosen set is one step, counted as tick() counts it."""
         n, masks = self.n, self.masks
         if k == 0:
             yield 0
@@ -164,10 +188,13 @@ class _Search:
         while True:
             if len(picks) == k - 1:
                 # the last member: each vertex left completes a set, and
-                # looping here spares a push and a pop per set
+                # looping here spares a push and a pop per set; the step is
+                # counted inline, which spares a call per set
                 for w in range(v, n):
                     if not (independent and masks[w] & chosen):
-                        self.tick()
+                        self.steps += 1
+                        if not self.steps & 63:
+                            self.check_clock()
                         yield chosen | 1 << w
             elif v <= n - k + len(picks):
                 if not (independent and masks[v] & chosen):
@@ -409,13 +436,14 @@ def find_constrained_cutset(
             deg_in_s[v] = dv
             chosen.append((v, inside))
             smask |= 1 << v
-            if avg_ok(smask, len(chosen)) and search.cuts(smask):
+            # the cut test rejects most sets, and more cheaply than avg_ok
+            if search.cuts(smask) and avg_ok(smask, len(chosen)):
                 return _bits(smask)
             v += 1
 
     for k in range(1, min(search.budget.max_subset_size, g.n - 1) + 1):
         for smask in search.subsets(k):
-            if avg_ok(smask, k) and search.cuts(smask):
+            if search.cuts(smask) and avg_ok(smask, k):
                 return _bits(smask)
     return None
 
@@ -431,13 +459,16 @@ def find_krr(
     if r < 1:
         raise PreconditionError(f"find_krr requires r >= 1, got {r}")
     search = _Search(g, budget, "find_krr")
+    masks = search.masks
     for smask in search.subsets(r):
-        side_a = _bits(smask)
         common = search.full
-        for v in side_a:
-            common &= search.masks[v]
+        m = smask
+        while m:
+            b = m & -m
+            common &= masks[b.bit_length() - 1]
+            m ^= b
         if common.bit_count() >= r:
-            return side_a, _bits(common)[:r]
+            return _bits(smask), _bits(common)[:r]
     return None
 
 

@@ -535,22 +535,99 @@ def test_searches_match_plain_references():
             assert _outcome(run) == _outcome(reference)
 
 
+# Five searches that each run well over 64 steps before their answer, with
+# the number of clock reads each makes under a time hint that never runs
+# out: one at the start, then one every 64 steps.
+_LONG_SEARCHES = {
+    "min-cutsets": (lambda b: enumerate_min_cutsets(squared_cycle(14), b), 31),
+    "independent": (lambda b: find_independent_cutset(squared_cycle(14), b), 12),
+    "constrained-delta": (
+        lambda b: find_constrained_cutset(icosahedron(), max_delta=1, budget=b),
+        12,
+    ),
+    "constrained-avg": (
+        lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
+        156,
+    ),
+    "krr": (lambda b: find_krr(petersen(), 3, b), 3),
+}
+
+
 @pytest.mark.parametrize(
     "search",
-    [
-        lambda b: enumerate_min_cutsets(squared_cycle(14), b),
-        lambda b: find_independent_cutset(squared_cycle(14), b),
-        lambda b: find_constrained_cutset(icosahedron(), max_delta=1, budget=b),
-        lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
-        lambda b: find_krr(petersen(), 3, b),
-    ],
-    ids=["min-cutsets", "independent", "constrained-delta", "constrained-avg", "krr"],
+    [search for search, _ in _LONG_SEARCHES.values()],
+    ids=list(_LONG_SEARCHES),
 )
 def test_time_hint_stops_every_search(search):
-    # each search runs well over 64 steps before its answer
     search(OracleBudget())
     with pytest.raises(BudgetExhausted, match="time budget"):
         search(OracleBudget(time_hint_s=1e-9))
+
+
+@pytest.mark.parametrize(
+    "search, reads",
+    [
+        *_LONG_SEARCHES.values(),
+        # K_{2,2} in C_14^2 is found within 64 steps
+        (lambda b: find_krr(squared_cycle(14), 2, b), 1),
+    ],
+    ids=[*_LONG_SEARCHES, "short-krr"],
+)
+def test_time_hint_reads_the_clock_every_64_steps(monkeypatch, search, reads):
+    clock = []
+
+    def monotonic() -> float:
+        clock.append(None)
+        return 0.0
+
+    monkeypatch.setattr(oracles.time, "monotonic", monotonic)
+    search(OracleBudget(time_hint_s=1.0))
+    assert len(clock) == reads
+    # without a time hint only the start is read
+    del clock[:]
+    search(OracleBudget())
+    assert len(clock) == 1
+
+
+# ------------------------------------------------------------- the cut test
+
+
+@st.composite
+def _graphs_with_vertex_sets(draw):
+    """A random graph of order 0..72 with average degree about 1 to 5, and
+    vertex sets to remove: none, all, all but one, a drawn set and a few
+    small random ones."""
+    n = draw(st.integers(0, 72))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    degree = draw(st.sampled_from((1, 2, 3, 5)))
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() * n < degree])
+    sets = [(), tuple(range(n))]
+    if n:
+        missing = draw(st.integers(0, n - 1))
+        sets.append(tuple(v for v in range(n) if v != missing))
+        sets.append(tuple(sorted(draw(st.sets(st.integers(0, n - 1))))))
+        sets += [tuple(sorted(rng.sample(range(n), min(n, k)))) for k in (1, 2, 3, 4)]
+    return g, sets
+
+
+@given(case=_graphs_with_vertex_sets())
+@settings(max_examples=150, deadline=None)
+def test_cut_test_matches_the_flood_fill(case):
+    g, sets = case
+    search = oracles._Search(g, OracleBudget(max_n=72), "test")
+    assert (search.tabs is None) == (g.n > 64)
+    for s in sets:
+        smask = sum(1 << v for v in s)
+        assert search.cuts(smask) == oracles._separates(g, s)
+
+
+def test_byte_tables_stay_small():
+    for n in (0, 1, 7, 8, 9, 23, 24, 63, 64):
+        tabs = oracles._Search(_path(n), OracleBudget(max_n=64), "test").tabs
+        assert tabs is not None and len(tabs) == (n + 7) // 8
+        assert sum(map(len, tabs)) <= 2048
+    for n in (65, 72, 1200):
+        assert oracles._Search(_path(n), OracleBudget(max_n=n), "test").tabs is None
 
 
 # ------------------------------------------------------------------- recognizer
