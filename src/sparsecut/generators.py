@@ -32,11 +32,6 @@ def icosahedron() -> Graph:
     return Graph(12, edges)
 
 
-def icosahedron_labels() -> dict[int, str]:
-    """Mapping from icosahedron() vertex ids to their letter labels."""
-    return dict(enumerate(ICOSAHEDRON_LABELS))
-
-
 def squared_cycle(n: int) -> Graph:
     """C_n^2: vertex i adjacent to i+-1 and i+-2 mod n. Requires n >= 5.
 

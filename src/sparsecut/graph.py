@@ -16,14 +16,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .errors import GraphError, PreconditionError
 
-# Minimality of a cutset is decided exhaustively only up to this size;
-# larger sets get minimal=None ("unknown").
-MINIMALITY_EXHAUSTIVE_LIMIT = 6
+# Minimality is reported only up to this size; a larger cutset reports
+# minimal=None. The rule below decides any size, but report schema 1 and
+# the recorded benchmark answers pin null for these sets.
+MINIMALITY_REPORT_LIMIT = 6
 
 
 class Graph:
@@ -100,8 +100,10 @@ class CutsetReport:
     """Exact statistics for a vertex set considered as a cutset.
 
     avg_degree_in_s is kept as an exact rational via the induced edge
-    count; minimal is True/False when decided exhaustively and None when
-    the set is too large for the exhaustive subset check.
+    count. minimal is decided exactly from the components of G - S: S is
+    an inclusion-minimal cutset iff G - S has two or more components and
+    each has a neighbour at every vertex of S. A cutset of more than
+    MINIMALITY_REPORT_LIMIT vertices reports None under report schema 1.
     """
 
     cutset: tuple[int, ...]
@@ -205,28 +207,31 @@ def max_degree_in(g: Graph, s: Iterable[int]) -> int:
 def induced_stats(g: Graph, s: Iterable[int]) -> CutsetReport:
     """Full exact report for s: degrees, components, minimality."""
     ids = _ids(g, s)
-    comp_count = len(components(g, ids))
+    comps = components(g, ids)
+    inside = set(ids)
+    degrees = [sum(1 for w in g.neighbors(u) if w in inside) for u in ids]
     return CutsetReport(
         cutset=ids,
-        max_degree_in_s=max_degree_in(g, ids),
-        induced_edge_count=induced_edge_count(g, ids),
-        component_count=comp_count,
-        minimal=_minimality(g, ids, comp_count >= 2),
+        max_degree_in_s=max(degrees, default=0),
+        induced_edge_count=sum(degrees) // 2,
+        component_count=len(comps),
+        minimal=_minimality(g, ids, comps),
     )
 
 
-def _minimality(g: Graph, ids: tuple[int, ...], cuts: bool) -> bool | None:
-    if not cuts or len(ids) == g.n:
+def _minimality(g: Graph, ids: tuple[int, ...], comps: list[tuple[int, ...]]) -> bool | None:
+    # the rule in CutsetReport: a vertex of S that misses a component C can
+    # leave S with C still cut off, while vertices touching every component
+    # join them all again once any proper subset of S is removed
+    if len(comps) < 2:
         return False
-    if len(ids) > MINIMALITY_EXHAUSTIVE_LIMIT:
+    if len(ids) > MINIMALITY_REPORT_LIMIT:
         return None
-    # minimal iff no proper subset is a cutset; single-vertex deletions
-    # alone do not suffice because cutset-ness is not upward monotone
-    for size in range(len(ids)):
-        for sub in combinations(ids, size):
-            if len(components(g, sub)) >= 2:
-                return False
-    return True
+    label = {v: i for i, comp in enumerate(comps) for v in comp}
+    return all(
+        len({label[w] for w in g.neighbors(u) if w in label}) == len(comps)
+        for u in ids
+    )
 
 
 def min_degree_vertex(g: Graph) -> int:
@@ -238,19 +243,3 @@ def min_degree_vertex(g: Graph) -> int:
         if g.degree(v) < g.degree(best):
             best = v
     return best
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph plus the mapping from new ids to original ids.
-
-    Position i of the mapping holds the original id of new vertex i.
-    """
-    old = _ids(g, vertices)
-    index = {v: i for i, v in enumerate(old)}
-    edges = [
-        (index[u], index[w])
-        for u in old
-        for w in g.neighbors(u)
-        if w > u and w in index
-    ]
-    return Graph(len(old), edges), old

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from sparsecut.generators import ICOSAHEDRON_LABELS
 from sparsecut.graph import Graph
 
 
@@ -273,3 +274,24 @@ def diamond_chain(k: int) -> Graph:
         if j + 1 < k:
             edges.append((a + 3, a + 4))
     return Graph(4 * k, edges)
+
+
+def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph plus the mapping from new ids to original ids.
+
+    Position i of the mapping holds the original id of new vertex i.
+    """
+    old = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(old)}
+    edges = [
+        (index[u], index[w])
+        for u in old
+        for w in g.neighbors(u)
+        if w > u and w in index
+    ]
+    return Graph(len(old), edges), old
+
+
+def icosahedron_labels() -> dict[int, str]:
+    """Mapping from icosahedron() vertex ids to their letter labels."""
+    return dict(enumerate(ICOSAHEDRON_LABELS))

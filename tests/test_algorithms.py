@@ -22,6 +22,7 @@ from helpers import (
     four_regular_cut1,
     four_regular_cut2,
     four_regular_cut3,
+    induced_subgraph,
     pg24_incidence,
     petersen,
     union_find_components,
@@ -64,7 +65,7 @@ from sparsecut.generators import (
     random_regular,
     squared_cycle,
 )
-from sparsecut.graph import Graph, induced_stats, induced_subgraph, is_connected, max_degree_in
+from sparsecut.graph import Graph, induced_stats, is_connected, max_degree_in
 from sparsecut.io import parse_graph6
 from sparsecut.oracles import (
     OracleBudget,
@@ -332,7 +333,7 @@ def test_theorem3_squared_cycles_run_no_flow(monkeypatch):
 
 def test_minimal_cutset_rule_matches_the_exhaustive_check():
     # every nonempty set of at most 4 vertices of random connected graphs:
-    # the one-pass full-component rule against induced_stats' subset scan
+    # the one-pass full-component rule against the oracle's subset scan
     rng = random.Random(3)
     checked = minimal = 0
     for _ in range(30):
@@ -342,7 +343,8 @@ def test_minimal_cutset_rule_matches_the_exhaustive_check():
             for s in combinations(range(g.n), size):
                 smask = sum(1 << v for v in s)
                 rule = _splits_minimally(masks, (1 << g.n) - 1 & ~smask, smask)
-                assert rule == induced_stats(g, s).minimal, (g.edges(), s)
+                exhaustive = verify_certificate(g, GoodCutset(cutset=s, require_minimal=True))
+                assert rule == exhaustive, (g.edges(), s)
                 checked += 1
                 minimal += rule
     assert checked > 3000 and minimal > 50

@@ -148,6 +148,32 @@ def test_find_cutset_default_verification_tracks_order(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["verified"] is None
 
 
+def test_find_cutset_reports_minimality_at_large_order(monkeypatch, capsys):
+    code, out = pipe(
+        monkeypatch,
+        capsys,
+        ["generate", "squared-cycle", "2000"],
+        ["find-cutset", "--method", "thm1", "--delta", "4"],
+    )
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert len(stats["cutset"]) == 4 and stats["minimal"] is True
+
+
+def test_find_cutset_reports_null_minimality_above_six_vertices(monkeypatch, capsys):
+    # report schema 1 and the recorded benchmark answers pin null here
+    code, out = pipe(
+        monkeypatch,
+        capsys,
+        ["generate", "random-regular", "40", "3", "--seed", "1"],
+        ["find-cutset", "--method", "degenerate", "--u", "0"],
+    )
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert len(stats["cutset"]) == 15 and stats["component_count"] >= 2
+    assert stats["minimal"] is None and '"minimal": null' in out
+
+
 def test_find_cutset_thm4_from_file(tmp_path, monkeypatch, capsys):
     from helpers import four_regular_cut2
     from sparsecut.io import emit_edge_list

@@ -6,13 +6,13 @@ import random
 
 import pytest
 
+from helpers import icosahedron_labels, induced_subgraph
 from sparsecut.errors import BudgetExhausted, PreconditionError
 from sparsecut.generators import (
     CliqueChainParams,
     clique_chain,
     figure2_pattern,
     icosahedron,
-    icosahedron_labels,
     named_small,
     random_regular,
     squared_cycle,
@@ -21,7 +21,6 @@ from sparsecut.generators import (
 from sparsecut.graph import (
     Graph,
     components,
-    induced_subgraph,
     is_connected,
     is_cutset,
 )

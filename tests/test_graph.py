@@ -19,18 +19,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsecut
+from helpers import induced_subgraph
+from sparsecut.certificates import GoodCutset
 from sparsecut.errors import GraphError, PreconditionError
+from sparsecut.generators import squared_cycle
 from sparsecut.graph import (
+    MINIMALITY_REPORT_LIMIT,
     Graph,
     components,
     induced_edge_count,
     induced_stats,
-    induced_subgraph,
     is_connected,
     is_cutset,
     max_degree_in,
     min_degree_vertex,
 )
+from sparsecut.oracles import verify_certificate
 
 
 def _path(n: int) -> Graph:
@@ -112,7 +116,7 @@ def test_vertex_set_normalizes_and_validates():
 
 @pytest.mark.parametrize(
     "fn",
-    [components, is_cutset, induced_edge_count, max_degree_in, induced_stats, induced_subgraph],
+    [components, is_cutset, induced_edge_count, max_degree_in, induced_stats],
 )
 @pytest.mark.parametrize(
     "ids, message",
@@ -251,6 +255,54 @@ def test_minimality_checks_all_proper_subsets_not_just_deletions():
     # still non-minimal because {1} and {3} are cutsets themselves
     rep = induced_stats(_path(5), [1, 3])
     assert rep.is_cutset and rep.minimal is False
+
+
+def test_minimality_in_a_disconnected_graph():
+    # only the empty set is minimal: S = {1, 4} leaves four components,
+    # and each vertex of S sees two of them
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    assert induced_stats(g, []).minimal is True
+    rep = induced_stats(g, [1, 4])
+    assert rep.component_count == 4 and rep.minimal is False
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_induced_stats_minimality_matches_the_oracle(data):
+    # graphs connected or not, every vertex set: up to the report limit the
+    # verdict is the oracle's subset scan; above it a cutset reports None
+    n = data.draw(st.integers(min_value=0, max_value=9))
+    pairs = list(combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, kept in zip(pairs, keep) if kept])
+    for size in range(n + 1):
+        for s in combinations(range(n), size):
+            rep = induced_stats(g, s)
+            if size <= MINIMALITY_REPORT_LIMIT:
+                exhaustive = verify_certificate(g, GoodCutset(cutset=s, require_minimal=True))
+                assert rep.minimal is exhaustive, (g.edges(), s)
+            else:
+                assert rep.minimal is (None if rep.is_cutset else False), (g.edges(), s)
+
+
+def test_induced_stats_makes_one_components_pass(monkeypatch):
+    calls = []
+
+    def counted(g, removed=()):
+        calls.append(removed)
+        return components(g, removed)
+
+    monkeypatch.setattr("sparsecut.graph.components", counted)
+    rep = induced_stats(squared_cycle(1000), [0, 1, 500, 501])
+    assert rep.component_count == 2 and rep.minimal is True
+    assert len(calls) == 1
+
+
+def test_test_only_helpers_are_not_public():
+    # induced_subgraph and icosahedron_labels live in tests/helpers.py
+    assert not {"induced_subgraph", "icosahedron_labels"} & set(sparsecut.__all__)
+    assert not hasattr(sparsecut.graph, "induced_subgraph")
+    assert not hasattr(sparsecut.generators, "icosahedron_labels")
 
 
 def test_report_component_count_matches_is_cutset():

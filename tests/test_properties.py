@@ -32,7 +32,7 @@ from sparsecut.algorithms import (
 from sparsecut.certificates import GoodCutset, SquaredCycleIso
 from sparsecut.errors import BudgetExhausted, NoCutsetFound, PreconditionError
 from sparsecut.generators import random_regular
-from sparsecut.graph import Graph, induced_edge_count, induced_stats, is_connected
+from sparsecut.graph import Graph, induced_edge_count, is_connected
 from sparsecut.oracles import recognize_squared_cycle, verify_certificate, vertex_connectivity
 
 
@@ -192,8 +192,8 @@ def test_theorem3_certifies_or_declines(g):
 
 def _theorem3_reference(g: Graph, min_order: int):
     """theorem3_dichotomy as it was before its scan started at the
-    connectivity: every size from 1 up, and induced_stats, with its
-    exhaustive minimality check, on every set that is sparse enough."""
+    connectivity: every size from 1 up, and the oracle's exhaustive
+    minimality check on every set that is sparse enough."""
     _require_connected(g, "theorem3_dichotomy")
     _require_regular(g, 4, "theorem3_dichotomy")
     if all(_link_is(g, v, 4, 1) for v in g.vertices()):
@@ -212,8 +212,7 @@ def _theorem3_reference(g: Graph, min_order: int):
         for combo in combinations(range(g.n), size):
             if 2 * induced_edge_count(g, combo) >= size:
                 continue
-            stats = induced_stats(g, combo)
-            if stats.is_cutset and stats.minimal is True:
+            if verify_certificate(g, GoodCutset(cutset=combo, require_minimal=True)):
                 return GoodCutset(
                     cutset=combo, size_bound=4, avg_bound_strict=(1, 1), require_minimal=True
                 )
