@@ -27,7 +27,7 @@ from .certificates import (
     KrrWitness,
     SquaredCycleIso,
 )
-from .errors import GraphError, NoCutsetFound, PreconditionError, ensure
+from .errors import NoCutsetFound, PreconditionError, ensure
 from .graph import (
     Graph,
     _ids,
@@ -853,8 +853,7 @@ def degenerate_sparse_cutset(g: Graph, u: int) -> GoodCutset:
     the average internal degree that induced_stats reports for the cutset.
     """
     _require_connected(g, "degenerate_sparse_cutset")
-    if not (0 <= u < g.n):
-        raise GraphError(f"vertex id {u} out of range for n={g.n}")
+    _ids(g, (u,))
     dmax = g.max_degree()
     q = dmax * dmax + 1
     if g.n <= q:

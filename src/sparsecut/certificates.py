@@ -7,7 +7,7 @@ Average-degree bounds are strict and kept as integer fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import GraphError
 
@@ -84,56 +84,43 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return out
 
 
-def _ints(data: dict, key: str) -> tuple[int, ...]:
-    raw = data[key]
-    if not isinstance(raw, list) or any(type(v) is not int for v in raw):
-        raise ValueError(f"{key} must be a list of ints")
-    return tuple(raw)
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
-def _bound(data: dict, key: str) -> int | None:
-    value = data.get(key)
-    if value is not None and type(value) is not int:
-        raise ValueError(f"{key} must be an int or null")
-    return value
+# each type a certificate field declares: the checks its JSON value must
+# pass, in order, each with what the value must be when it fails
+_FIELD_CHECKS = {
+    "tuple[int, ...]": ((_int_list, "a list of ints"),),
+    "int": ((lambda v: type(v) is int, "an int"),),
+    "int | None": ((lambda v: v is None or type(v) is int, "an int or null"),),
+    "bool": ((lambda v: type(v) is bool, "true or false"),),
+    "tuple[int, int] | None": (
+        (lambda v: v is None or _int_list(v), "a list of ints"),
+        (lambda v: v is None or (len(v) == 2 and v[1] > 0), "[numerator, positive denominator]"),
+    ),
+}
 
 
 def certificate_from_dict(data: dict) -> Certificate:
-    """Rebuild a certificate from its JSON form, checking every field's type."""
+    """Rebuild a certificate from its JSON form, checking each field's value
+    against its declared type; a missing field takes its default if any."""
     try:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise GraphError("certificate payload must be an object with a 'kind' tag")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise GraphError(f"unknown certificate kind {kind!r}")
-    try:
-        if kind == "good-cutset":
-            avg = None
-            if data.get("avg_bound_strict") is not None:
-                avg = _ints(data, "avg_bound_strict")
-                if len(avg) != 2 or avg[1] <= 0:
-                    raise ValueError("avg_bound_strict must be [numerator, positive denominator]")
-            if type(data.get("require_minimal", False)) is not bool:
-                raise ValueError("require_minimal must be true or false")
-            return GoodCutset(
-                cutset=_ints(data, "cutset"),
-                size_bound=_bound(data, "size_bound"),
-                degree_bound=_bound(data, "degree_bound"),
-                avg_bound_strict=avg,
-                require_minimal=data.get("require_minimal", False),
-            )
-        if kind == "independent-cutset":
-            return IndependentCutset(
-                cutset=_ints(data, "cutset"), size_bound=_bound(data, "size_bound")
-            )
-        if kind == "krr-witness":
-            if type(data["r"]) is not int:
-                raise ValueError("r must be an int")
-            return KrrWitness(
-                r=data["r"], side_a=_ints(data, "side_a"), side_b=_ints(data, "side_b")
-            )
-        if kind == "squared-cycle-iso":
-            return SquaredCycleIso(order=_ints(data, "order"))
-        return IsIcosahedron()
-    except (KeyError, ValueError) as exc:
-        raise GraphError(f"malformed {kind} certificate: {exc}") from None
+    cls = _KINDS[kind]
+    values = {}
+    for field in fields(cls):
+        if field.name not in data:
+            if field.default is MISSING:
+                raise GraphError(f"malformed {kind} certificate: {field.name!r}")
+            continue
+        value = data[field.name]
+        for ok, shape in _FIELD_CHECKS[field.type]:
+            if not ok(value):
+                raise GraphError(f"malformed {kind} certificate: {field.name} must be {shape}")
+        values[field.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**values)

@@ -7,8 +7,8 @@ exact: average degrees are rationals, never floats.
 
 A vertex set is a sorted tuple of distinct ids, the same shape that
 certificates hold. The functions here accept any iterable of ids, drop
-repeats, and reject a non-int or out-of-range id with GraphError; every
-set they return is such a tuple.
+repeats, and reject an id that is not an int (a bool is not) or not in
+range with GraphError; every set they return is such a tuple.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Graph:
     __slots__ = ("n", "m", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise GraphError(f"vertex count must be a non-negative int, got {n!r}")
         self.n = n
         # sets only while building, to reject parallel edges in O(1)
@@ -43,7 +43,7 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise GraphError(f"edge must be a pair, got {e!r}") from None
-            if not isinstance(u, int) or not isinstance(v, int):
+            if type(u) is not int or type(v) is not int:
                 raise GraphError(f"edge endpoints must be ints, got {e!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {e!r} out of range for n={n}")
@@ -140,7 +140,7 @@ def _ids(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
     # types first, in the given order: sorting a mix of ints and other
     # values would raise a bare TypeError
     for v in given:
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise GraphError(f"vertex id must be an int, got {v!r}")
     ids = tuple(sorted(set(given)))
     for v in ids:

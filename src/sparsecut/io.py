@@ -14,10 +14,12 @@ import re
 from typing import Iterable
 
 from .errors import GraphError
-from .graph import Graph
+from .graph import Graph, _ids
 
 _G6_HEADER = ">>graph6<<"
-_G6_MAX_N = 258047
+# both formats' order limit, graph6's largest four-byte order: a short edge
+# list cannot ask for gigabytes of adjacency
+MAX_ORDER = 258047
 # printable graph6 bytes run from '?' (63) to '~' (126)
 _G6_INVALID = re.compile(r"[^?-~]")
 _G6_NONZERO = re.compile(rb"[^?]")
@@ -47,9 +49,11 @@ def parse_edge_list(text: str) -> Graph:
     "n <count>" may appear before the first edge and fixes the vertex
     count; otherwise the count is one past the largest id seen. Counts and
     ids are plain ASCII decimals; an id may carry a '-', which is then
-    rejected as negative. Errors carry the offending line number.
+    rejected as negative. The order, declared or implied by the largest
+    id, may not exceed MAX_ORDER. Errors carry the offending line number.
     """
     declared: int | None = None
+    limit, limit_name = MAX_ORDER, "the order limit"
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -64,7 +68,11 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: repeated 'n' header")
             if len(parts) != 2 or not (line.isascii() and parts[1].isdigit()):
                 raise GraphError(f"line {lineno}: malformed header {line!r}")
-            declared = int(parts[1])
+            # a long count is over the limit; int() refuses over 4300 digits
+            if len(parts[1].lstrip("0")) > len(str(MAX_ORDER)) or int(parts[1]) > MAX_ORDER:
+                raise GraphError(f"line {lineno}: order {parts[1]} above the limit {MAX_ORDER}")
+            declared = limit = int(parts[1])
+            limit_name = "declared order"
             continue
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -73,16 +81,19 @@ def parse_edge_list(text: str) -> Graph:
         # digits of other scripts
         if not (line.isascii() and a.removeprefix("-").isdigit() and b.removeprefix("-").isdigit()):
             raise GraphError(f"line {lineno}: non-integer vertex id in {line!r}")
-        u, v = int(a), int(b)
+        try:
+            u, v = int(a), int(b)
+        except ValueError:  # int() refuses more than 4300 digits
+            raise GraphError(
+                f"line {lineno}: vertex id outside the order limit {MAX_ORDER}"
+            ) from None
         if u < 0 or v < 0:
             raise GraphError(f"line {lineno}: negative vertex id in {line!r}")
         if u == v:
             raise GraphError(f"line {lineno}: self-loop at vertex {u}")
-        if declared is not None and max(u, v) >= declared:
-            raise GraphError(
-                f"line {lineno}: vertex id {max(u, v)} outside declared order {declared}"
-            )
-        e = (min(u, v), max(u, v))
+        e = (u, v) if u < v else (v, u)
+        if e[1] >= limit:
+            raise GraphError(f"line {lineno}: vertex id {e[1]} outside {limit_name} {limit}")
         if e in seen:
             raise GraphError(f"line {lineno}: duplicate edge {e[0]} {e[1]}")
         seen.add(e)
@@ -109,8 +120,8 @@ def graph_digest(g: Graph) -> str:
 def emit_graph6(g: Graph) -> str:
     """Standard graph6 line: order, then the upper triangle column by column."""
     n = g.n
-    if n > _G6_MAX_N:
-        raise GraphError(f"graph6 supports at most {_G6_MAX_N} vertices, got {n}")
+    if n > MAX_ORDER:
+        raise GraphError(f"graph6 supports at most {MAX_ORDER} vertices, got {n}")
     if n <= 62:
         order = bytes([n])
     else:
@@ -140,6 +151,7 @@ def parse_graph6(text: str) -> Graph:
     if not data:
         raise GraphError("graph6: empty input")
     if data[0] == 126:
+        # graph6 writes an order above MAX_ORDER in the eight-byte form
         if len(data) >= 2 and data[1] == 126:
             raise GraphError("graph6: eight-byte order form is not supported")
         if len(data) < 4:
@@ -176,10 +188,7 @@ def parse_graph6(text: str) -> Graph:
 
 def to_dot(g: Graph, highlight: Iterable[int] = ()) -> str:
     """DOT rendering with the given vertices drawn filled."""
-    chosen = set(highlight)
-    for v in chosen:
-        if not 0 <= v < g.n:
-            raise GraphError(f"highlight vertex {v} out of range for n={g.n}")
+    chosen = set(_ids(g, highlight))
     lines = ["graph G {"]
     for v in range(g.n):
         if v in chosen:

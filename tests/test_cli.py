@@ -205,6 +205,24 @@ def test_find_cutset_degenerate_u(monkeypatch, capsys):
     assert report["verified"] is True
 
 
+def test_find_cutset_refuses_an_order_above_the_graph6_limit(monkeypatch, capsys):
+    # without the limit a header alone costs about 250 bytes per declared vertex
+    code, out = run_cli(
+        ["find-cutset", "--method", "thm1", "--delta", "4"],
+        stdin_text="n 258048\n0 1\n",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == {
+        "code": 2,
+        "type": "GraphError",
+        "message": "line 1: order 258048 above the limit 258047",
+    }
+    assert report["input_digest"] is None and report["certificate"] is None
+
+
 def test_find_cutset_dot_export(tmp_path, monkeypatch, capsys):
     out_dot = tmp_path / "cut.dot"
     code, _ = pipe(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import sparsecut
 from helpers import induced_subgraph
+from sparsecut.algorithms import bipartite_matching, degenerate_sparse_cutset
 from sparsecut.certificates import GoodCutset
 from sparsecut.errors import GraphError, PreconditionError
 from sparsecut.generators import squared_cycle
@@ -34,6 +35,7 @@ from sparsecut.graph import (
     max_degree_in,
     min_degree_vertex,
 )
+from sparsecut.io import to_dot
 from sparsecut.oracles import verify_certificate
 
 
@@ -84,6 +86,15 @@ def test_constructor_rejects_parallel_edges():
         Graph(3, [(0, 1), (0, 1)])
 
 
+def test_constructor_rejects_bools():
+    with pytest.raises(GraphError) as err:
+        Graph(2, [(True, 0)])
+    assert str(err.value) == "edge endpoints must be ints, got (True, 0)"
+    with pytest.raises(GraphError) as err:
+        Graph(True, [])
+    assert str(err.value) == "vertex count must be a non-negative int, got True"
+
+
 def test_constructor_rejects_out_of_range():
     with pytest.raises(GraphError, match="out of range"):
         Graph(3, [(0, 3)])
@@ -128,12 +139,55 @@ def test_vertex_set_normalizes_and_validates():
         (["a", 0], "vertex id must be an int, got 'a'"),
         ([0, "a"], "vertex id must be an int, got 'a'"),
         ([7, None], "vertex id must be an int, got None"),
+        # a bool is an int to Python, but never a vertex id
+        ([0, True], "vertex id must be an int, got True"),
     ],
 )
 def test_every_vertex_set_entry_checks_ids(fn, ids, message):
     with pytest.raises(GraphError) as err:
         fn(_path(5), ids)
     assert str(err.value) == message
+
+
+@st.composite
+def _ids_with_a_bad_one(draw, n: int) -> list:
+    """Valid ids of an n-vertex graph mixed with at least one id that is not."""
+    bad = st.one_of(
+        st.text(max_size=3),
+        st.floats(allow_nan=True),
+        st.booleans(),
+        st.none(),
+        st.integers(max_value=-1),
+        st.integers(min_value=n),
+    )
+    good = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    return draw(st.permutations(good + draw(st.lists(bad, min_size=1, max_size=3))))
+
+
+_VERTEX_SET_ENTRIES = [
+    components,
+    is_cutset,
+    induced_edge_count,
+    max_degree_in,
+    induced_stats,
+    lambda g, ids: bipartite_matching(g, ids, ()),
+    lambda g, ids: bipartite_matching(g, (), ids),
+    to_dot,
+]
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=8))
+@settings(max_examples=150, deadline=None)
+def test_bad_ids_raise_graph_error_everywhere(data, n):
+    g = _path(n)
+    ids = data.draw(_ids_with_a_bad_one(n))
+    for fn in _VERTEX_SET_ENTRIES:
+        # GraphError, never the TypeError or IndexError of a raw id
+        with pytest.raises(GraphError):
+            fn(g, ids)
+    bad_u = next(v for v in ids if type(v) is not int or not 0 <= v < n)
+    with pytest.raises(GraphError):
+        degenerate_sparse_cutset(g, bad_u)
 
 
 @given(

@@ -87,11 +87,28 @@ def test_parse_empty_text_is_empty_graph():
         ("0 \u0663", "non-integer"),
         ("0 \uff11", "non-integer"),
         ("--1 2", "non-integer"),
+        # one order limit for both formats, graph6's, so a short edge list
+        # cannot ask for gigabytes of adjacency
+        ("n 258048", "^line 1: order 258048 above the limit 258047$"),
+        ("# big\nn 0000258048", "^line 2: order 0000258048 above the limit 258047$"),
+        ("0 1\n2 258047", "^line 2: vertex id 258047 outside the order limit 258047$"),
+        ("n 5\n0 258047", "^line 2: vertex id 258047 outside declared order 5$"),
+        # longer than int() converts where the interpreter caps it
+        pytest.param(
+            "n 1" + "0" * 5000, "^line 1: order 10{5000} above the limit 258047$", id="long-header"
+        ),
+        pytest.param(
+            "0 1" + "0" * 5000, "^line 1: vertex id .*outside the order limit 258047$", id="long-id"
+        ),
     ],
 )
 def test_parse_rejects(text, needle):
     with pytest.raises(GraphError, match=needle):
         parse_edge_list(text)
+
+
+def test_parse_accepts_the_order_limit():
+    assert parse_edge_list("n 258047\n0 258046\n").n == 258047
 
 
 def _sniff_then_parse(text: str, fmt: str) -> Graph:
@@ -300,29 +317,143 @@ def test_certificate_dict_key_order(cert, text):
     assert json.dumps(certificate_to_dict(cert)) == text
 
 
-def test_certificate_dict_rejects_garbage():
-    with pytest.raises(GraphError, match="kind"):
-        certificate_from_dict({"cutset": [1]})
-    with pytest.raises(GraphError, match="unknown certificate kind"):
-        certificate_from_dict({"kind": "mystery"})
-    malformed = [
-        {"kind": "krr-witness", "r": 2},
+_GARBAGE = [
+    ({"cutset": [1]}, "certificate payload must be an object with a 'kind' tag"),
+    ([["kind", "good-cutset"]], "certificate payload must be an object with a 'kind' tag"),
+    ({"kind": "mystery"}, "unknown certificate kind 'mystery'"),
+    ({"kind": ["good-cutset"]}, "unknown certificate kind ['good-cutset']"),
+    # good-cutset: every field, missing and of the wrong type
+    ({"kind": "good-cutset"}, "malformed good-cutset certificate: 'cutset'"),
+    (
         {"kind": "good-cutset", "cutset": ["x"]},
+        "malformed good-cutset certificate: cutset must be a list of ints",
+    ),
+    (
         {"kind": "good-cutset", "cutset": [True]},
+        "malformed good-cutset certificate: cutset must be a list of ints",
+    ),
+    (
+        {"kind": "good-cutset", "cutset": 3},
+        "malformed good-cutset certificate: cutset must be a list of ints",
+    ),
+    (
         {"kind": "good-cutset", "cutset": [1], "size_bound": "4"},
-        {"kind": "good-cutset", "cutset": [1], "avg_bound_strict": [1]},
-        {"kind": "good-cutset", "cutset": [1], "avg_bound_strict": [1, 0]},
+        "malformed good-cutset certificate: size_bound must be an int or null",
+    ),
+    (
+        {"kind": "good-cutset", "cutset": [1], "degree_bound": False},
+        "malformed good-cutset certificate: degree_bound must be an int or null",
+    ),
+    (
         {"kind": "good-cutset", "cutset": [1], "require_minimal": "no"},
+        "malformed good-cutset certificate: require_minimal must be true or false",
+    ),
+    (
+        {"kind": "good-cutset", "cutset": [1], "require_minimal": None},
+        "malformed good-cutset certificate: require_minimal must be true or false",
+    ),
+    # avg_bound_strict: a list of ints first, then the fraction's shape
+    (
+        {"kind": "good-cutset", "cutset": [1], "avg_bound_strict": "1/2"},
+        "malformed good-cutset certificate: avg_bound_strict must be a list of ints",
+    ),
+    (
+        {"kind": "good-cutset", "cutset": [1], "avg_bound_strict": [1.5, 2]},
+        "malformed good-cutset certificate: avg_bound_strict must be a list of ints",
+    ),
+    (
+        {"kind": "good-cutset", "cutset": [1], "avg_bound_strict": [1]},
+        "malformed good-cutset certificate: avg_bound_strict must be [numerator, positive denominator]",
+    ),
+    (
+        {"kind": "good-cutset", "cutset": [1], "avg_bound_strict": [1, 0]},
+        "malformed good-cutset certificate: avg_bound_strict must be [numerator, positive denominator]",
+    ),
+    (
+        {"kind": "good-cutset", "cutset": [1], "avg_bound_strict": [1, 2, 3]},
+        "malformed good-cutset certificate: avg_bound_strict must be [numerator, positive denominator]",
+    ),
+    # independent-cutset
+    ({"kind": "independent-cutset"}, "malformed independent-cutset certificate: 'cutset'"),
+    (
         {"kind": "independent-cutset", "cutset": 3},
+        "malformed independent-cutset certificate: cutset must be a list of ints",
+    ),
+    (
+        {"kind": "independent-cutset", "cutset": [3], "size_bound": 1.0},
+        "malformed independent-cutset certificate: size_bound must be an int or null",
+    ),
+    # krr-witness
+    ({"kind": "krr-witness", "r": 2}, "malformed krr-witness certificate: 'side_a'"),
+    ({"kind": "krr-witness", "side_a": [0], "side_b": [1]}, "malformed krr-witness certificate: 'r'"),
+    (
+        {"kind": "krr-witness", "r": 2, "side_a": [0, 1]},
+        "malformed krr-witness certificate: 'side_b'",
+    ),
+    (
         {"kind": "krr-witness", "r": "2", "side_a": [0, 1], "side_b": [2, 3]},
+        "malformed krr-witness certificate: r must be an int",
+    ),
+    (
+        {"kind": "krr-witness", "r": None, "side_a": [0, 1], "side_b": [2, 3]},
+        "malformed krr-witness certificate: r must be an int",
+    ),
+    (
         {"kind": "krr-witness", "r": 2, "side_a": [[0], 1], "side_b": [2, 3]},
+        "malformed krr-witness certificate: side_a must be a list of ints",
+    ),
+    (
+        {"kind": "krr-witness", "r": 2, "side_a": [0, 1], "side_b": None},
+        "malformed krr-witness certificate: side_b must be a list of ints",
+    ),
+    # squared-cycle-iso
+    ({"kind": "squared-cycle-iso"}, "malformed squared-cycle-iso certificate: 'order'"),
+    (
         {"kind": "squared-cycle-iso", "order": [0, 1.5]},
-    ]
-    for payload in malformed:
-        with pytest.raises(GraphError, match="malformed"):
+        "malformed squared-cycle-iso certificate: order must be a list of ints",
+    ),
+    (
+        {"kind": "squared-cycle-iso", "order": {"0": 1}},
+        "malformed squared-cycle-iso certificate: order must be a list of ints",
+    ),
+]
+
+
+def test_certificate_dict_rejects_garbage():
+    for payload, message in _GARBAGE:
+        with pytest.raises(GraphError) as err:
             certificate_from_dict(payload)
-    with pytest.raises(GraphError, match="unknown certificate kind"):
-        certificate_from_dict({"kind": ["good-cutset"]})
+        assert str(err.value) == message, payload
+
+
+@pytest.mark.parametrize(
+    "payload, cert",
+    [
+        # a field left out takes its default; null is the default of a bound
+        ({"kind": "good-cutset", "cutset": [2, 1]}, GoodCutset(cutset=(2, 1))),
+        (
+            {"kind": "good-cutset", "cutset": [1], "size_bound": None, "avg_bound_strict": None},
+            GoodCutset(cutset=(1,)),
+        ),
+        ({"kind": "independent-cutset", "cutset": []}, IndependentCutset(cutset=())),
+        # keys that name no field of the kind are ignored, avg_bound_strict too
+        (
+            {"kind": "independent-cutset", "cutset": [3], "avg_bound_strict": "x"},
+            IndependentCutset(cutset=(3,)),
+        ),
+        (
+            {"kind": "krr-witness", "r": 1, "side_a": [0], "side_b": [1], "avg_bound_strict": [1, 0]},
+            KrrWitness(r=1, side_a=(0,), side_b=(1,)),
+        ),
+        (
+            {"kind": "squared-cycle-iso", "order": [0], "avg_bound_strict": None},
+            SquaredCycleIso(order=(0,)),
+        ),
+        ({"kind": "is-icosahedron", "avg_bound_strict": 7, "cutset": "x"}, IsIcosahedron()),
+    ],
+)
+def test_certificate_dict_defaults_and_extra_keys(payload, cert):
+    assert certificate_from_dict(payload) == cert
 
 
 # -------------------------------------------------------------------- DOT
@@ -336,5 +467,14 @@ def test_dot_highlights_cutset():
 
 
 def test_dot_rejects_foreign_vertex():
-    with pytest.raises(GraphError, match="out of range"):
-        to_dot(Graph(2, [(0, 1)]), highlight=[7])
+    # the ids rule of graph._ids, with its messages
+    for highlight, message in [
+        ([7], "vertex id 7 out of range for n=2"),
+        ([-1], "vertex id -1 out of range for n=2"),
+        ([1.5], "vertex id must be an int, got 1.5"),
+        (["a", 0], "vertex id must be an int, got 'a'"),
+        ([True], "vertex id must be an int, got True"),
+    ]:
+        with pytest.raises(GraphError) as err:
+            to_dot(Graph(2, [(0, 1)]), highlight=highlight)
+        assert str(err.value) == message
