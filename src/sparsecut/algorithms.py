@@ -32,9 +32,7 @@ from .graph import (
     Graph,
     _ids,
     components,
-    induced_edge_count,
     is_connected,
-    max_degree_in,
     min_degree_vertex,
 )
 from .oracles import (
@@ -235,10 +233,11 @@ def theorem1_cutset(
     """Cutset of order at most delta with internal max degree <= delta - 3.
 
     Works on any connected graph of max degree <= delta and order at least
-    2*delta + 4 with delta >= 3. A min-degree vertex of degree <= delta - 2
-    settles it immediately via its neighborhood; otherwise the grow-and-swap
-    loop runs, using at most delta + 3 states. Pass a list as trace to
-    collect the intermediate GrowthStates.
+    2*delta + 4 with delta >= 3. The grow-and-swap loop starts from a
+    min-degree vertex and its neighborhood and uses at most delta + 3
+    states; a neighborhood of at most delta - 2 vertices has internal max
+    degree at most delta - 3, so the loop stops at its first state. Pass a
+    list as trace to collect the GrowthStates.
     """
     if delta < 3:
         raise PreconditionError(f"theorem1_cutset: delta must be at least 3, got {delta}")
@@ -252,10 +251,6 @@ def theorem1_cutset(
             f"theorem1_cutset: order {g.n} is below 2*delta+4 = {2 * delta + 4}"
         )
     u = min_degree_vertex(g)
-    if g.degree(u) <= delta - 2:
-        # the neighborhood has at most delta - 2 vertices, so its internal
-        # max degree is bounded by delta - 3 for free
-        return _finish_thm1(g, delta, set(g.neighbors(u)))
     u_side = {u}
     s_side = set(g.neighbors(u))
     meter = _Meter(delta + 2, "theorem1_cutset growth")
@@ -268,10 +263,6 @@ def theorem1_cutset(
         len(u_side) + len(s_side) < g.n,
         "separator and grown side swallowed the whole graph",
     )
-    return _finish_thm1(g, delta, s_side)
-
-
-def _finish_thm1(g: Graph, delta: int, s_side: set[int]) -> GoodCutset:
     cert = GoodCutset(
         cutset=tuple(sorted(s_side)), size_bound=delta, degree_bound=delta - 3
     )
@@ -302,8 +293,6 @@ def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
             "every neighborhood induces C5 yet the graph is not the icosahedron",
         )
     s_side = set(g.neighbors(u))
-    if max_degree_in(g, s_side) <= 2:
-        return _finish_thm2(g, s_side, allow_small)
     u_side = {u}
     meter = _Meter(100, "theorem2_cutset")
     while True:
@@ -311,7 +300,8 @@ def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
         ensure(boundary <= 25, "boundary edge count exceeds the 5-regular ceiling")
         if any(len(g.neighbor_set(x) & s_side) != 2 for x in s_side):
             # internal max degree is <= 2 but not 2-regular, so the average
-            # is strictly below 2 already
+            # is strictly below 2 already. N(u) is never 2-regular (its five
+            # vertices would induce C5), so a sparse N(u) ends here at once
             return _finish_thm2(g, s_side, allow_small)
         rest = set(range(g.n)) - u_side - s_side
         lonely = next(
@@ -340,17 +330,14 @@ def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
         _audit_growth(g, u_side, s_side)
 
 
-def _small_or_bug(g: Graph, allow_small: bool, message: str) -> None:
-    if allow_small and g.n < 14:
-        raise NoCutsetFound(
-            f"theorem2_cutset: {message} at order {g.n}; the guarantee starts at 14"
-        )
-    ensure(False, message)
-
-
 def _finish_thm2(g: Graph, s_side: set[int], allow_small: bool) -> Certificate:
-    if len(components(g, s_side)) < 2:
-        _small_or_bug(g, allow_small, "candidate separator does not disconnect the graph")
+    splits = len(components(g, s_side)) >= 2
+    if not splits and allow_small and g.n < 14:
+        raise NoCutsetFound(
+            "theorem2_cutset: candidate separator does not disconnect the graph "
+            f"at order {g.n}; the guarantee starts at 14"
+        )
+    ensure(splits, "candidate separator does not disconnect the graph")
     cert = GoodCutset(
         cutset=tuple(sorted(s_side)),
         size_bound=5,
@@ -547,15 +534,10 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
     )
     if kappa == 1:
         return _finish_thm4(g, set(cuts[0]))
-    best: tuple[int, ...] | None = None
-    best_small = g.n + 1
-    for c in cuts:
-        small = min(len(comp) for comp in components(g, c))
-        if small < best_small:
-            best, best_small = c, small
-    assert best is not None
+    best = min(cuts, key=lambda c: min(len(comp) for comp in components(g, c)))
     s = set(best)
-    if induced_edge_count(g, best) == 0:
+    inside = [(a, b) for a, b in combinations(best, 2) if g.has_edge(a, b)]
+    if not inside:
         return _finish_thm4(g, s)
     comps = components(g, best)
     ensure(
@@ -569,7 +551,6 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
         all(len(g.neighbor_set(x).intersection(near)) == 2 for x in s),
         "some separator vertex does not have exactly two neighbors on the small side",
     )
-    inside = [(a, b) for a, b in combinations(best, 2) if g.has_edge(a, b)]
     ensure(len(inside) == 1, "separator must induce exactly one edge at this point")
     u, v = inside[0]
     matching = bipartite_matching(g, best, far)
@@ -749,12 +730,14 @@ def prop2_cutset(g: Graph) -> GoodCutset:
     """Cutset with internal max degree <= 1 for connected graphs satisfying
     the exact edge-count gate m <= (2 + 1/(D^2+1)) n - 4 with D = max degree.
 
-    Either some member of a greedy square-independent set has a near
-    edgeless neighborhood that already separates (or, when that
-    neighborhood is the rest of the graph, the member alone separates), or
-    all of them sit in dense pockets; then each is contracted with a well-chosen neighbor and
-    the bounded independent-cutset search runs on the contracted graph,
-    whose sparsity guarantees a hit. The default OracleBudget caps that search.
+    One pass over a greedy square-independent set pairs each member with
+    its first neighbor that has two neighbors inside the member's
+    neighborhood. The first member without such a mate has a neighborhood
+    of internal max degree at most 1, and that neighborhood separates (or,
+    when it is the rest of the graph, the member alone separates). If every
+    member has a mate, each is contracted with it and the bounded
+    independent-cutset search runs on the contracted graph, whose sparsity
+    guarantees a hit. The default OracleBudget caps that search.
     """
     _require_connected(g, "prop2_cutset")
     dmax = g.max_degree()
@@ -780,20 +763,6 @@ def prop2_cutset(g: Graph) -> GoodCutset:
         alpha * q >= g.n,
         "greedy square-independent set fell below the n/(D^2+1) guarantee",
     )
-    sparse = next(
-        (u for u in reps if max_degree_in(g, g.neighbors(u)) <= 1), None
-    )
-    if sparse is not None:
-        if g.degree(sparse) + 1 < g.n:
-            return _finish_prop2(g, set(g.neighbors(sparse)))
-        # the seed dominates the graph, so G - seed has max degree <= 1 and
-        # the seed alone separates unless G is K2
-        if len(components(g, {sparse})) < 2:
-            raise NoCutsetFound(
-                "prop2_cutset: no cutset with internal max degree at most 1 "
-                f"exists at order {g.n}"
-            )
-        return _finish_prop2(g, {sparse})
     mates: list[tuple[int, int]] = []
     for u in reps:
         around = g.neighbor_set(u)
@@ -805,11 +774,20 @@ def prop2_cutset(g: Graph) -> GoodCutset:
             ),
             None,
         )
-        ensure(
-            mate is not None,
-            "dense-pocket seed has no neighbor with two common neighbors",
-        )
-        mates.append((u, mate))
+        if mate is not None:
+            mates.append((u, mate))
+            continue
+        # no mate: every vertex of N(u) has at most one neighbor in N(u)
+        if g.degree(u) + 1 < g.n:
+            return _finish_prop2(g, set(g.neighbors(u)))
+        # the seed dominates the graph, so G - seed has max degree <= 1 and
+        # the seed alone separates unless G is K2
+        if len(components(g, {u})) < 2:
+            raise NoCutsetFound(
+                "prop2_cutset: no cutset with internal max degree at most 1 "
+                f"exists at order {g.n}"
+            )
+        return _finish_prop2(g, {u})
     merged = {u: u for u, _ in mates}
     merged.update({v: u for u, v in mates})
     key_of = [merged.get(x, x) for x in range(g.n)]
@@ -863,15 +841,13 @@ def degenerate_sparse_cutset(g: Graph, u: int) -> GoodCutset:
     near = {u} | set(g.neighbors(u))
     for x in g.neighbors(u):
         near.update(g.neighbors(x))
-    chosen: list[int] = []
     taken: set[int] = set()
     for v in range(g.n):
         if v in near or not taken.isdisjoint(g.neighbors(v)):
             continue
-        chosen.append(v)
         taken.add(v)
     ensure(
-        len(chosen) * (dmax + 1) >= g.n - q,
+        len(taken) * (dmax + 1) >= g.n - q,
         "far independent set fell below the (n - D^2 - 1)/(D + 1) guarantee",
     )
     cert = GoodCutset(cutset=tuple(sorted(set(g.neighbors(u)) | taken)))

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by the whole package.
 
-The CLI maps these onto exit codes: PreconditionError -> 2,
-BudgetExhausted -> 3, InternalInvariantError -> 1.
+The CLI maps these onto exit codes: GraphError, PreconditionError and
+NoCutsetFound -> 2, BudgetExhausted -> 3, InternalInvariantError -> 1.
 """
 
 from __future__ import annotations

@@ -188,22 +188,6 @@ def is_cutset(g: Graph, s: Iterable[int]) -> bool:
     return len(components(g, ids)) >= 2
 
 
-def induced_edge_count(g: Graph, s: Iterable[int]) -> int:
-    vs = set(_ids(g, s))
-    return sum(1 for u in vs for w in g.neighbors(u) if w > u and w in vs)
-
-
-def max_degree_in(g: Graph, s: Iterable[int]) -> int:
-    """Maximum degree of the subgraph induced by s."""
-    vs = set(_ids(g, s))
-    best = 0
-    for u in vs:
-        d = len(g.neighbor_set(u) & vs)
-        if d > best:
-            best = d
-    return best
-
-
 def induced_stats(g: Graph, s: Iterable[int]) -> CutsetReport:
     """Full exact report for s: degrees, components, minimality."""
     ids = _ids(g, s)

@@ -29,6 +29,7 @@ from helpers import (
 )
 import sparsecut.algorithms as algorithms
 from sparsecut.algorithms import (
+    GrowthState,
     _connectivity,
     _link_is,
     _splits_minimally,
@@ -65,7 +66,7 @@ from sparsecut.generators import (
     random_regular,
     squared_cycle,
 )
-from sparsecut.graph import Graph, induced_stats, is_connected, max_degree_in
+from sparsecut.graph import Graph, induced_stats, is_connected
 from sparsecut.io import parse_graph6
 from sparsecut.oracles import (
     OracleBudget,
@@ -130,11 +131,15 @@ def test_theorem1_squared_cycle_exact():
 
 
 def test_theorem1_path_early_exit():
-    # an endpoint has degree 1 <= delta - 2, so its neighborhood is the answer
+    # an endpoint has degree 1 <= delta - 2, so no separator vertex can be
+    # swapped in: the growth loop stops at its first state, whose
+    # neighborhood is the answer
     g = path(20)
-    report = induced_stats(g, theorem1_cutset(g, 3).cutset)
+    trace = []
+    report = induced_stats(g, theorem1_cutset(g, 3, trace=trace).cutset)
     assert report.cutset == (1,)
     assert report.max_degree_in_s == 0
+    assert trace == [GrowthState(u_side=(0,), s_side=(1,), n_i=1, m_i=1, step=1)]
 
 
 def test_theorem1_trace_ledger():
@@ -622,7 +627,7 @@ def test_prop2_contracts_diamond_chains(k):
             ball |= g.neighbor_set(x)
         covered |= ball
     for r in reps:
-        assert max_degree_in(g, g.neighbor_set(r)) >= 2
+        assert induced_stats(g, g.neighbors(r)).max_degree_in_s >= 2
     report = induced_stats(g, prop2_cutset(g).cutset)
     assert report.cutset == (0, 1)
     assert report.max_degree_in_s <= 1

@@ -28,11 +28,9 @@ from sparsecut.graph import (
     MINIMALITY_REPORT_LIMIT,
     Graph,
     components,
-    induced_edge_count,
     induced_stats,
     is_connected,
     is_cutset,
-    max_degree_in,
     min_degree_vertex,
 )
 from sparsecut.io import to_dot
@@ -127,7 +125,7 @@ def test_vertex_set_normalizes_and_validates():
 
 @pytest.mark.parametrize(
     "fn",
-    [components, is_cutset, induced_edge_count, max_degree_in, induced_stats],
+    [components, is_cutset, induced_stats],
 )
 @pytest.mark.parametrize(
     "ids, message",
@@ -167,8 +165,6 @@ def _ids_with_a_bad_one(draw, n: int) -> list:
 _VERTEX_SET_ENTRIES = [
     components,
     is_cutset,
-    induced_edge_count,
-    max_degree_in,
     induced_stats,
     lambda g, ids: bipartite_matching(g, ids, ()),
     lambda g, ids: bipartite_matching(g, (), ids),
@@ -407,8 +403,8 @@ def test_induced_subgraph_mapping():
 
 def test_max_degree_in_subset():
     g = _cycle(6)
-    assert max_degree_in(g, [0, 1, 2]) == 2
-    assert max_degree_in(g, [0, 2, 4]) == 0
+    assert induced_stats(g, [0, 1, 2]).max_degree_in_s == 2
+    assert induced_stats(g, [0, 2, 4]).max_degree_in_s == 0
 
 
 def test_is_connected_small_cases():

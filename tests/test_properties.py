@@ -12,6 +12,7 @@ included) or BudgetExhausted.
 from __future__ import annotations
 
 from itertools import combinations
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -32,8 +33,13 @@ from sparsecut.algorithms import (
 from sparsecut.certificates import GoodCutset, SquaredCycleIso
 from sparsecut.errors import BudgetExhausted, NoCutsetFound, PreconditionError
 from sparsecut.generators import random_regular
-from sparsecut.graph import Graph, induced_edge_count, is_connected
-from sparsecut.oracles import recognize_squared_cycle, verify_certificate, vertex_connectivity
+from sparsecut.graph import Graph, components, induced_stats, is_connected
+from sparsecut.oracles import (
+    find_independent_cutset,
+    recognize_squared_cycle,
+    verify_certificate,
+    vertex_connectivity,
+)
 
 
 @st.composite
@@ -210,7 +216,7 @@ def _theorem3_reference(g: Graph, min_order: int):
         return SquaredCycleIso(order=tuple(order))
     for size in range(1, 5):
         for combo in combinations(range(g.n), size):
-            if 2 * induced_edge_count(g, combo) >= size:
+            if 2 * induced_stats(g, combo).induced_edge_count >= size:
                 continue
             if verify_certificate(g, GoodCutset(cutset=combo, require_minimal=True)):
                 return GoodCutset(
@@ -277,6 +283,75 @@ def sparse_connected(draw) -> Graph:
 @settings(max_examples=100, deadline=None)
 def test_prop2_certifies_or_declines(g):
     certifies_or_declines(g, prop2_cutset)
+
+
+@st.composite
+def pocketed_sparse(draw) -> Graph:
+    """Diamonds (K4 minus an edge) and single vertices joined by a random
+    tree, with shuffled ids. A diamond's two middle vertices have a link
+    of internal max degree 2 and its two tips one of 1, so greedy seeds
+    land in dense pockets and on sparse links, in any order."""
+    diamonds = draw(st.integers(0, 4))
+    n = 4 * diamonds + draw(st.integers(0, 8))
+    assume(n >= 2)
+    edges: set[tuple[int, int]] = set()
+    blocks = []
+    for a in range(0, 4 * diamonds, 4):
+        # tips a and a + 3, middle a + 1 and a + 2
+        edges |= {(a, a + 1), (a, a + 2), (a + 1, a + 2), (a + 1, a + 3), (a + 2, a + 3)}
+        blocks.append(range(a, a + 4))
+    blocks += [range(v, v + 1) for v in range(4 * diamonds, n)]
+    for i in range(1, len(blocks)):
+        earlier = blocks[draw(st.integers(0, i - 1))]
+        edges.add((draw(st.sampled_from(earlier)), draw(st.sampled_from(blocks[i]))))
+    ids = draw(st.permutations(range(n)))
+    return Graph(n, sorted((min(ids[a], ids[b]), max(ids[a], ids[b])) for a, b in edges))
+
+
+def _prop2_two_pass_reference(g: Graph):
+    """prop2_cutset's seed choice as it was with two passes over the greedy
+    square-independent set: the first seed whose link has internal max
+    degree at most 1 gives the answer, and only a graph without one goes on
+    to the contraction route, returned here as None."""
+    reps: list[int] = []
+    covered: set[int] = set()
+    for v in range(g.n):
+        if v in covered:
+            continue
+        reps.append(v)
+        covered |= {v, *g.neighbors(v), *(y for x in g.neighbors(v) for y in g.neighbors(x))}
+    sparse = next(
+        (u for u in reps if induced_stats(g, g.neighbors(u)).max_degree_in_s <= 1), None
+    )
+    if sparse is None:
+        return None
+    if g.degree(sparse) + 1 < g.n:
+        return GoodCutset(cutset=g.neighbors(sparse), degree_bound=1)
+    if len(components(g, [sparse])) < 2:
+        raise NoCutsetFound(
+            "prop2_cutset: no cutset with internal max degree at most 1 "
+            f"exists at order {g.n}"
+        )
+    return GoodCutset(cutset=(sparse,), degree_bound=1)
+
+
+@given(g=st.one_of(sparse_connected(), pocketed_sparse()))
+@settings(max_examples=150, deadline=None)
+def test_prop2_matches_the_two_pass_seed_reference(g):
+    q = g.max_degree() ** 2 + 1
+    assume(g.m * q <= (2 * q + 1) * g.n - 4 * q)
+    with mock.patch(
+        "sparsecut.algorithms.find_independent_cutset", wraps=find_independent_cutset
+    ) as search:
+        got = _outcome(prop2_cutset, g)
+    want = _outcome(_prop2_two_pass_reference, g)
+    if want is None:
+        # every seed is in a dense pocket: the contraction route answers
+        assert search.call_count == 1
+        assert isinstance(got, GoodCutset) or got[0] is BudgetExhausted
+    else:
+        assert search.call_count == 0
+        assert got == want
 
 
 @given(
