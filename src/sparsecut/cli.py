@@ -11,6 +11,7 @@ internal invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -497,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed for random families")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("edge-list", "graph6"), default="edge-list")
-    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("find-cutset", help="run a constructive method")
     p.add_argument(
@@ -517,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", default=None, help="also write a DOT file with the cutset filled")
     p.add_argument("--corpus", default=None, help="process every file in this directory")
     _add_io_options(p)
-    p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("oracle", help="run a brute-force search or check")
     p.add_argument(
@@ -536,29 +535,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="process every file in this directory")
     _add_budget_options(p)
     _add_io_options(p)
-    p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("verify", help="re-check a serialized certificate")
     p.add_argument("--certificate", dest="certificate_file", required=True, help="certificate file")
     _add_io_options(p)
-    p.set_defaults(func=_cmd_batch, verify=True)
+    p.set_defaults(verify=True)
 
     p = sub.add_parser("report", help="describe the JSON report schema")
     p.add_argument("--json", action="store_true", help="machine-readable schema")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
 
+# op -> its command, called through this module's globals at call time (not
+# captured when the parser is built), so a rebound function is the one that runs
+_COMMANDS = {
+    "generate": lambda args: _cmd_generate(args),
+    "find-cutset": lambda args: _cmd_batch(args),
+    "oracle": lambda args: _cmd_batch(args),
+    "verify": lambda args: _cmd_batch(args),
+    "report": lambda args: _cmd_report(args),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line; may be called any number of times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _COMMANDS[args.op](args)
     except (KeyboardInterrupt, BrokenPipeError):
         return 130
     except Exception as exc:

@@ -40,8 +40,7 @@ def squared_cycle(n: int) -> Graph:
     """
     if n < 5:
         raise PreconditionError(f"squared_cycle requires n >= 5, got {n}")
-    edges = [(i, (i + d) % n) for i in range(n) for d in (1, 2)]
-    return Graph(n, [(min(u, v), max(u, v)) for u, v in edges])
+    return Graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
 
 
 def squared_path(n: int) -> Graph:
@@ -274,7 +273,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
                 break
             seen.add(key)
         if ok:
-            return Graph(n, sorted(seen))
+            return Graph(n, seen)
     raise BudgetExhausted(
         f"random_regular(n={n}, d={d}, seed={seed}) found no simple pairing "
         f"in {_PAIRING_ATTEMPTS} attempts"

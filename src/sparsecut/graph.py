@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import GraphError, PreconditionError
+from .errors import GraphError, InternalInvariantError, PreconditionError
 
 # Minimality is reported only up to this size; a larger cutset reports
 # minimal=None. The rule below decides any size, but report schema 1 and
@@ -34,29 +34,30 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if type(n) is not int or n < 0:
             raise GraphError(f"vertex count must be a non-negative int, got {n!r}")
+        # kept whole, so that a refused one-shot iterator can still be named
+        pairs = list(edges)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        try:
+            for u, v in pairs:
+                if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                    raise ValueError
+                if u == v:
+                    raise ValueError
+                adj[u].append(v)
+                adj[v].append(u)
+            # a parallel edge repeats a neighbour, next to its twin once sorted
+            for a in adj:
+                a.sort()
+                last = -1
+                for v in a:
+                    if v == last:
+                        raise ValueError
+                    last = v
+        except (TypeError, ValueError):
+            raise GraphError(_first_fault(n, pairs)) from None
         self.n = n
-        # sets only while building, to reject parallel edges in O(1)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for e in edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise GraphError(f"edge must be a pair, got {e!r}") from None
-            if type(u) is not int or type(v) is not int:
-                raise GraphError(f"edge endpoints must be ints, got {e!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge {e!r} out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u} rejected")
-            if v in adj[u]:
-                key = (u, v) if u < v else (v, u)
-                raise GraphError(f"parallel edge {key!r} rejected")
-            adj[u].add(v)
-            adj[v].add(u)
-            m += 1
-        self.m = m
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self.m = len(pairs)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as sorted (u, v) pairs with u < v."""
@@ -93,6 +94,27 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _first_fault(n: int, pairs: list) -> str:
+    """What is wrong with the first edge, in input order, that Graph refuses."""
+    seen = set()
+    for e in pairs:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            return f"edge must be a pair, got {e!r}"
+        if type(u) is not int or type(v) is not int:
+            return f"edge endpoints must be ints, got {e!r}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge {e!r} out of range for n={n}"
+        if u == v:
+            return f"self-loop at vertex {u} rejected"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return f"parallel edge {key!r} rejected"
+        seen.add(key)
+    raise InternalInvariantError(f"Graph refused {len(pairs)} edges without a fault among them")
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,13 @@ _G6_HEADER = ">>graph6<<"
 # list cannot ask for gigabytes of adjacency
 MAX_ORDER = 258047
 # printable graph6 bytes run from '?' (63) to '~' (126)
+_G6_BYTES = bytes(range(63, 127))
 _G6_INVALID = re.compile(r"[^?-~]")
 _G6_NONZERO = re.compile(rb"[^?]")
+# the set bits of each payload byte, as shifts from its high (first) bit
+_G6_SHIFTS = [tuple(s for s in range(6) if (b - 63) & (32 >> s)) for b in range(127)]
 _G6_PLUS_63 = bytes((b + 63) % 256 for b in range(256))
+_DIGITS = b"0123456789"
 
 
 def parse_graph(text: str, fmt: str = "auto") -> Graph:
@@ -36,7 +40,7 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
     """
     if fmt == "auto":
         line = text.strip()
-        graph6 = line.startswith(_G6_HEADER) or (line != "" and not _G6_INVALID.search(line))
+        graph6 = line.startswith(_G6_HEADER) or (line != "" and _graph6_bytes(line) is not None)
     else:
         graph6 = fmt == "graph6"
     return parse_graph6(text) if graph6 else parse_edge_list(text)
@@ -51,7 +55,61 @@ def parse_edge_list(text: str) -> Graph:
     ids are plain ASCII decimals; an id may carry a '-', which is then
     rejected as negative. The order, declared or implied by the largest
     id, may not exceed MAX_ORDER. Errors carry the offending line number.
+
+    Text in the form emit_edge_list writes, bare "u v" lines after an
+    optional header, is read by a few C-level passes over the whole text,
+    and Graph makes the only duplicate check. Any other text, and text
+    that Graph refuses, goes through the line loop, which names the line.
     """
+    canonical = _canonical_edge_list(text)
+    if canonical is not None:
+        try:
+            return Graph(*canonical)
+        except GraphError:
+            pass  # the line loop names the line at fault
+    return _parse_edge_lines(text)
+
+
+def _canonical_edge_list(text: str) -> tuple[int, Iterable[tuple[int, int]]] | None:
+    """The order and edges of text in emit_edge_list's form, else None."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    declared = None
+    if data.startswith(b"n "):
+        head, _, data = data.partition(b"\n")
+        count = head[2:]
+        # a short count only: int() refuses over 4300 digits
+        if not (count.isdigit() and len(count) <= len(str(MAX_ORDER)) and int(count) <= MAX_ORDER):
+            return None
+        declared = int(count)
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    # around the digit runs, spaces and newlines must take turns, one at a
+    # time, from a space on: no run is empty and every line holds two
+    gaps = data.translate(None, _DIGITS)
+    if (
+        gaps != b" \n" * (len(gaps) // 2)
+        or data.startswith(b" ")
+        or b"\n " in data
+        or b" \n" in data
+    ):
+        return None
+    try:
+        ids = list(map(int, data.split()))
+    except ValueError:  # a run too long for int()
+        return None
+    if declared is None:
+        top = max(ids, default=-1)
+        if top >= MAX_ORDER:
+            return None
+        declared = top + 1
+    it = iter(ids)
+    return declared, zip(it, it)
+
+
+def _parse_edge_lines(text: str) -> Graph:
+    """parse_edge_list one line at a time, raising at the first faulty line."""
     declared: int | None = None
     limit, limit_name = MAX_ORDER, "the order limit"
     edges: list[tuple[int, int]] = []
@@ -144,10 +202,10 @@ def parse_graph6(text: str) -> Graph:
     line = text.strip()
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
-    bad = _G6_INVALID.search(line)
-    if bad:
+    data = _graph6_bytes(line)
+    if data is None:
+        bad = _G6_INVALID.search(line)
         raise GraphError(f"graph6: invalid character at position {bad.start()}")
-    data = line.encode("ascii")
     if not data:
         raise GraphError("graph6: empty input")
     if data[0] == 126:
@@ -177,13 +235,19 @@ def parse_graph6(text: str) -> Graph:
     # j(j-1)/2 <= k < j(j+1)/2 and i = k - j(j-1)/2
     for hit in _G6_NONZERO.finditer(body):
         pos = hit.start()
-        byte = body[pos] - 63
-        for shift in range(6):
-            if byte & (32 >> shift):
-                k = 6 * pos + shift
-                j = (math.isqrt(8 * k + 1) + 1) // 2
-                edges.append((k - j * (j - 1) // 2, j))
+        for shift in _G6_SHIFTS[body[pos]]:
+            k = 6 * pos + shift
+            j = (math.isqrt(8 * k + 1) + 1) // 2
+            edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
+
+
+def _graph6_bytes(line: str) -> bytes | None:
+    """line as bytes when it holds only the printable graph6 bytes, else None."""
+    if not line.isascii():
+        return None
+    data = line.encode("ascii")
+    return None if data.translate(None, _G6_BYTES) else data
 
 
 def to_dot(g: Graph, highlight: Iterable[int] = ()) -> str:

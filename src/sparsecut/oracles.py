@@ -504,6 +504,8 @@ def recognize_squared_cycle(g: Graph) -> tuple[int, ...] | None:
             return None
         inner[v] = (deg2[0], deg2[1])
     order = [0, min(inner[0])]
+    placed = [False] * n
+    placed[0] = placed[order[1]] = True
     while len(order) < n:
         prev, cur = order[-2], order[-1]
         a, b = inner[cur]
@@ -513,8 +515,9 @@ def recognize_squared_cycle(g: Graph) -> tuple[int, ...] | None:
             nxt = a
         else:
             return None
-        if nxt in order:
+        if placed[nxt]:
             return None
+        placed[nxt] = True
         order.append(nxt)
     perm = tuple(order)
     return perm if _order_matches(g, perm) else None

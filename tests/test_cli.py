@@ -8,12 +8,19 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import sparsecut
+from sparsecut import cli
 from sparsecut.cli import main
+from sparsecut.generators import squared_cycle
+from sparsecut.io import emit_edge_list
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -656,6 +663,48 @@ def test_zeroed_timing_runs_are_byte_identical(monkeypatch, capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["timing_ms"] == 0
+
+
+_ALONE = "import sys; from sparsecut.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_one_process_prints_what_each_call_prints_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPARSECUT_ZERO_TIMING", "1")
+    graph = tmp_path / "sq30.edges"
+    graph.write_text(emit_edge_list(squared_cycle(30)), encoding="ascii")
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"kind": "squared-cycle-iso", "order": list(range(30))}))
+    calls = [
+        ["generate", "squared-cycle", "30"],
+        ["verify", "-i", str(graph), "--certificate", str(cert)],
+        # verify's verify=True must not carry over: n = 30 skips the re-check
+        ["find-cutset", "--method", "thm1", "--delta", "4", "-i", str(graph)],
+        ["find-cutset", "--method", "no-such-method", "-i", str(graph)],
+        ["oracle", "connectivity", "-i", str(graph)],
+        ["report"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(sparsecut.__file__).parents[1])}
+    alone = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-c", _ALONE, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        alone.append((done.returncode, done.stdout))
+    assert [code for code, _ in alone] == [0, 0, 0, 2, 0, 0]
+    assert json.loads(alone[2][1])["verified"] is None
+
+    together = [run_cli(calls[0], capsys=capsys)]
+    # the parser is built once per process, so later calls never ask again
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    together += [run_cli(argv, capsys=capsys) for argv in calls[1:]]
+    assert together == alone
+
+    # dispatch reads the module at call time: a rebound function is the one that runs
+    rebound = (("_cmd_generate", calls[0]), ("_cmd_batch", calls[1]), ("_cmd_report", calls[5]))
+    for name, argv in rebound:
+        monkeypatch.setattr(cli, name, lambda args, name=name: print(name) or 7)
+        assert run_cli(argv, capsys=capsys) == (7, name + "\n")
 
 
 def test_report_schema_lists_fields(capsys):

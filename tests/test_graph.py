@@ -100,6 +100,34 @@ def test_constructor_rejects_out_of_range():
         Graph(2, [(-1, 0)])
 
 
+@pytest.mark.parametrize("wrap", [list, iter], ids=["list", "one-shot"])
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(0, 1), 7], "edge must be a pair, got 7"),
+        (3, [(0, 1), (0, 1, 2)], "edge must be a pair, got (0, 1, 2)"),
+        (3, [(0, 1), (0, 1.0)], "edge endpoints must be ints, got (0, 1.0)"),
+        (3, [(0, 1), "12"], "edge endpoints must be ints, got '12'"),
+        (3, [(0, 1), (0, 3)], "edge (0, 3) out of range for n=3"),
+        (3, [(-1, 0)], "edge (-1, 0) out of range for n=3"),
+        (3, [(0, 1), (2, 2)], "self-loop at vertex 2 rejected"),
+        # the first pair repeated in input order, not the smallest repeated pair
+        (8, [(5, 6), (0, 1), (6, 5), (1, 0)], "parallel edge (5, 6) rejected"),
+        (8, [(0, 1), (7, 6), (1, 0), (6, 7)], "parallel edge (0, 1) rejected"),
+        (8, [(7, 6), (0, 1), (1, 0), (6, 7)], "parallel edge (0, 1) rejected"),
+        # the first fault in input order wins, whatever its kind
+        (3, [(0, 1), (1, 0), (2, 2)], "parallel edge (0, 1) rejected"),
+        (3, [(0, 1), (2, 2), (1, 0)], "self-loop at vertex 2 rejected"),
+        (3, [(0, 1), (1, 0), (0, 3)], "parallel edge (0, 1) rejected"),
+        (3, [(0, 3), (0, 1), (1, 0)], "edge (0, 3) out of range for n=3"),
+    ],
+)
+def test_constructor_names_the_first_fault(n, edges, message, wrap):
+    with pytest.raises(GraphError) as err:
+        Graph(n, wrap(edges))
+    assert str(err.value) == message
+
+
 def test_edges_normalized_and_sorted():
     g = Graph(4, [(3, 1), (2, 0), (1, 0)])
     assert g.edges() == ((0, 1), (0, 2), (1, 3))

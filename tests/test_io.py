@@ -26,6 +26,9 @@ from sparsecut.errors import GraphError
 from sparsecut.generators import icosahedron, squared_cycle
 from sparsecut.graph import Graph
 from sparsecut.io import (
+    MAX_ORDER,
+    _canonical_edge_list,
+    _parse_edge_lines,
     emit_edge_list,
     emit_graph6,
     graph_digest,
@@ -109,6 +112,110 @@ def test_parse_rejects(text, needle):
 
 def test_parse_accepts_the_order_limit():
     assert parse_edge_list("n 258047\n0 258046\n").n == 258047
+
+
+def test_canonical_text_takes_the_fast_pass():
+    g = squared_cycle(14)
+    assert _canonical_edge_list(emit_edge_list(g)) is not None
+    assert _canonical_edge_list("0 1\n1 2") is not None
+    assert _canonical_edge_list("0 1 # c\n") is None
+
+
+def _edge_list_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _on_a_line(change):
+    """A mutation that rewrites one line, picked by index."""
+    def mutate(lines, i):
+        if not lines:
+            return lines
+        i %= len(lines)
+        return [*lines[:i], change(lines[i]), *lines[i + 1:]]
+    return mutate
+
+
+def _inserted(line):
+    """A mutation that inserts a line (which may depend on the edges) at an index."""
+    def mutate(lines, i):
+        return [*lines[:i], line(lines), *lines[i:]]
+    return mutate
+
+
+def _an_edge(lines):
+    edges = [line for line in lines if line[:1].isdigit()]
+    return edges[0] if edges else "0 1"
+
+
+_EDGE_LIST_MUTATIONS = {
+    "comment": _on_a_line(lambda line: line + " # note"),
+    "comment-line": _inserted(lambda lines: "# note"),
+    "tab": _on_a_line(lambda line: line.replace(" ", "\t", 1)),
+    "crlf": _on_a_line(lambda line: line + "\r"),
+    "blank-line": _inserted(lambda lines: ""),
+    "leading-zero": _on_a_line(lambda line: "0" + line),
+    "minus-zero": _on_a_line(lambda line: "-0 " + line.rpartition(" ")[2]),
+    "minus": _on_a_line(lambda line: "-" + line),
+    "plus": _on_a_line(lambda line: "+" + line),
+    "header": _inserted(lambda lines: "n 9"),
+    "duplicate": _inserted(_an_edge),
+    "reversed-duplicate": _inserted(lambda lines: " ".join(_an_edge(lines).split()[::-1])),
+    "self-loop": _inserted(lambda lines: "3 3"),
+    "id-at-the-limit": _inserted(lambda lines: f"0 {MAX_ORDER}"),
+    "long-id": _inserted(lambda lines: "0 " + "7" * 5000),
+    "non-ascii-digit": _on_a_line(lambda line: line.replace("1", "\u0663", 1)),
+    "fullwidth-digit": _on_a_line(lambda line: line.replace("2", "\uff12", 1)),
+    "double-space": _on_a_line(lambda line: line.replace(" ", "  ", 1)),
+    "third-id": _on_a_line(lambda line: line + " 4"),
+    "lone-id": _on_a_line(lambda line: line.partition(" ")[0]),
+    "empty-first-id": _on_a_line(lambda line: " " + line.rpartition(" ")[2]),
+    "empty-second-id": _on_a_line(lambda line: line.partition(" ")[0] + " "),
+}
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """emit_edge_list's form, optionally without its header, under mutations."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            unique_by=frozenset,
+            max_size=14,
+        )
+    )
+    header = draw(st.sampled_from([None, f"n {n}", f"n 0{n}", f"n {MAX_ORDER + 1}"]))
+    lines = [f"{u} {v}" for u, v in pairs]
+    if header is not None:
+        lines.insert(0, header)
+    for name in draw(st.lists(st.sampled_from(sorted(_EDGE_LIST_MUTATIONS)), max_size=3)):
+        lines = _EDGE_LIST_MUTATIONS[name](lines, draw(st.integers(0, len(lines))))
+    text = "\n".join(lines)
+    return text if draw(st.booleans()) else text + "\n"
+
+
+def test_each_edge_list_mutation_reads_the_same_both_ways():
+    # every mutation alone, anywhere; on a matching, a token that slips into
+    # the next pair still leaves a valid graph
+    for header in (None, "n 10", f"n {MAX_ORDER + 1}"):
+        lines = ["0 1", "2 3", "4 5", "6 7", "8 9"]
+        if header is not None:
+            lines.insert(0, header)
+        for name, mutate in _EDGE_LIST_MUTATIONS.items():
+            for at in range(len(lines) + 1):
+                text = "\n".join(mutate(lines, at)) + "\n"
+                fast = _edge_list_outcome(parse_edge_list, text)
+                assert fast == _edge_list_outcome(_parse_edge_lines, text), (name, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_list_texts())
+def test_edge_list_fast_pass_matches_the_line_loop(text):
+    # the same graph, or the same error message, whichever path reads it
+    assert _edge_list_outcome(parse_edge_list, text) == _edge_list_outcome(_parse_edge_lines, text)
 
 
 def _sniff_then_parse(text: str, fmt: str) -> Graph:
@@ -220,6 +327,19 @@ def test_graph6_extended_order():
 def test_graph6_rejects(line, needle):
     with pytest.raises(GraphError, match=needle):
         parse_graph6(line)
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("bad", ["!", "\x7f", "\u00e9"])
+def test_graph6_names_the_invalid_position(where, bad):
+    line = emit_graph6(squared_cycle(4000))
+    k = {"start": 0, "middle": len(line) // 2, "end": len(line) - 1}[where]
+    broken = line[:k] + bad + line[k + 1:]
+    # the position counts from the end of the optional header
+    for text in (broken, ">>graph6<<" + broken + "\n"):
+        with pytest.raises(GraphError) as err:
+            parse_graph6(text)
+        assert str(err.value) == f"graph6: invalid character at position {k}"
 
 
 @settings(max_examples=60, deadline=None)
