@@ -516,7 +516,7 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
     The connectivity comes from this module's flow. For connectivity 2 or
     3 the minimum cutsets are enumerated and the one minimizing its
     smallest component is taken; if it induces an edge, one endpoint is
-    swapped for its matched partner across the larger side.
+    swapped for its one neighbor on the larger side.
     """
     _require_regular(g, 4, "theorem4_independent_cutset")
     kappa = _connectivity(g)
@@ -534,12 +534,14 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
     )
     if kappa == 1:
         return _finish_thm4(g, set(cuts[0]))
-    best = min(cuts, key=lambda c: min(len(comp) for comp in components(g, c)))
+    best, comps = min(
+        ((c, components(g, c)) for c in cuts),
+        key=lambda pair: min(len(comp) for comp in pair[1]),
+    )
     s = set(best)
     inside = [(a, b) for a, b in combinations(best, 2) if g.has_edge(a, b)]
     if not inside:
         return _finish_thm4(g, s)
-    comps = components(g, best)
     ensure(
         len(comps) == 2,
         "a non-independent minimum cutset here must leave exactly two components",
@@ -553,55 +555,23 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
     )
     ensure(len(inside) == 1, "separator must induce exactly one edge at this point")
     u, v = inside[0]
-    matching = bipartite_matching(g, best, far)
+    # 4-regular: an endpoint has two neighbors on the small side, its mate in
+    # S, and so exactly one neighbor on the large side
+    across = [g.neighbor_set(x).intersection(far) for x in (u, v)]
     ensure(
-        len(matching) == kappa,
-        "matching between separator and large side is smaller than the connectivity",
+        all(len(side) == 1 for side in across),
+        "an endpoint of the inside edge does not have exactly one neighbor on the large side",
     )
-    partner = dict(matching)
-    u2, v2 = partner[u], partner[v]
+    (u2,), (v2,) = across
     if g.neighbor_set(u2) & s == {u}:
         swapped = (s - {u}) | {u2}
     else:
         ensure(
             g.neighbor_set(v2) & s == {v},
-            "neither matched partner sees only its own mate in the separator",
+            "neither far neighbor sees only its own endpoint in the separator",
         )
         swapped = (s - {v}) | {v2}
     return _finish_thm4(g, set(swapped))
-
-
-def bipartite_matching(
-    g: Graph, left: tuple[int, ...], right: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    """Maximum matching between two disjoint vertex sets, by augmenting
-    paths in deterministic ascending order. Returns (left, right) pairs."""
-    ls = _ids(g, left)
-    rs = frozenset(_ids(g, right))
-    if set(ls) & rs:
-        raise PreconditionError("bipartite_matching: sides must be disjoint")
-    match_of: dict[int, int] = {}  # right -> left
-
-    for root in ls:
-        # depth-first augmenting path search on an explicit stack of
-        # (left vertex, iterator over its neighbors, right vertex it was reached by)
-        seen: set[int] = set()
-        stack = [(root, iter(g.neighbors(root)), None)]
-        while stack:
-            w = next((w for w in stack[-1][1] if w in rs and w not in seen), None)
-            if w is None:
-                stack.pop()
-                continue
-            seen.add(w)
-            if w in match_of:
-                stack.append((match_of[w], iter(g.neighbors(match_of[w])), w))
-                continue
-            # w is free: flip the matching along the path on the stack
-            for u, _, via in reversed(stack):
-                match_of[w] = u
-                w = via
-            break
-    return sorted((u, w) for w, u in match_of.items())
 
 
 def _finish_thm4(g: Graph, s: set[int]) -> Certificate:

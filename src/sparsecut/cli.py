@@ -56,6 +56,7 @@ from .generators import (
 )
 from .graph import Graph, induced_stats
 from .io import (
+    MAX_ORDER,
     emit_edge_list,
     emit_graph6,
     graph_digest,
@@ -195,13 +196,17 @@ _NAMED_SMALL = {
 
 # The tables below call through this module's globals, so a function
 # rebound here (by a test or a tracer) is the one that runs.
+# family -> (its order, from the parameters alone; builder)
 _FAMILIES = {
-    "icosahedron": lambda params, seed: icosahedron(*params),
-    "squared-cycle": lambda params, seed: squared_cycle(*params),
-    "squared-path": lambda params, seed: squared_path(*params),
-    "figure2": lambda params, seed: figure2_pattern(*params),
-    "clique-chain": lambda params, seed: clique_chain(CliqueChainParams(*params)),
-    "random-regular": lambda params, seed: random_regular(*params, seed=seed),
+    "icosahedron": (lambda: 12, lambda params, seed: icosahedron(*params)),
+    "squared-cycle": (lambda n: n, lambda params, seed: squared_cycle(*params)),
+    "squared-path": (lambda n: n, lambda params, seed: squared_path(*params)),
+    "figure2": (lambda blocks: 4 * blocks, lambda params, seed: figure2_pattern(*params)),
+    "clique-chain": (
+        lambda delta, length, *rest: length * CliqueChainParams(delta, length).clique_order,
+        lambda params, seed: clique_chain(CliqueChainParams(*params)),
+    ),
+    "random-regular": (lambda n, d: n, lambda params, seed: random_regular(*params, seed=seed)),
 }
 
 
@@ -213,7 +218,14 @@ def _build_family(name: str, params: list[int], seed: int) -> Graph:
     if name not in _FAMILIES:
         known = ", ".join(sorted([*_FAMILIES, *_NAMED_SMALL]))
         raise GraphError(f"unknown family {name!r}; known: {known}")
-    return _FAMILIES[name](params, seed)
+    order, build = _FAMILIES[name]
+    try:
+        n = order(*params)
+    except TypeError:
+        n = 0  # a wrong parameter count, which the builder reports
+    if n > MAX_ORDER:
+        raise GraphError(f"generate {name}: order {n} above the limit {MAX_ORDER}")
+    return build(params, seed)
 
 
 # --------------------------------------------------------------- find-cutset

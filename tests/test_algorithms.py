@@ -33,7 +33,6 @@ from sparsecut.algorithms import (
     _connectivity,
     _link_is,
     _splits_minimally,
-    bipartite_matching,
     degenerate_sparse_cutset,
     prop1_is_icosahedron,
     prop2_cutset,
@@ -418,6 +417,25 @@ def test_theorem4_triple_exchange():
     assert verify_certificate(g, cert)
 
 
+@pytest.mark.parametrize(
+    "make, edge_cut",
+    [(four_regular_cut2, (13, 14)), (four_regular_cut3, (16, 17, 18))],
+)
+def test_theorem4_exchange_survives_relabelling(make, edge_cut):
+    # under any labelling the edge-carrying cut wins, and the answer keeps
+    # all of it but the one endpoint swapped for its neighbor on the far side
+    g = make()
+    for seed in range(40):
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        h = Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges()])
+        cert = theorem4_independent_cutset(h)
+        assert isinstance(cert, IndependentCutset)
+        assert len(cert.cutset) == len(edge_cut)
+        assert len(set(cert.cutset) & {perm[v] for v in edge_cut}) == len(edge_cut) - 1
+        assert verify_certificate(h, cert)
+
+
 def test_theorem4_disconnected_gives_empty_cutset():
     block = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     g = Graph(10, block + [(a + 5, b + 5) for a, b in block])
@@ -448,81 +466,6 @@ def test_theorem4_random_low_connectivity():
         found += 1
         seed += 1
     assert found == 2
-
-
-# ------------------------------------------------------- theorem 4 matching
-
-
-def _matching_recursive(g: Graph, left, right) -> list[tuple[int, int]]:
-    """The recursive augmenting-path search the library replaced, as reference."""
-    rs = frozenset(right)
-    match_of: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for w in g.neighbors(u):
-            if w not in rs or w in seen:
-                continue
-            seen.add(w)
-            if w not in match_of or augment(match_of[w], seen):
-                match_of[w] = u
-                return True
-        return False
-
-    for u in sorted(set(left)):
-        augment(u, set())
-    return sorted((u, w) for w, u in match_of.items())
-
-
-def test_bipartite_matching_long_augmenting_paths_need_no_recursion():
-    got = bipartite_matching(path(3000), tuple(range(0, 3000, 2)), tuple(range(1, 3000, 2)))
-    assert got == [(u, u + 1) for u in range(0, 3000, 2)]
-
-
-def test_bipartite_matching_matches_recursive_order():
-    rng = random.Random(20261019)
-    for _ in range(500):
-        n = rng.randint(2, 12)
-        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
-        verts = list(range(n))
-        rng.shuffle(verts)
-        cut = rng.randint(0, n)
-        left, right = verts[:cut], verts[cut:]
-        assert bipartite_matching(g, left, right) == _matching_recursive(g, left, right)
-
-
-def test_bipartite_matching_even_cycle_perfect():
-    got = bipartite_matching(cycle(6), (0, 2, 4), (1, 3, 5))
-    assert len(got) == 3
-    assert got == sorted(got)
-    used_left = {u for u, _ in got}
-    used_right = {w for _, w in got}
-    assert used_left == {0, 2, 4} and used_right == {1, 3, 5}
-
-
-def test_bipartite_matching_deterministic_and_partial():
-    g = Graph(5, [(0, 3), (1, 3), (2, 4)])
-    got = bipartite_matching(g, (0, 1, 2), (3, 4))
-    assert got == [(0, 3), (2, 4)]
-
-
-def test_bipartite_matching_rejects_overlap():
-    with pytest.raises(PreconditionError):
-        bipartite_matching(cycle(4), (0, 1), (1, 2))
-
-
-@pytest.mark.parametrize(
-    "left, right, message",
-    [
-        ((-1,), (0, 1), "vertex id -1 out of range for n=8"),
-        ((0, 1), (99,), "vertex id 99 out of range for n=8"),
-        (("a",), (0,), "vertex id must be an int, got 'a'"),
-    ],
-)
-def test_bipartite_matching_checks_vertex_ids(left, right, message):
-    # a negative id would otherwise read another vertex's neighbors, and a
-    # large one would end in a bare IndexError
-    with pytest.raises(GraphError, match=message):
-        bipartite_matching(squared_cycle(8), left, right)
 
 
 # ---------------------------------------------------------------- theorem 5

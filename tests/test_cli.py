@@ -6,21 +6,26 @@ aggregation and the zeroed-timing determinism contract.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsecut
 from sparsecut import cli
 from sparsecut.cli import main
 from sparsecut.generators import squared_cycle
-from sparsecut.io import emit_edge_list
+from sparsecut.graph import Graph
+from sparsecut.io import MAX_ORDER, emit_edge_list, emit_graph6
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -76,6 +81,38 @@ def test_generate_rejects_bad_params(capsys):
     assert code == 2
     code, out = run_cli(["generate", "icosahedron", "3"], capsys=capsys)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "family, builder, params, order",
+    [
+        ("squared-cycle", "squared_cycle", [MAX_ORDER], MAX_ORDER),
+        ("squared-cycle", "squared_cycle", [MAX_ORDER + 1], MAX_ORDER + 1),
+        ("squared-path", "squared_path", [MAX_ORDER], MAX_ORDER),
+        ("squared-path", "squared_path", [MAX_ORDER + 1], MAX_ORDER + 1),
+        ("random-regular", "random_regular", [MAX_ORDER, 4], MAX_ORDER),
+        ("random-regular", "random_regular", [10**9, 4], 10**9),
+        ("figure2", "figure2_pattern", [MAX_ORDER // 4], MAX_ORDER // 4 * 4),
+        ("figure2", "figure2_pattern", [MAX_ORDER // 4 + 1], MAX_ORDER // 4 * 4 + 4),
+        # delta 9 gives cliques of order 4
+        ("clique-chain", "clique_chain", [9, MAX_ORDER // 4], MAX_ORDER // 4 * 4),
+        ("clique-chain", "clique_chain", [9, MAX_ORDER // 4 + 1], MAX_ORDER // 4 * 4 + 4),
+    ],
+)
+def test_generate_refuses_orders_above_the_limit_before_building(
+    family, builder, params, order, tmp_path, monkeypatch, capsys
+):
+    # the builder is stubbed, so no large graph is ever allocated here
+    built = []
+    monkeypatch.setattr(cli, builder, lambda *a, **k: built.append(a) or squared_cycle(5))
+    target = tmp_path / "out.txt"
+    code = main(["generate", family, *map(str, params), "-o", str(target)])
+    err = capsys.readouterr().err
+    if order <= MAX_ORDER:
+        assert (code, len(built), target.exists()) == (0, 1, True)
+    else:
+        assert (code, built, target.exists()) == (2, [], False)
+        assert f"order {order} above the limit {MAX_ORDER}" in err
 
 
 # -------------------------------------------------------------- find-cutset
@@ -717,3 +754,139 @@ def test_report_schema_lists_fields(capsys):
     code, out = run_cli(["report"], capsys=capsys)
     assert code == 0
     assert "schema" in out
+
+
+# ---------------------------------------------------------------------- fuzz
+
+_FUZZ_RUNS = [
+    ["find-cutset", "--method", "thm1", "--delta", "4"],
+    ["find-cutset", "--method", "thm2"],
+    ["find-cutset", "--method", "thm3"],
+    ["find-cutset", "--method", "thm4"],
+    ["find-cutset", "--method", "thm5", "--delta", "5", "--r", "2"],
+    ["find-cutset", "--method", "prop2"],
+    ["find-cutset", "--method", "degenerate", "--u", "1"],
+    ["oracle", "independent-cutset"],
+    ["oracle", "constrained-cutset", "--max-delta", "1"],
+    ["oracle", "connectivity"],
+    ["oracle", "krr", "--r", "2"],
+    ["oracle", "min-cutsets"],
+    ["oracle", "squared-cycle"],
+]
+
+_TOKENS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["", "n", "x", "1.5", "0x1", "--", "n 3", "258048", "\t", "# c"]),
+)
+
+
+def _one_report(argv: list[str]) -> tuple[int, dict]:
+    """Run main() once; its exit code and the one JSON report it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    assert err.getvalue() == ""
+    assert code in (0, 1, 2, 3)
+    return code, report
+
+
+def _error_code(report: dict) -> int:
+    return 0 if report.get("error") is None else report["error"]["code"]
+
+
+@st.composite
+def _small_graph(draw) -> Graph:
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@st.composite
+def _mangled_graph_text(draw) -> bytes:
+    """Random bytes, an edge list with up to three lines dropped, doubled or
+    retyped, or a graph6 line cut short or padded."""
+    kind = draw(st.sampled_from(["bytes", "edge-list", "graph6"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=48))
+    g = draw(_small_graph())
+    if kind == "graph6":
+        text = emit_graph6(g)
+        cut = draw(st.integers(0, len(text)))
+        pad = draw(st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.just("\n"), max_size=4))
+        return (text[:cut] + pad).encode("ascii")
+    lines = emit_edge_list(g).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["drop", "double", "retype"]))
+        if how == "drop":
+            del lines[at]
+        elif how == "double":
+            lines.insert(at, lines[at])
+        else:
+            tokens = lines[at].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKENS)
+            lines[at] = " ".join(tokens)
+        if not lines:
+            break
+    return "\n".join(lines).encode("ascii")
+
+
+@given(data=_mangled_graph_text(), run=st.sampled_from(_FUZZ_RUNS), corpus=st.booleans())
+@settings(max_examples=250, deadline=None)
+def test_fuzzed_graph_inputs_end_in_one_report(data, run, corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "input.txt"
+        target.write_bytes(data)
+        source = ["--corpus", tmp] if corpus else ["-i", str(target)]
+        code, report = _one_report([*run, *source])
+    if corpus:
+        # one file in the corpus: the aggregate exits with its report's code
+        (row,) = report["results"]
+        assert code == _error_code(row["report"])
+    else:
+        assert code == _error_code(report)
+
+
+_CERTIFICATES = [
+    {"kind": "good-cutset", "cutset": [2, 3, 12, 13], "size_bound": 4,
+     "degree_bound": 1, "avg_bound_strict": [3, 2], "require_minimal": True},
+    {"kind": "independent-cutset", "cutset": [0, 5], "size_bound": 3},
+    {"kind": "krr-witness", "r": 2, "side_a": [0, 1], "side_b": [2, 3]},
+    {"kind": "squared-cycle-iso", "order": list(range(14))},
+    {"kind": "is-icosahedron"},
+]
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mangled_certificate_text(draw) -> str:
+    """A certificate with a field dropped or retyped, cut short, or not JSON."""
+    cert = dict(draw(st.sampled_from(_CERTIFICATES)))
+    how = draw(st.sampled_from(["drop", "retype", "truncate", "text"]))
+    if how == "text":
+        return draw(st.text(max_size=24))
+    key = draw(st.sampled_from(sorted(cert)))
+    if how == "drop":
+        del cert[key]
+    elif how == "retype":
+        cert[key] = draw(_JSON)
+    text = json.dumps(cert)
+    return text[: draw(st.integers(0, len(text)))] if how == "truncate" else text
+
+
+@given(text=_mangled_certificate_text())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_certificates_end_in_one_report(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "sq14.edges"
+        graph.write_text(emit_edge_list(squared_cycle(14)), encoding="ascii")
+        cert = Path(tmp) / "cert.json"
+        cert.write_text(text, encoding="utf-8")
+        code, report = _one_report(["verify", "-i", str(graph), "--certificate", str(cert)])
+    assert code == _error_code(report)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import sparsecut
 from helpers import induced_subgraph
-from sparsecut.algorithms import bipartite_matching, degenerate_sparse_cutset
+from sparsecut.algorithms import degenerate_sparse_cutset
 from sparsecut.certificates import GoodCutset
 from sparsecut.errors import GraphError, PreconditionError
 from sparsecut.generators import squared_cycle
@@ -194,8 +194,6 @@ _VERTEX_SET_ENTRIES = [
     components,
     is_cutset,
     induced_stats,
-    lambda g, ids: bipartite_matching(g, ids, ()),
-    lambda g, ids: bipartite_matching(g, (), ids),
     to_dot,
 ]
 
