@@ -11,13 +11,14 @@ thm3 and thm4 take the vertex connectivity from a unit-capacity flow of
 this module's own (_connectivity). The oracle's vertex_connectivity
 computes the same value by separate code, so thm4's check of its flow
 against the oracle's enumeration of minimum cutsets is a real second
-opinion.
+opinion. Likewise thm3 proposes its own squared-cycle order, from a walk
+along the cycle (_squared_cycle_walk), for the oracle to judge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .certificates import (
     Certificate,
@@ -39,7 +40,6 @@ from .oracles import (
     OracleBudget,
     enumerate_min_cutsets,
     find_independent_cutset,
-    recognize_squared_cycle,
     verify_certificate,
 )
 
@@ -256,10 +256,6 @@ def theorem1_cutset(
     meter = _Meter(delta + 2, "theorem1_cutset growth")
     _run_growth(g, delta, u_side, s_side, trace, meter)
     ensure(
-        len(u_side) <= delta + 3,
-        "growth used more states than the delta + 3 bound allows",
-    )
-    ensure(
         len(u_side) + len(s_side) < g.n,
         "separator and grown side swallowed the whole graph",
     )
@@ -303,9 +299,8 @@ def theorem2_cutset(g: Graph, allow_small: bool = False) -> Certificate:
             # is strictly below 2 already. N(u) is never 2-regular (its five
             # vertices would induce C5), so a sparse N(u) ends here at once
             return _finish_thm2(g, s_side, allow_small)
-        rest = set(range(g.n)) - u_side - s_side
         lonely = next(
-            (x for x in sorted(s_side) if not (g.neighbor_set(x) & rest)), None
+            (x for x in sorted(s_side) if g.neighbor_set(x) <= u_side | s_side), None
         )
         if lonely is not None:
             return _finish_thm2(g, s_side - {lonely}, allow_small)
@@ -478,13 +473,13 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
         raise PreconditionError(
             f"theorem3_dichotomy: order {g.n} is below the configured threshold {min_order}"
         )
-    order = recognize_squared_cycle(g)
-    if order is not None:
-        return _verified(
-            g,
-            SquaredCycleIso(order=tuple(order)),
-            "recognized order failed re-verification",
-        )
+    # at orders 5 and 6 every connected 4-regular graph is a squared cycle
+    # (K5, the octahedron): the first order that verifies, as in the oracle
+    proposals = permutations(range(g.n)) if g.n <= 6 else (_squared_cycle_walk(g),)
+    for order in proposals:
+        cert = SquaredCycleIso(order=order)
+        if verify_certificate(g, cert):
+            return cert
     masks = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
     everyone = (1 << g.n) - 1
     for size in range(_connectivity(g), 5):
@@ -507,6 +502,22 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
         f"internal degree below 1 at order {g.n}; the order may be below the "
         "dichotomy threshold"
     )
+
+
+def _squared_cycle_walk(g: Graph) -> tuple[int, ...]:
+    """The order around g if it is a squared cycle of order 7 or more: a
+    vertex's cycle neighbors are the two on two triangles with it. From 0
+    the walk goes to the smaller one, then on to the one it did not come
+    from; a vertex without exactly two gives (), which verify refuses."""
+    order = [0]
+    while len(order) < g.n:
+        v = order[-1]
+        near = g.neighbor_set(v)
+        two = [u for u in g.neighbors(v) if len(near.intersection(g.neighbors(u))) == 2]
+        if len(two) != 2:
+            return ()
+        order.append(two[1] if len(order) > 1 and two[0] == order[-2] else two[0])
+    return tuple(order)
 
 
 def theorem4_independent_cutset(g: Graph) -> Certificate:
@@ -606,12 +617,11 @@ def theorem5_certify(
         raise PreconditionError(
             f"theorem5_certify: order {g.n} must exceed delta+(c-3)(r-1)+r = {need}"
         )
+    # the smallest-id vertex of degree delta, the max degree
     u1 = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    ensure(g.degree(u1) == delta, "seed vertex does not have degree delta")
     s_side = set(g.neighbors(u1))
     c_side = {u1}
     t_core = set(s_side)
-    ensure(len(s_side) == delta, "seed neighborhood smaller than delta")
     for i in range(1, r + 1):
         _audit_thm5(g, i, delta, r, c, s_side, c_side, t_core)
         if trace is not None:
@@ -758,18 +768,17 @@ def prop2_cutset(g: Graph) -> GoodCutset:
                 f"exists at order {g.n}"
             )
         return _finish_prop2(g, {u})
-    merged = {u: u for u, _ in mates}
-    merged.update({v: u for u, v in mates})
-    key_of = [merged.get(x, x) for x in range(g.n)]
-    labels = sorted(set(key_of))
-    new_id = {k: i for i, k in enumerate(labels)}
+    # contracted nodes in vertex order; a mate shares its member's node
+    mate_of = {v: u for u, v in mates}
+    rank = {x: i for i, x in enumerate(x for x in range(g.n) if x not in mate_of)}
+    node = [rank[mate_of.get(x, x)] for x in range(g.n)]
     contracted_edges = {
         (min(a, b), max(a, b))
         for u, v in g.edges()
-        for a, b in [(new_id[key_of[u]], new_id[key_of[v]])]
+        for a, b in [(node[u], node[v])]
         if a != b
     }
-    gp = Graph(len(labels), sorted(contracted_edges))
+    gp = Graph(len(rank), sorted(contracted_edges))
     ensure(
         gp.m <= g.m - 3 * alpha,
         "contraction removed fewer than three edges per merged pair",
@@ -780,11 +789,7 @@ def prop2_cutset(g: Graph) -> GoodCutset:
         sprime is not None,
         "sparse contracted graph has no independent cutset at all",
     )
-    back = {new_id[u]: (u, v) for u, v in mates}
-    s: set[int] = set()
-    for node in sprime:
-        s.update(back.get(node, (labels[node],)))
-    return _finish_prop2(g, s)
+    return _finish_prop2(g, {x for x in range(g.n) if node[x] in sprime})
 
 
 def _finish_prop2(g: Graph, s: set[int]) -> GoodCutset:

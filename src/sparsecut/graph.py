@@ -13,7 +13,6 @@ range with GraphError; every set they return is such a tuple.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -180,16 +179,14 @@ def components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
     for start in range(g.n):
         if seen[start] or start in gone:
             continue
-        comp = []
-        queue = deque([start])
+        # the breadth-first queue, kept whole, is the component
+        comp = [start]
         seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
+        for v in comp:
             for w in g.neighbors(v):
                 if not seen[w] and w not in gone:
                     seen[w] = True
-                    queue.append(w)
+                    comp.append(w)
         out.append(tuple(sorted(comp)))
     return out
 

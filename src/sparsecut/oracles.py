@@ -341,8 +341,6 @@ def vertex_connectivity(g: Graph) -> int:
     for s, t in pairs:
         # a flow capped at best never exceeds it
         best = _flow_between(net, s, t, best)
-        if best == 0:
-            return 0
     return best
 
 
@@ -496,25 +494,18 @@ def recognize_squared_cycle(g: Graph) -> tuple[int, ...] | None:
         return None
     inner: list[tuple[int, int] | None] = [None] * n
     for v in range(n):
-        nb = g.neighbors(v)
         nbset = g.neighbor_set(v)
-        deg2 = [u for u in nb if len(g.neighbor_set(u) & nbset) == 2]
-        deg_counts = sorted(len(g.neighbor_set(u) & nbset) for u in nb)
-        if deg_counts != [1, 1, 2, 2]:
+        counts = [len(g.neighbor_set(u) & nbset) for u in g.neighbors(v)]
+        if sorted(counts) != [1, 1, 2, 2]:
             return None
-        inner[v] = (deg2[0], deg2[1])
+        inner[v] = tuple(u for u, k in zip(g.neighbors(v), counts) if k == 2)
     order = [0, min(inner[0])]
     placed = [False] * n
     placed[0] = placed[order[1]] = True
     while len(order) < n:
         prev, cur = order[-2], order[-1]
         a, b = inner[cur]
-        if prev == a:
-            nxt = b
-        elif prev == b:
-            nxt = a
-        else:
-            return None
+        nxt = b if prev == a else a
         if placed[nxt]:
             return None
         placed[nxt] = True
@@ -577,8 +568,6 @@ def _verify_cutset_claim(
     if len(set(cutset)) != len(cutset):
         return False
     if any(not (0 <= v < g.n) for v in cutset):
-        return False
-    if len(cutset) >= g.n:
         return False
     if not _separates(g, cutset):
         return False

@@ -243,6 +243,16 @@ def four_regular_cut3() -> Graph:
     return Graph(19, blockA + ring + spokes)
 
 
+def four_regular_cut3_far_swap() -> Graph:
+    """four_regular_cut3 with (6, 16) and (10, 11) traded for (6, 10) and
+    (11, 16): still 4-regular with connectivity 3, but 16's one far-side
+    neighbor 11 also sees 18, so the exchange has to swap 17 instead.
+    """
+    g = four_regular_cut3()
+    kept = [e for e in g.edges() if e not in {(6, 16), (10, 11)}]
+    return Graph(g.n, kept + [(6, 10), (11, 16)])
+
+
 def complement_cube() -> Graph:
     """Complement of the 3-cube: 4-regular on 8 vertices.
 

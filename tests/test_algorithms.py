@@ -22,12 +22,14 @@ from helpers import (
     four_regular_cut1,
     four_regular_cut2,
     four_regular_cut3,
+    four_regular_cut3_far_swap,
     induced_subgraph,
     pg24_incidence,
     petersen,
     union_find_components,
 )
 import sparsecut.algorithms as algorithms
+import sparsecut.oracles as oracles
 from sparsecut.algorithms import (
     GrowthState,
     _connectivity,
@@ -70,6 +72,7 @@ from sparsecut.io import parse_graph6
 from sparsecut.oracles import (
     OracleBudget,
     enumerate_min_cutsets,
+    recognize_squared_cycle,
     verify_certificate,
     vertex_connectivity,
 )
@@ -256,6 +259,17 @@ def test_theorem2_small_circulant():
     assert verify_certificate(g, cert)
 
 
+def test_theorem2_small_order_dead_end_is_reported():
+    # K6 at allow_small: a lonely separator vertex is dropped, and what is
+    # left does not separate
+    with pytest.raises(NoCutsetFound) as caught:
+        theorem2_cutset(Graph(6, list(combinations(range(6), 2))), allow_small=True)
+    assert str(caught.value) == (
+        "theorem2_cutset: candidate separator does not disconnect the graph "
+        "at order 6; the guarantee starts at 14"
+    )
+
+
 def test_theorem2_requires_five_regular():
     with pytest.raises(PreconditionError, match="5-regular"):
         theorem2_cutset(squared_cycle(14))
@@ -335,6 +349,43 @@ def test_theorem3_squared_cycles_run_no_flow(monkeypatch):
     assert isinstance(theorem3_dichotomy(squared_cycle(12)), SquaredCycleIso)
 
 
+def test_theorem3_checks_its_squared_cycle_order_once(monkeypatch):
+    calls = []
+    order_matches = oracles._order_matches
+
+    def counted(g, order):
+        calls.append(order)
+        return order_matches(g, order)
+
+    monkeypatch.setattr(oracles, "_order_matches", counted)
+    out = theorem3_dichotomy(squared_cycle(20))
+    assert out == SquaredCycleIso(order=tuple(range(20)))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 13, 30])
+def test_theorem3_order_is_the_oracle_order(n):
+    # at orders 5 and 6 the first verified permutation, from 7 on the walk;
+    # both must agree with the oracle's recognizer under any labelling
+    g = squared_cycle(n)
+    for seed in range(3):
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        h = Graph(n, [(perm[a], perm[b]) for a, b in g.edges()])
+        out = theorem3_dichotomy(h, min_order=5)
+        assert out == SquaredCycleIso(order=recognize_squared_cycle(h))
+
+
+def test_theorem3_walk_refused_on_a_switched_squared_cycle():
+    # one 2-switch keeps every degree 4 but breaks the cycle
+    kept = [e for e in squared_cycle(12).edges() if e not in {(0, 1), (5, 7)}]
+    g = Graph(12, kept + [(0, 5), (1, 7)])
+    assert recognize_squared_cycle(g) is None
+    out = theorem3_dichotomy(g)
+    assert isinstance(out, GoodCutset)
+    assert verify_certificate(g, out)
+
+
 def test_minimal_cutset_rule_matches_the_exhaustive_check():
     # every nonempty set of at most 4 vertices of random connected graphs:
     # the one-pass full-component rule against the oracle's subset scan
@@ -363,7 +414,8 @@ def test_connectivity_flow_matches_the_oracle_on_four_regular_graphs():
 
 
 def test_algorithms_borrow_only_these_oracle_names():
-    # thm3 and thm4 take the connectivity from the algorithms' own flow
+    # thm3 and thm4 take the connectivity from the algorithms' own flow, and
+    # thm3 walks its squared cycle itself
     tree = ast.parse(inspect.getsource(algorithms))
     borrowed = {
         alias.name
@@ -375,7 +427,6 @@ def test_algorithms_borrow_only_these_oracle_names():
         "OracleBudget",
         "enumerate_min_cutsets",
         "find_independent_cutset",
-        "recognize_squared_cycle",
         "verify_certificate",
     }
 
@@ -414,6 +465,16 @@ def test_theorem4_triple_exchange():
     for a in cert.cutset:
         for b in cert.cutset:
             assert a == b or not g.has_edge(a, b)
+    assert verify_certificate(g, cert)
+
+
+def test_theorem4_swaps_the_second_endpoint():
+    # 16's far neighbor 11 also sees 18, so 17 gives way to its far neighbor 7
+    g = four_regular_cut3_far_swap()
+    assert {g.degree(v) for v in g.vertices()} == {4}
+    assert vertex_connectivity(g) == 3
+    cert = theorem4_independent_cutset(g)
+    assert cert == IndependentCutset(cutset=(7, 16, 18), size_bound=3)
     assert verify_certificate(g, cert)
 
 

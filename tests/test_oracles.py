@@ -751,6 +751,92 @@ def test_verify_is_icosahedron():
     assert not verify_certificate(squared_cycle(12), IsIcosahedron())
 
 
+def _icosahedron_with_a_degree_4_vertex() -> Graph:
+    # 12 vertices and 30 edges, but the edge 0x moved to xy
+    g = icosahedron()
+    x = g.neighbors(0)[0]
+    y = min(set(range(12)) - g.neighbor_set(x) - {0, x})
+    return Graph(12, [e for e in g.edges() if e != (0, x)] + [(min(x, y), max(x, y))])
+
+
+def _k66_minus_a_perfect_matching() -> Graph:
+    # 5-regular of order 12 and size 30, and bipartite, so no link is a C5
+    return Graph(12, [(a, 6 + b) for a in range(6) for b in range(6) if a != b])
+
+
+def _two_squared_cycles_of_order_7() -> Graph:
+    g = squared_cycle(7)
+    return Graph(14, list(g.edges()) + [(a + 7, b + 7) for a, b in g.edges()])
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(
+            lambda: verify_certificate(_path(5), GoodCutset(cutset=(2, 2))),
+            False,
+            id="duplicate-ids",
+        ),
+        pytest.param(
+            lambda: verify_certificate(
+                Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+                GoodCutset(cutset=(), avg_bound_strict=(1, 1)),
+            ),
+            False,
+            id="average-bound-on-the-empty-set",
+        ),
+        pytest.param(
+            lambda: verify_certificate(
+                _path(10), GoodCutset(cutset=tuple(range(1, 8)), require_minimal=True)
+            ),
+            False,
+            id="minimality-above-6-vertices",
+        ),
+        pytest.param(
+            lambda: verify_certificate(
+                squared_cycle(14), KrrWitness(r=1, side_a=(0,), side_b=(14,))
+            ),
+            False,
+            id="krr-id-out-of-range",
+        ),
+        pytest.param(
+            lambda: verify_certificate(_icosahedron_with_a_degree_4_vertex(), IsIcosahedron()),
+            False,
+            id="icosahedron-claim-with-a-degree-4-vertex",
+        ),
+        pytest.param(
+            lambda: verify_certificate(_k66_minus_a_perfect_matching(), IsIcosahedron()),
+            False,
+            id="icosahedron-claim-on-k66-minus-a-matching",
+        ),
+        pytest.param(
+            lambda: verify_certificate(_path(5), GoodCutset(cutset=tuple(range(5)))),
+            False,
+            id="cutset-is-every-vertex",
+        ),
+        pytest.param(
+            lambda: verify_certificate(_path(5), "not a certificate"),
+            PreconditionError,
+            id="unknown-certificate-type",
+        ),
+        pytest.param(
+            lambda: recognize_squared_cycle(_cycle(6)), None, id="recognizer-on-c6"
+        ),
+        pytest.param(
+            lambda: recognize_squared_cycle(_two_squared_cycles_of_order_7()),
+            None,
+            id="recognizer-on-two-squared-c7",
+        ),
+    ],
+)
+def test_oracle_refusals(call, expected):
+    if expected is PreconditionError:
+        with pytest.raises(PreconditionError, match="unknown certificate type str"):
+            call()
+    else:
+        assert call() is expected
+
+
 def test_oracles_module_holds_only_the_probes_and_the_verifier():
     public = {
         name
