@@ -41,7 +41,6 @@ from .errors import (
     BudgetExhausted,
     GraphError,
     InternalInvariantError,
-    NoCutsetFound,
     PreconditionError,
 )
 from .generators import (
@@ -157,7 +156,6 @@ def _report_skeleton(op: str, digest: str | None, params: dict) -> dict:
 _ERROR_CODES = (
     (InternalInvariantError, 1),
     (BudgetExhausted, 3),
-    (NoCutsetFound, 2),
     (PreconditionError, 2),
     (GraphError, 2),
 )
@@ -187,13 +185,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-_NAMED_SMALL = {
-    "k4": "K4",
-    "triangular-prism": "TriangularPrism",
-    "k3boxk3": "K3BoxK3",
-    "linegraphpetersen": "LineGraphPetersen",
-}
-
 # The tables below call through this module's globals, so a function
 # rebound here (by a test or a tracer) is the one that runs.
 # family -> (its order, from the parameters alone; builder)
@@ -207,16 +198,16 @@ _FAMILIES = {
         lambda params, seed: clique_chain(CliqueChainParams(*params)),
     ),
     "random-regular": (lambda n, d: n, lambda params, seed: random_regular(*params, seed=seed)),
+    "k4": (lambda: 4, lambda params, seed: named_small("K4", *params)),
+    "triangular-prism": (lambda: 6, lambda params, seed: named_small("TriangularPrism", *params)),
+    "k3boxk3": (lambda: 9, lambda params, seed: named_small("K3BoxK3", *params)),
+    "linegraphpetersen": (lambda: 15, lambda params, seed: named_small("LineGraphPetersen", *params)),
 }
 
 
 def _build_family(name: str, params: list[int], seed: int) -> Graph:
-    if name in _NAMED_SMALL:
-        if params:
-            raise GraphError(f"generate {name} takes no positional parameters")
-        return named_small(_NAMED_SMALL[name])
     if name not in _FAMILIES:
-        known = ", ".join(sorted([*_FAMILIES, *_NAMED_SMALL]))
+        known = ", ".join(sorted(_FAMILIES))
         raise GraphError(f"unknown family {name!r}; known: {known}")
     order, build = _FAMILIES[name]
     try:
@@ -491,6 +482,17 @@ def _add_io_options(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_batch_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--verify",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="report the oracle check as verified, or null (default: on for n <= 20); "
+        "find-cutset methods run that check either way",
+    )
+    p.add_argument("--corpus", default=None, help="process every file in this directory")
+
+
 def _add_budget_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, default=None, help="oracle order cap")
     p.add_argument("--max-subset", type=int, default=None, help="oracle subset size cap")
@@ -520,14 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=None, help="degree bound for thm1/thm5")
     p.add_argument("--r", type=int, default=None, help="biclique order for thm5")
     p.add_argument("--u", type=int, default=0, help="center vertex for degenerate")
-    p.add_argument(
-        "--verify",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force oracle re-check on or off (default: on for n <= 20)",
-    )
     p.add_argument("--dot", default=None, help="also write a DOT file with the cutset filled")
-    p.add_argument("--corpus", default=None, help="process every file in this directory")
+    _add_batch_options(p)
     _add_io_options(p)
 
     p = sub.add_parser("oracle", help="run a brute-force search or check")
@@ -538,13 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None, help="biclique order for krr")
     p.add_argument("--max-delta", type=int, default=None, help="internal degree cap")
     p.add_argument("--avg", default=None, help="strict average bound as P/Q")
-    p.add_argument(
-        "--verify",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="re-check found certificates (default: on for n <= 20)",
-    )
-    p.add_argument("--corpus", default=None, help="process every file in this directory")
+    _add_batch_options(p)
     _add_budget_options(p)
     _add_io_options(p)
 

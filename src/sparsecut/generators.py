@@ -116,27 +116,27 @@ def _ceil_sqrt(x: int) -> int:
     return r if r * r == x else r + 1
 
 
+# permutation entries one _regular_bipartite call draws before it gives up
+_CONNECTOR_ENTRIES = 1_000_000
+
+
 def _regular_bipartite(n: int, d: int, rng: random.Random) -> list[tuple[int, int]]:
     """d-regular bipartite graph on n+n vertices via the permutation-union
-    model: d random permutations, resampled until no two collide anywhere."""
-    while True:
+    model: d random permutations, resampled until no two collide anywhere,
+    within _CONNECTOR_ENTRIES drawn entries (d*n per draw)."""
+    for _ in range(_CONNECTOR_ENTRIES // (n * d)):
         perms = []
         for _ in range(d):
             p = list(range(n))
             rng.shuffle(p)
             perms.append(p)
-        used = set()
-        ok = True
-        for p in perms:
-            for i, j in enumerate(p):
-                if (i, j) in used:
-                    ok = False
-                    break
-                used.add((i, j))
-            if not ok:
-                break
-        if ok:
+        used = {(i, j) for p in perms for i, j in enumerate(p)}
+        if len(used) == n * d:
             return sorted(used)
+    raise BudgetExhausted(
+        f"clique_chain: no {d}-regular connector on {n}+{n} vertices "
+        f"within {_CONNECTOR_ENTRIES} drawn entries"
+    )
 
 
 def clique_chain(params: CliqueChainParams) -> Graph:
@@ -145,7 +145,8 @@ def clique_chain(params: CliqueChainParams) -> Graph:
     Every connected graph in this family has max degree at most delta with
     equality at base-interior cliques, while small sparse cutsets are
     scarce; tests record the achieved degree and cutset statistics instead
-    of asserting any asymptotic bound.
+    of asserting any asymptotic bound. A connector that takes too many draws
+    raises BudgetExhausted, as almost every seed does from delta 17 on.
     """
     if params.delta < 9:
         raise PreconditionError(f"clique_chain requires delta >= 9, got {params.delta}")

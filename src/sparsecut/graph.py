@@ -173,18 +173,19 @@ def _ids(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
 def components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
     """Connected components of g minus the removed set, each sorted, ordered
     by smallest member."""
-    gone = set(_ids(g, removed))
     seen = [False] * g.n
+    for v in _ids(g, removed):
+        seen[v] = True
     out: list[tuple[int, ...]] = []
     for start in range(g.n):
-        if seen[start] or start in gone:
+        if seen[start]:
             continue
         # the breadth-first queue, kept whole, is the component
         comp = [start]
         seen[start] = True
         for v in comp:
             for w in g.neighbors(v):
-                if not seen[w] and w not in gone:
+                if not seen[w]:
                     seen[w] = True
                     comp.append(w)
         out.append(tuple(sorted(comp)))
@@ -241,8 +242,5 @@ def min_degree_vertex(g: Graph) -> int:
     """Smallest-id vertex of minimum degree."""
     if g.n == 0:
         raise PreconditionError("min_degree_vertex: graph has no vertices")
-    best = 0
-    for v in range(1, g.n):
-        if g.degree(v) < g.degree(best):
-            best = v
-    return best
+    degrees = [len(a) for a in g._adj]
+    return degrees.index(min(degrees))

@@ -174,14 +174,11 @@ class _Search:
         return rest != 0
 
     def subsets(self, k: int, independent: bool = False) -> Iterator[int]:
-        """Every k-subset of the vertices as a bitmask, in lexicographic
-        order; with independent, vertices adjacent to the chosen ones are
-        skipped, so only independent sets come out. Each vertex added to
-        the chosen set is one step, counted as tick() counts it."""
+        """Every k-subset of the vertices, k >= 1, as a bitmask, in
+        lexicographic order; with independent, vertices adjacent to the chosen
+        ones are skipped, so only independent sets come out. Each vertex added
+        to the chosen set is one step, counted as tick() counts it."""
         n, masks = self.n, self.masks
-        if k == 0:
-            yield 0
-            return
         picks: list[int] = []
         chosen = 0
         v = 0
@@ -407,32 +404,26 @@ def find_constrained_cutset(
     if max_delta is not None:
         # an explicit stack, so deep searches cannot overflow the interpreter
         # stack; S is tested when v joins it, then extended by the vertices
-        # above v, then v is swapped for its successors
-        deg_in_s = [0] * g.n
-        chosen: list[tuple[int, int]] = []  # (vertex, its neighbors in S)
+        # above v, then v is swapped for its successors; masks give degrees in S
+        chosen: list[int] = []
         smask = 0
         v = 0
         while True:
             if v == g.n:
                 if not chosen:
                     return None
-                v, inside = chosen.pop()
+                v = chosen.pop()
                 smask ^= 1 << v
-                deg_in_s[v] = 0
-                for u in _bits(inside):
-                    deg_in_s[u] -= 1
                 v += 1
                 continue
             search.tick()
             inside = masks[v] & smask
-            dv = inside.bit_count()
-            if dv > max_delta or any(deg_in_s[u] >= max_delta for u in _bits(inside)):
+            if inside.bit_count() > max_delta or any(
+                (masks[u] & smask).bit_count() >= max_delta for u in _bits(inside)
+            ):
                 v += 1
                 continue
-            for u in _bits(inside):
-                deg_in_s[u] += 1
-            deg_in_s[v] = dv
-            chosen.append((v, inside))
+            chosen.append(v)
             smask |= 1 << v
             # the cut test rejects most sets, and more cheaply than avg_ok
             if search.cuts(smask) and avg_ok(smask, len(chosen)):

@@ -330,7 +330,14 @@ def _gated_sparse_corpus(count: int, rng: random.Random) -> list[Graph]:
     return out
 
 
-def test_criterion_8_prop2_sparse_corpus():
+def test_criterion_8_prop2_sparse_corpus(monkeypatch):
+    contracted: list[int] = []
+
+    def counted(gp, *rest):
+        contracted.append(gp.n)
+        return find_independent_cutset(gp, *rest)
+
+    monkeypatch.setattr("sparsecut.algorithms.find_independent_cutset", counted)
     with criterion(8, 30.0):
         rng = random.Random(808)
         for g in _gated_sparse_corpus(100, rng):
@@ -338,6 +345,17 @@ def test_criterion_8_prop2_sparse_corpus():
             s = report.cutset
             assert report.max_degree_in_s <= 1
             assert separates(g, s)
+        # the random corpus never reaches the contraction route; every
+        # diamond chain does, contracting its 4k vertices to 3k
+        assert contracted == []
+        for k in range(2, 9):
+            contracted.clear()
+            g = diamond_chain(k)
+            report = induced_stats(g, prop2_cutset(g).cutset)
+            assert contracted == [3 * k]
+            assert report.cutset == (0, 1)
+            assert report.max_degree_in_s <= 1
+            assert separates(g, report.cutset)
 
 
 # 9. minimum cutsets never exceed the trivial degree bound

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from sparsecut.graph import (
     is_connected,
     is_cutset,
 )
+from sparsecut.io import graph_digest
 
 
 def _degrees(g: Graph) -> list[int]:
@@ -161,6 +163,44 @@ def test_clique_chain_rejects_bad_params():
         clique_chain(CliqueChainParams(delta=8, base_length=3))
     with pytest.raises(PreconditionError):
         clique_chain(CliqueChainParams(delta=9, base_length=2))
+
+
+# (delta, base_length, cyclic, seed) -> graph_digest, as built with no draw
+# budget: every chain the other tests build, the two of the benchmark's
+# cli_batch slot 0, and the seed among 0..99 at base length 5 whose connector
+# needs the most draws at delta 9 (160 draws), 12 (5941) and 16 (4147)
+_CHAIN_DIGESTS = {
+    (9, 3, False, 1): "018d40ba7435d7a879ae73cde64a808b348c81d4c1f85579a80d4a185b494414",
+    (9, 4, True, 3): "1b111d3ad6f0e73b5a238b76c8ab41eb70737659cfc88ece0ee417f5fd976158",
+    (12, 3, False, 42): "c2d6a50a55ee70742e6c524478db05edc860fafef52b0c651857b3ec74f03353",
+    (12, 3, False, 43): "9764eb713a2901192dc74fda6408a336d0453e95fe94403fe794fe9cd2a4b36a",
+    (12, 4, False, 0): "1e68306ddc355afd839488791307e7253a397d047a7999febb795d1a43a901d1",
+    (9, 3, False, 0): "4db1f964a59be7b8066f417d6492c9c801b036d1a5ac78a44c56f43f5092b6ee",
+    (9, 5, True, 1): "c352f37cfd3a552656b4486e1cb2a5362a23ebb4b73b242485749df71508f5c4",
+    (16, 3, False, 2): "daa545388d2d061e4631b50fae951dc51b802439e60abb0e6617047eb30dd432",
+    (12, 4, True, 3): "541e1bb97533fc84383fa7d796d558f5c4308202a105f3878eb9f23c4ab4069b",
+    (9, 6, False, 0): "88fbf258a3f1d10ba8051ce9b4e3f336c6c26ed761a6f8450db2febb6ec557c2",
+    (9, 4, False, 0): "de6b4867542f2ee8c56fc852bf7f41759c675db84320136efe4e7ee7484714da",
+    (9, 40, False, 546618441): "0d927f5292de10b84b3bfcbcd9b5bfbeaf2cd119a49ddee5fdfd9bd97a4332e7",
+    (9, 80, True, 770790907): "f2e644c65165e13eaf4fe2d2c6b8ca937aa31215eaab8dc27e33dc33962c8d65",
+    (9, 5, False, 25): "7ce178113a40b2d0b16b96c224e9f711bc69714b7c8aab5b0c6e98bd8e4fb8f3",
+    (12, 5, False, 57): "582ce41469a502a57d62e736e59bce199335fdd5880e83fb2b07fcfac1c23b35",
+    (16, 5, False, 9): "1591e6f7af19b5f2e2679f767d99e9c77840ec7a7847a670875b1c1fa1ff9a53",
+}
+
+
+@pytest.mark.parametrize("params", sorted(_CHAIN_DIGESTS))
+def test_clique_chain_keeps_its_graph_within_the_draw_budget(params):
+    assert graph_digest(clique_chain(CliqueChainParams(*params))) == _CHAIN_DIGESTS[params]
+
+
+def test_clique_chain_gives_up_at_high_degree():
+    # connector degree 20 on 361 + 361 vertices: about 4 ms per draw, and a
+    # draw almost never has 20 disjoint permutations
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExhausted, match="20-regular connector on 361"):
+        clique_chain(CliqueChainParams(delta=400, base_length=5))
+    assert time.monotonic() - t0 < 10
 
 
 # ---------------------------------------------------------------- named small

@@ -151,8 +151,8 @@ def _special_graphs() -> list[Graph]:
 
 
 @st.composite
-def _small_graphs(draw) -> Graph:
-    n = draw(st.integers(0, 12))
+def _small_graphs(draw, max_n: int = 12) -> Graph:
+    n = draw(st.integers(0, max_n))
     p = draw(st.sampled_from((0.15, 0.3, 0.5, 0.7, 0.9)))
     pairs = list(combinations(range(n), 2))
     picks = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
@@ -464,20 +464,22 @@ def _independent_reference(g: Graph):
 
 def _constrained_reference(g: Graph, max_delta, avg, budget: OracleBudget):
     if max_delta is not None:
-
-        def extend(start: int, chosen: tuple[int, ...]):
+        # on Python sets: S grows by each vertex above its last one that
+        # keeps every degree in S at most max_delta, is tested on joining,
+        # and is extended before the next vertex is tried
+        def extend(start: int, chosen: frozenset[int]):
             for v in range(start, g.n):
-                s = chosen + (v,)
-                if max(sum(g.has_edge(u, w) for w in s) for u in s) > max_delta:
+                s = chosen | {v}
+                if any(len(g.neighbor_set(u) & s) > max_delta for u in s):
                     continue
                 if _avg_below(g, s, avg) and _separated(g, s):
-                    return s
+                    return tuple(sorted(s))
                 hit = extend(v + 1, s)
                 if hit is not None:
                     return hit
             return None
 
-        return extend(0, ())
+        return extend(0, frozenset())
     for k in range(1, min(budget.max_subset_size, g.n - 1) + 1):
         for s in combinations(range(g.n), k):
             if _avg_below(g, s, avg) and _separated(g, s):
@@ -533,6 +535,19 @@ def test_searches_match_plain_references():
         ]
         for run, reference in pairs:
             assert _outcome(run) == _outcome(reference)
+
+
+@given(
+    g=_small_graphs(max_n=9),
+    max_delta=st.integers(0, 2),
+    avg=st.sampled_from((None, Fraction(1, 2))),
+)
+@settings(max_examples=300, deadline=None)
+def test_constrained_search_walks_the_inclusion_order(g, max_delta, avg):
+    budget = OracleBudget()
+    assert find_constrained_cutset(g, max_delta, avg, budget) == _constrained_reference(
+        g, max_delta, avg, budget
+    )
 
 
 # Five searches that each run well over 64 steps before their answer, with
