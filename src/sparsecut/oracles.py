@@ -14,10 +14,12 @@ one _Search from the graph, the budget and their own name. It rejects an
 order above max_n, holds the adjacency bitmasks, counts search steps and
 checks the time hint every 64 of them, and walks k-subsets in
 lexicographic order on an explicit stack, so no search recurses. Its cut
-test fills one component level by level. Up to 64 vertices it expands a
-level through byte tables, one lookup per byte of the level: at most 8
-tables of 256 entries. Above 64 vertices the tables would grow with n
-(4.4 MB at n = 1200), so the fill there expands one vertex at a time.
+test fills one component level by level, through byte tables of 256
+entries, and stops once no vertex is left unreached. Up to 24 vertices a
+level is one expression over three tables; from 25 to 64 vertices it is a
+loop with one lookup per byte of the level, at most 8 tables. Above 64
+vertices the tables would grow with n (4.4 MB at n = 1200), so the fill
+there expands one vertex at a time.
 """
 
 from __future__ import annotations
@@ -106,10 +108,17 @@ class _Search:
 
     Up to 64 vertices it also holds byte tables: tabs[i][x] is the union
     of the neighbor masks of the vertices 8i + j for each set bit j of the
-    byte x, so cuts() expands a whole BFS level with one lookup per byte.
-    That is at most 8 tables of 256 small ints. The bound keeps the tables
-    small: at n = 1200 they would hold 4.4 MB of big ints, built anew for
-    every search, so larger orders expand one vertex at a time.
+    byte x. cuts() takes one of three paths by order:
+
+    - up to 24 vertices, three tables (padded with the all-zero [0] below
+      17 vertices), so a whole BFS level is one expression of three
+      lookups;
+    - from 25 to 64 vertices, a loop with one lookup per byte of the
+      level, at most 8 tables of 256 small ints;
+    - above 64 vertices, one vertex at a time. The tables would hold
+      4.4 MB of big ints at n = 1200, built anew for every search.
+
+    On every path the fill stops as soon as no vertex is left unreached.
     """
 
     def __init__(self, g: Graph, budget: OracleBudget | None, what: str):
@@ -125,7 +134,9 @@ class _Search:
         self.tabs: list[list[int]] | None = None
         if g.n <= 64:
             self.tabs = []
-            for i in range(0, g.n, 8):
+            # up to 24 vertices there are always three tables: those past
+            # the last vertex are the all-zero [0]
+            for i in range(0, max(g.n, 24), 8):
                 # doubling: each vertex of the byte adds its mask to a copy
                 tab = [0]
                 for m in self.masks[i : i + 8]:
@@ -151,12 +162,23 @@ class _Search:
     def cuts(self, smask: int) -> bool:
         """Whether removing the vertices in smask leaves two or more
         components: fill the component of the lowest vertex left, one BFS
-        level at a time, and stop there."""
+        level at a time, and stop at the first empty level (True) or once
+        no vertex is left unreached (False)."""
         alive = self.full & ~smask
         frontier = alive & -alive
         rest = alive ^ frontier  # the vertices left that the fill has not reached
+        if self.n <= 24:
+            t0, t1, t2 = self.tabs
+            while rest:
+                frontier = rest & (
+                    t0[frontier & 255] | t1[frontier >> 8 & 255] | t2[frontier >> 16]
+                )
+                if not frontier:
+                    return True
+                rest ^= frontier
+            return False
         masks, tabs = self.masks, self.tabs
-        while frontier:
+        while rest:
             nxt = 0
             if tabs is None:
                 while frontier:
@@ -170,8 +192,10 @@ class _Search:
                     frontier >>= 8
                     i += 1
             frontier = nxt & rest
+            if not frontier:
+                return True
             rest ^= frontier
-        return rest != 0
+        return False
 
     def subsets(self, k: int, independent: bool = False) -> Iterator[int]:
         """Every k-subset of the vertices, k >= 1, as a bitmask, in
@@ -372,7 +396,8 @@ def find_constrained_cutset(
     budget: OracleBudget | None = None,
 ) -> tuple[int, ...] | None:
     """Cutset with max internal degree <= max_delta and/or average internal
-    degree strictly below max_avg.
+    degree strictly below max_avg, a Fraction or a (numerator, positive
+    denominator) pair.
 
     With max_delta given, the degree constraint is hereditary, so the
     search walks the whole family of qualifying sets in depth-first
@@ -386,6 +411,10 @@ def find_constrained_cutset(
         raise PreconditionError("find_constrained_cutset needs at least one constraint")
     avg: Fraction | None = None
     if max_avg is not None:
+        if not isinstance(max_avg, Fraction) and max_avg[1] <= 0:
+            raise PreconditionError(
+                f"find_constrained_cutset: max_avg needs a positive denominator, got {max_avg}"
+            )
         avg = max_avg if isinstance(max_avg, Fraction) else Fraction(*max_avg)
     masks = search.masks
 
@@ -571,7 +600,7 @@ def _verify_cutset_claim(
         return False
     if avg_bound is not None:
         num, den = avg_bound
-        if len(cutset) == 0:
+        if len(cutset) == 0 or den <= 0:
             return False
         if not (edges2 * den < num * len(cutset)):
             return False

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import re
 from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations
@@ -373,6 +374,13 @@ def test_find_constrained_cutset_needs_a_constraint():
         find_constrained_cutset(_cycle(6))
 
 
+@pytest.mark.parametrize("max_avg", [(1, 0), (1, -2), (0, -1)])
+def test_find_constrained_cutset_refuses_a_denominator_below_one(max_avg):
+    message = f"find_constrained_cutset: max_avg needs a positive denominator, got {max_avg}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        find_constrained_cutset(_cycle(6), max_avg=max_avg)
+
+
 def test_find_constrained_cutset_respects_degree_bound():
     g = squared_cycle(12)
     got = find_constrained_cutset(g, max_delta=2)
@@ -637,12 +645,44 @@ def test_cut_test_matches_the_flood_fill(case):
 
 
 def test_byte_tables_stay_small():
-    for n in (0, 1, 7, 8, 9, 23, 24, 63, 64):
+    # up to 24 vertices cuts() expands a level over exactly three tables,
+    # from 25 to 64 it loops over one table per byte, above 64 it has none
+    for n in (0, 1, 8, 9, 16, 17, 24):
         tabs = oracles._Search(_path(n), OracleBudget(max_n=64), "test").tabs
-        assert tabs is not None and len(tabs) == (n + 7) // 8
+        assert tabs is not None and len(tabs) == 3
+        assert sum(map(len, tabs)) <= 2048
+    for n in (25, 63, 64):
+        tabs = oracles._Search(_path(n), OracleBudget(max_n=64), "test").tabs
+        assert tabs is not None and len(tabs) == (n + 7) // 8 > 3
         assert sum(map(len, tabs)) <= 2048
     for n in (65, 72, 1200):
         assert oracles._Search(_path(n), OracleBudget(max_n=n), "test").tabs is None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_path(9), _cycle(10), petersen(), named_small("K4")],
+    ids=["path9", "cycle10", "petersen", "K4"],
+)
+def test_cut_test_matches_the_flood_fill_on_every_subset(g):
+    # every subset, so removing nothing, everything and all but one vertex
+    search = oracles._Search(g, None, "test")
+    for smask in range(1 << g.n):
+        removed = tuple(v for v in range(g.n) if smask >> v & 1)
+        assert search.cuts(smask) == oracles._separates(g, removed), removed
+
+
+@pytest.mark.parametrize("g", [_cycle(24), squared_cycle(24)], ids=["cycle24", "squared24"])
+def test_cut_test_matches_the_flood_fill_across_all_three_bytes(g):
+    # every set of up to 3 vertices and every complement of one: the fills
+    # cross from each byte of the vertex range into the next
+    search = oracles._Search(g, None, "test")
+    for k in range(4):
+        for removed in combinations(range(g.n), k):
+            kept = tuple(v for v in range(g.n) if v not in removed)
+            for s in (removed, kept):
+                smask = sum(1 << v for v in s)
+                assert search.cuts(smask) == oracles._separates(g, s), s
 
 
 # ------------------------------------------------------------------- recognizer
@@ -729,6 +769,15 @@ def test_verify_good_cutset_avg_strictness():
     assert verify_certificate(g, ok)
     tight = GoodCutset(cutset=(1, 2), avg_bound_strict=(1, 1))
     assert not verify_certificate(g, tight)  # average is exactly 1
+
+
+@pytest.mark.parametrize("bound", [(0, -1), (1, 0)])
+def test_verify_good_cutset_refuses_a_denominator_below_one(bound):
+    # the set induces 2 edges, so no bound below 0 holds; without a
+    # positive denominator the claim is refused, as certificate_from_dict does
+    g = squared_cycle(10)
+    assert verify_certificate(g, GoodCutset(cutset=(0, 1, 5, 6)))
+    assert not verify_certificate(g, GoodCutset(cutset=(0, 1, 5, 6), avg_bound_strict=bound))
 
 
 def test_verify_good_cutset_minimality_claim():
