@@ -297,7 +297,7 @@ def _probe_squared_cycle(g: Graph, args, budget: OracleBudget) -> Certificate | 
 _PROBES = {
     "independent-cutset": _probe_independent,
     "constrained-cutset": _probe_constrained,
-    "connectivity": lambda g, args, budget: {"connectivity": vertex_connectivity(g)},
+    "connectivity": lambda g, args, budget: {"connectivity": vertex_connectivity(g, budget)},
     "krr": _probe_krr,
     "min-cutsets": _probe_min_cutsets,
     "squared-cycle": _probe_squared_cycle,

@@ -11,23 +11,37 @@ definitive "none".
 The four exponential searches (enumerate_min_cutsets,
 find_independent_cutset, find_constrained_cutset and find_krr) each build
 one _Search from the graph, the budget and their own name. It rejects an
-order above max_n, holds the adjacency bitmasks, counts search steps and
-checks the time hint every 64 of them, and walks k-subsets in
-lexicographic order on an explicit stack, so no search recurses. Its cut
-test fills one component level by level, through byte tables of 256
-entries, and stops once no vertex is left unreached. Up to 24 vertices a
-level is one expression over three tables; from 25 to 64 vertices it is a
-loop with one lookup per byte of the level, at most 8 tables. Above 64
-vertices the tables would grow with n (4.4 MB at n = 1200), so the fill
-there expands one vertex at a time.
+order above max_n, holds the adjacency bitmasks and counts search steps.
+It tests k-subsets in lexicographic order in one of two ways.
+
+- enumerate_min_cutsets and the average-only scan of
+  find_constrained_cutset test whole layers of k-subsets at once
+  (layer_cuts), bit-sliced after Biham, "A fast new DES implementation in
+  software" (FSE 1997): each vertex gets one big int whose bit i belongs
+  to the i-th subset, so one flood fill tests every subset of a block.
+  A block holds at most _BLOCK_BITS // n subsets, so its slices take at
+  most 32 KB whatever C(n, k) is. These searches read the clock once per
+  table row and per piece while they build the slices, and once per sweep
+  of the fill.
+- find_independent_cutset, the degree-capped walk of
+  find_constrained_cutset and find_krr walk one subset at a time on an
+  explicit stack, so no search recurses, and check the time hint every 64
+  steps. Their cut test fills one component level by level, through byte
+  tables of 256 entries, and stops once no vertex is left unreached. Up to
+  24 vertices a level is one expression over three tables; from 25 to 64
+  vertices it is a loop with one lookup per byte of the level, at most 8
+  tables. Above 64 vertices the tables would grow with n (4.4 MB at
+  n = 1200), so the fill there expands one vertex at a time.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 from typing import Iterator
 
 from .certificates import (
@@ -48,9 +62,15 @@ class OracleBudget:
 
     max_n gates every exponential enumeration, max_subset_size caps
     searches that go subset-size by subset-size, and time_hint_s is a soft
-    wall-clock limit, counted from the start of each search and checked
-    once every 64 search steps, so a search that ends within 64 steps never
-    reads it.
+    wall-clock limit, counted from the start of each search. A search that
+    walks one subset at a time checks it every 64 steps, so one that ends
+    within 64 steps never reads it. enumerate_min_cutsets and the
+    average-only scan test whole layers: they check it once per table row
+    and per piece while they build a layer's bit slices, and once per
+    sweep of its flood fill. Without a time hint a search reads the clock
+    at its start only. vertex_connectivity reads time_hint_s and no other
+    cap, after a flow once 64 more augmenting searches have run, and never
+    reads the clock without one.
 
     max_subset_size does not cap find_independent_cutset or
     find_constrained_cutset(max_delta=...): both are exhaustive, so their
@@ -102,13 +122,27 @@ def _separates(g: Graph, removed: tuple[int, ...]) -> bool:
     return len(seen) < g.n
 
 
+# The most bits, n times lanes, in one block of layer_cuts's bit slices:
+# 32 KB per list of n slices. At n = 24 a block holds 10922 subsets, a whole
+# layer up to k = 4.
+_BLOCK_BITS = 1 << 18
+
+
 class _Search:
     """What one exponential search over g needs: its order gate, the
-    adjacency bitmasks, a step clock for the time hint and a subset walk.
+    adjacency bitmasks and lists, a step clock for the time hint, a subset
+    walk with a cut test for one subset, and a cut test for a whole layer.
 
-    Up to 64 vertices it also holds byte tables: tabs[i][x] is the union
-    of the neighbor masks of the vertices 8i + j for each set bit j of the
-    byte x. cuts() takes one of three paths by order:
+    layer_cuts(k) yields every k-subset that cuts, in lexicographic order.
+    Lane i of a block is its i-th subset; bit i of alive[v] is set when v is
+    not in it, and one flood fill over those big ints tests every lane. A
+    block holds at most _BLOCK_BITS // n lanes, and the tables it is cut
+    from hold at most k * _BLOCK_BITS bits. Each lane is one step.
+
+    cuts(smask) tests one subset. Up to 64 vertices it uses byte tables,
+    built on its first call: tabs[i][x] is the union of the neighbor masks
+    of the vertices 8i + j for each set bit j of the byte x. It takes one
+    of three paths by order:
 
     - up to 24 vertices, three tables (padded with the all-zero [0] below
       17 vertices), so a whole BFS level is one expression of three
@@ -128,23 +162,32 @@ class _Search:
                 f"{what}: n={g.n} exceeds oracle cap max_n={self.budget.max_n}"
             )
         self.n = g.n
+        self.adj = tuple(map(g.neighbors, range(g.n)))
         # bit w of masks[v] is set iff vw is an edge; each mask has n bits,
         # which is why they are built only past the order gate
         self.masks = tuple(sum(1 << w for w in g.neighbors(v)) for v in range(g.n))
-        self.tabs: list[list[int]] | None = None
-        if g.n <= 64:
-            self.tabs = []
+        self.full = (1 << g.n) - 1
+        self.steps = 0
+        self.start = time.monotonic()
+        self._tabs: list[list[int]] | None = None
+
+    @property
+    def tabs(self) -> list[list[int]] | None:
+        """The byte tables of cuts(), None above 64 vertices, built on the
+        first read, so the layer searches never build them. cuts() reads
+        _tabs and comes here only while it is unset: a property read on
+        every call slowed find_independent_cutset by about a fifth."""
+        if self._tabs is None and self.n <= 64:
+            self._tabs = []
             # up to 24 vertices there are always three tables: those past
             # the last vertex are the all-zero [0]
-            for i in range(0, max(g.n, 24), 8):
+            for i in range(0, max(self.n, 24), 8):
                 # doubling: each vertex of the byte adds its mask to a copy
                 tab = [0]
                 for m in self.masks[i : i + 8]:
                     tab += [x | m for x in tab]
-                self.tabs.append(tab)
-        self.full = (1 << g.n) - 1
-        self.steps = 0
-        self.start = time.monotonic()
+                self._tabs.append(tab)
+        return self._tabs
 
     def tick(self) -> None:
         """Count one search step; every 64 steps, enforce the time hint."""
@@ -168,7 +211,7 @@ class _Search:
         frontier = alive & -alive
         rest = alive ^ frontier  # the vertices left that the fill has not reached
         if self.n <= 24:
-            t0, t1, t2 = self.tabs
+            t0, t1, t2 = self._tabs or self.tabs
             while rest:
                 frontier = rest & (
                     t0[frontier & 255] | t1[frontier >> 8 & 255] | t2[frontier >> 16]
@@ -177,7 +220,7 @@ class _Search:
                     return True
                 rest ^= frontier
             return False
-        masks, tabs = self.masks, self.tabs
+        masks, tabs = self.masks, self._tabs or self.tabs
         while rest:
             nxt = 0
             if tabs is None:
@@ -196,6 +239,165 @@ class _Search:
                 return True
             rest ^= frontier
         return False
+
+    def layer_cuts(self, k: int) -> Iterator[tuple[int, ...]]:
+        """Every k-subset whose removal leaves two or more components, in
+        lexicographic order, found a block of subsets at a time.
+
+        The subsets come in lexicographic blocks of at most
+        _BLOCK_BITS // n. Lane i of a block is its i-th subset, and one
+        flood fill over the block's big ints (_cut_lanes) tests every lane
+        at once. Each subset tested is one step. A generator, so a caller
+        that stops at its first hit leaves the blocks after it untested."""
+        n = self.n
+        lanes = max(1, _BLOCK_BITS // max(n, 1))
+        cols: list[list[int]] = []  # cols[j][m] = C(m, j), once a lane cuts
+        for block, members, width in self._blocks(k, lanes):
+            cut = self._cut_lanes(members, width)
+            self.steps += width
+            # bit i of cut is character i of bits
+            bits = bin(cut)[:1:-1]
+            i = bits.find("1")
+            p = 0
+            while i >= 0:
+                while p + 1 < len(block) and block[p + 1][0] <= i:
+                    p += 1
+                at, prefix, a, j = block[p]
+                # the (i - at)-th j-subset of a..n-1: t counts the subsets
+                # from it to the last, and its least member b leaves fewer
+                # than t subsets after those that hold b
+                if not cols:
+                    cols = [[comb(m, j) for m in range(n + 1)] for j in range(k + 1)]
+                out = list(prefix)
+                t = cols[j][n - a] - (i - at)
+                while j:
+                    col = cols[j]
+                    m = bisect_left(col, t) - 1
+                    out.append(n - 1 - m)
+                    t -= col[m]
+                    j -= 1
+                yield tuple(out)
+                i = bits.find("1", i + 1)
+
+    def _blocks(self, k: int, lanes: int) -> Iterator[tuple[list, list[int], int]]:
+        """The k-subsets in lexicographic blocks of at most lanes subsets,
+        each as (pieces, members, width): bit i of members[v] is set when v
+        is in the block's i-th subset. A piece (at, prefix, a, j) is prefix
+        joined to each j-subset of a..n-1, from lane at of its block. One
+        clock read per piece."""
+        n = self.n
+        tables = self._tables(k, lanes)
+
+        def pieces(prefix: tuple[int, ...], a: int, j: int):
+            # split by the least member until a piece fits in a block; the
+            # recursion is at most k deep
+            while comb(n - a, j) > lanes:
+                yield from pieces(prefix + (a,), a + 1, j - 1)
+                a += 1
+            if j <= n - a:
+                yield prefix, a, j
+
+        block: list[tuple[int, tuple[int, ...], int, int]] = []
+        members = [0] * n
+        width = 0
+        for prefix, a, j in pieces((), 0, k):
+            size = comb(n - a, j)
+            if width + size > lanes:
+                yield block, members, width
+                block, members, width = [], [0] * n, 0
+            self.check_clock()
+            if j:  # else the prefix is the whole subset
+                # the j-subsets of a..n-1 are the last size lanes of tables[j]
+                base_a, base = tables[j]
+                drop = comb(n - base_a, j) - size
+                if not width and not drop:
+                    # a whole table opens the block: share its ints
+                    members[a:] = base[a - base_a :]
+                else:
+                    for v, x in zip(range(a, n), base[a - base_a :]):
+                        members[v] |= x >> drop << width
+            for v in prefix:
+                members[v] |= (1 << size) - 1 << width
+            block.append((width, prefix, a, j))
+            width += size
+        # the last block needs no tables: free them before its fill
+        tables = base = None
+        if block:
+            yield block, members, width
+
+    def _tables(self, k: int, lanes: int) -> list:
+        """tables[j] = (a, slices) for 1 <= j <= k: bit i of slices[v - a] is
+        set when v is in the i-th j-subset of a..n-1 in lexicographic order,
+        for the least a whose C(n - a, j) subsets fit in a block and with
+        a >= k - j, since a piece at j has k - j members below a.
+
+        C(a, 1) has a + i in lane i, so one table serves every a. The rest
+        are built from a = n - 2 down by C(a, j) = {a}·C(a+1, j-1) ++
+        C(a+1, j), with one clock read per a. Each table fits in a block,
+        so together they hold at most k * _BLOCK_BITS bits."""
+        n = self.n
+        tables: list = [None] * (k + 1)
+        if k:
+            low = max(n - lanes, 0)  # the least a whose C(n - a, 1) fits
+            tables[1] = (low, [1 << i for i in range(n - low)])
+        for a in range(n - 2, -1, -1) if k > 1 else ():
+            self.check_clock()
+            # j descends, so tables[j - 1] still holds C(a+1, j-1)
+            for j in range(min(k, n - a), max(k - a, 2) - 1, -1):
+                if comb(n - a, j) > lanes:
+                    continue
+                head = comb(n - a - 1, j - 1)  # the subsets that hold a
+                inc = tables[j - 1][1]
+                # in place, so each slice of C(a+1, j) is freed as it is
+                # extended; C(a+1, n-a) is empty
+                slices = tables[j][1] if tables[j] else [0] * (n - a - 1)
+                for i in range(n - a - 1):
+                    slices[i] = inc[i] | slices[i] << head
+                slices.insert(0, (1 << head) - 1)
+                tables[j] = (a, slices)
+        return tables
+
+    def _cut_lanes(self, members: list[int], width: int) -> int:
+        """The lanes of a block whose subset leaves two or more components.
+
+        alive[v] has bit i set when v is not in subset i. Each lane is
+        seeded at its lowest vertex left; sweeps forward, then backward, and
+        so on set reach[v] |= alive[v] & OR(reach[u] for u in N(v)) until a
+        whole sweep changes nothing or every lane is reached, one clock read
+        per sweep. A lane cuts when some vertex left is unreached."""
+        full = (1 << width) - 1
+        # in place, so each member slice is freed as its alive slice is made
+        alive = members
+        reach = []
+        seen = 0
+        for v, m in enumerate(members):
+            alive[v] = x = full ^ m
+            reach.append(x & ~seen)
+            seen |= x
+        adj = self.adj
+        order = range(self.n)
+        changed = True
+        while changed:
+            self.check_clock()
+            changed = False
+            for v in order:
+                r = x = reach[v]
+                y = alive[v]
+                if r == y:
+                    continue  # reached in every lane that keeps v
+                for u in adj[v]:
+                    x |= reach[u]
+                x &= y
+                if x != r:
+                    reach[v] = x
+                    changed = True
+            order = order[::-1]
+            cut = 0
+            for x, r in zip(alive, reach):
+                cut |= x ^ r
+            if not cut:
+                break  # every lane is reached: no confirming sweep
+        return cut
 
     def subsets(self, k: int, independent: bool = False) -> Iterator[int]:
         """Every k-subset of the vertices, k >= 1, as a bitmask, in
@@ -243,7 +445,7 @@ def enumerate_min_cutsets(
     connectivity is the conventional n-1). Requires a connected input.
     """
     search = _Search(g, budget, "enumerate_min_cutsets")
-    if search.cuts(0):
+    if _separates(g, ()):
         raise PreconditionError("enumerate_min_cutsets requires a connected graph")
     if g.m == g.n * (g.n - 1) // 2:
         return []
@@ -256,7 +458,7 @@ def enumerate_min_cutsets(
                 f"enumerate_min_cutsets: min cutset order exceeds cap "
                 f"max_subset_size={search.budget.max_subset_size}"
             )
-        found = [_bits(smask) for smask in search.subsets(k) if search.cuts(smask)]
+        found = list(search.layer_cuts(k))
         if found:
             return found
     raise PreconditionError(
@@ -334,7 +536,7 @@ def _flow_between(net: _Network, s: int, t: int, stop_at: int) -> int:
     return flow
 
 
-def vertex_connectivity(g: Graph) -> int:
+def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
     """Exact vertex connectivity by unit-capacity max flow, with the pair
     selection of Esfahanian and Hakimi, "On computing the connectivities of
     graphs and digraphs" (Networks 1984).
@@ -347,6 +549,11 @@ def vertex_connectivity(g: Graph) -> int:
     pair of its neighbors is exact. That is at most n - deg(v0) - 1 +
     C(deg(v0), 2) flows, all on one split network built once per call.
     Complete graphs return n-1.
+
+    Of budget only time_hint_s applies: it is counted from the start of
+    the call and checked after a flow once 64 more augmenting searches
+    have run, and running out raises BudgetExhausted naming how many pairs
+    were finished. Without a time hint the clock is never read.
     """
     if g.n <= 1:
         return max(g.n - 1, 0)
@@ -359,9 +566,21 @@ def vertex_connectivity(g: Graph) -> int:
     pairs += [(x, y) for x, y in combinations(g.neighbors(v0), 2) if not g.has_edge(x, y)]
     net = _split_network(g)
     best = g.degree(v0)
-    for s, t in pairs:
+    limit = None if budget is None else budget.time_hint_s
+    start = None if limit is None else time.monotonic()
+    searches = 0
+    for done, (s, t) in enumerate(pairs, 1):
         # a flow capped at best never exceeds it
-        best = _flow_between(net, s, t, best)
+        flow = _flow_between(net, s, t, best)
+        # one augmenting search per unit of flow, and one more that finds
+        # no path unless the cap stopped the flow
+        passed = searches >> 6
+        searches += flow + (flow < best)
+        best = flow
+        if limit is not None and searches >> 6 > passed and time.monotonic() - start > limit:
+            raise BudgetExhausted(
+                f"oracle time budget of {limit}s exceeded after {done} of {len(pairs)} flow pairs"
+            )
     return best
 
 
@@ -460,9 +679,9 @@ def find_constrained_cutset(
             v += 1
 
     for k in range(1, min(search.budget.max_subset_size, g.n - 1) + 1):
-        for smask in search.subsets(k):
-            if search.cuts(smask) and avg_ok(smask, k):
-                return _bits(smask)
+        for cutset in search.layer_cuts(k):
+            if avg_ok(sum(1 << v for v in cutset), k):
+                return cutset
     return None
 
 

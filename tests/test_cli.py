@@ -376,6 +376,28 @@ def test_oracle_budget_exhausted_exit(monkeypatch, capsys):
     assert "max_subset_size=3" in json.loads(out)["error"]["message"]
 
 
+def test_oracle_connectivity_reads_the_time_hint(monkeypatch, capsys):
+    code, out = pipe(
+        monkeypatch,
+        capsys,
+        ["generate", "squared-cycle", "400"],
+        ["oracle", "connectivity", "--time-hint", "1e-9"],
+    )
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "BudgetExhausted"
+    assert error["message"] == "oracle time budget of 1e-09s exceeded after 16 of 398 flow pairs"
+    # and no other cap: the flows are not exponential
+    code, out = pipe(
+        monkeypatch,
+        capsys,
+        ["generate", "squared-cycle", "400"],
+        ["oracle", "connectivity", "--max-n", "5", "--max-subset", "1"],
+    )
+    assert code == 0
+    assert json.loads(out)["stats"]["connectivity"] == 4
+
+
 def test_oracle_long_cycle_search_ends_in_one_report(monkeypatch, capsys):
     # the constrained search goes about n levels deep on a cycle; it must
     # stop at the time hint with a budget report, not a RecursionError

@@ -276,6 +276,42 @@ def test_vertex_connectivity_matches_earlier_flow_code():
     assert set(kappas) >= {0, 1, 2, 3, 4, 5}
 
 
+@pytest.mark.parametrize(
+    "g, done",
+    [
+        # 16 flows of 4 augmenting searches each reach the first check
+        (squared_cycle(400), "16 of 398"),
+        # the first flow across the cut vertex stops below its cap, so the
+        # search that finds no path counts too
+        (_joined_at_cut_vertex(0), "27 of 37"),
+    ],
+    ids=["squared400", "cut-vertex"],
+)
+def test_vertex_connectivity_stops_at_the_time_hint(g, done):
+    message = f"oracle time budget of 1e-09s exceeded after {done} flow pairs"
+    with pytest.raises(BudgetExhausted, match=f"^{re.escape(message)}$"):
+        vertex_connectivity(g, OracleBudget(time_hint_s=1e-9))
+
+
+def test_vertex_connectivity_reads_only_the_time_hint(monkeypatch):
+    clock = []
+
+    def monotonic() -> float:
+        clock.append(None)
+        return 0.0
+
+    monkeypatch.setattr(oracles.time, "monotonic", monotonic)
+    g = squared_cycle(160)
+    # the start, then one read per 64 of the 158 * 4 augmenting searches
+    assert vertex_connectivity(g, OracleBudget(time_hint_s=1.0)) == 4
+    assert len(clock) == 1 + 158 * 4 // 64
+    # without a time hint the clock is never read, and max_n is no cap
+    del clock[:]
+    assert vertex_connectivity(g) == 4
+    assert vertex_connectivity(g, OracleBudget(max_n=0, max_subset_size=0)) == 4
+    assert clock == []
+
+
 def test_vertex_connectivity_flow_count(monkeypatch):
     pairs = []
     flow = oracles._flow_between
@@ -560,9 +596,11 @@ def test_constrained_search_walks_the_inclusion_order(g, max_delta, avg):
 
 # Five searches that each run well over 64 steps before their answer, with
 # the number of clock reads each makes under a time hint that never runs
-# out: one at the start, then one every 64 steps.
+# out: one at the start, then one every 64 steps. The two layer searches,
+# min-cutsets and constrained-avg, read it instead once per table row and
+# per piece of each layer's bit slices and once per sweep of its fill.
 _LONG_SEARCHES = {
-    "min-cutsets": (lambda b: enumerate_min_cutsets(squared_cycle(14), b), 31),
+    "min-cutsets": (lambda b: enumerate_min_cutsets(squared_cycle(14), b), 52),
     "independent": (lambda b: find_independent_cutset(squared_cycle(14), b), 12),
     "constrained-delta": (
         lambda b: find_constrained_cutset(icosahedron(), max_delta=1, budget=b),
@@ -570,7 +608,7 @@ _LONG_SEARCHES = {
     ),
     "constrained-avg": (
         lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
-        156,
+        86,
     ),
     "krr": (lambda b: find_krr(petersen(), 3, b), 3),
 }
@@ -610,6 +648,128 @@ def test_time_hint_reads_the_clock_every_64_steps(monkeypatch, search, reads):
     del clock[:]
     search(OracleBudget())
     assert len(clock) == 1
+
+
+# ------------------------------------------------------ whole-layer searches
+
+
+@given(
+    g=_small_graphs(max_n=14),
+    avg=st.sampled_from((Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2))),
+    cap=st.integers(1, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_layer_searches_match_plain_references(g, avg, cap):
+    budget = OracleBudget(max_subset_size=cap)
+    assert _outcome(lambda: enumerate_min_cutsets(g, budget)) == _outcome(
+        lambda: _min_cutsets_reference(g, budget)
+    )
+    assert _outcome(lambda: find_constrained_cutset(g, max_avg=avg, budget=budget)) == _outcome(
+        lambda: _constrained_reference(g, None, avg, budget)
+    )
+
+
+def _two_halves(half: int, seed: int) -> Graph:
+    """Two random 4-regular halves, each minus one edge, joined by two
+    cross edges: 4-regular with connectivity 2, thm4's slow input."""
+    (a, _), (b, _) = connected_random_regular(half, 4, seed), connected_random_regular(half, 4, seed + 1)
+    (u1, v1), (u2, v2) = a.edges()[0], b.edges()[0]
+    edges = [e for e in a.edges() if e != (u1, v1)]
+    edges += [(x + half, y + half) for x, y in b.edges() if (x, y) != (u2, v2)]
+    return Graph(2 * half, edges + [(u1, u2 + half), (v1, v2 + half)])
+
+
+@pytest.mark.parametrize(
+    "g, cap",
+    [
+        (squared_cycle(32), 6),
+        (random_regular(32, 4, 1), 6),
+        (_two_halves(20, 1), 3),
+        (_two_halves(24, 5), 3),
+    ],
+    ids=["squared32", "random4reg32", "halves40", "halves48"],
+)
+def test_layer_searches_past_24_vertices(g, cap):
+    budget = OracleBudget(max_n=g.n, max_subset_size=cap)
+    cuts = enumerate_min_cutsets(g, budget)
+    assert cuts and cuts == _min_cutsets_reference(g, budget)
+    avg = Fraction(3, 2)
+    assert find_constrained_cutset(g, max_avg=avg, budget=budget) == _constrained_reference(
+        g, None, avg, budget
+    )
+
+
+def _layer_graphs() -> list[Graph]:
+    return [
+        squared_cycle(14),
+        petersen(),
+        four_regular_cut2(),
+        _cycle(11),
+        _path(7),
+        Graph(6, [(0, 1), (1, 2), (3, 4)]),
+        connected_random_regular(16, 4, 3)[0],
+    ]
+
+
+@pytest.mark.parametrize("bits", [1, 40, 333])
+def test_layer_answers_do_not_depend_on_the_block_size(monkeypatch, bits):
+    graphs = _layer_graphs()
+
+    def answers():
+        return [
+            (
+                _outcome(lambda: enumerate_min_cutsets(g)),
+                find_constrained_cutset(g, max_avg=(3, 2)),
+                find_constrained_cutset(g, max_avg=(2, 1)),
+            )
+            for g in graphs
+        ]
+
+    whole = answers()
+    widths = []
+    cut_lanes = oracles._Search._cut_lanes
+
+    def counted(self, members, width):
+        widths.append((self.n, width))
+        return cut_lanes(self, members, width)
+
+    monkeypatch.setattr(oracles, "_BLOCK_BITS", bits)
+    monkeypatch.setattr(oracles._Search, "_cut_lanes", counted)
+    assert answers() == whole
+    # every layer took several blocks, each within the bound
+    assert all(width <= max(1, bits // n) for n, width in widths)
+    assert len(widths) > 10 * len(graphs)
+
+
+@pytest.mark.parametrize("bits", [1, 40, 1 << 18])
+def test_layer_cuts_is_every_cutting_subset_in_order(monkeypatch, bits):
+    # every k from 0 to n, so removing nothing, all but one vertex and all
+    monkeypatch.setattr(oracles, "_BLOCK_BITS", bits)
+    for g in (g for g in _layer_graphs() if g.n <= 12):
+        search = oracles._Search(g, None, "test")
+        for k in range(g.n + 1):
+            want = [s for s in combinations(range(g.n), k) if oracles._separates(g, s)]
+            assert list(search.layer_cuts(k)) == want, (g, k)
+
+
+def test_layer_blocks_stay_within_the_bit_bound(monkeypatch):
+    # the C(320, 2) = 51040 pairs in lexicographic blocks of at most
+    # 2**18 // 320 = 819 lanes
+    widths = []
+    cut_lanes = oracles._Search._cut_lanes
+
+    def counted(self, members, width):
+        assert len(members) == self.n
+        widths.append(width)
+        return cut_lanes(self, members, width)
+
+    monkeypatch.setattr(oracles._Search, "_cut_lanes", counted)
+    g = squared_cycle(320)
+    search = oracles._Search(g, OracleBudget(max_n=g.n), "test")
+    assert list(search.layer_cuts(2)) == []
+    assert oracles._BLOCK_BITS // g.n == 819
+    assert sum(widths) == search.steps == 51040
+    assert max(widths) <= 819 and len(widths) >= 51040 // 819
 
 
 # ------------------------------------------------------------- the cut test
