@@ -185,37 +185,74 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+# The most edges generate builds. Building and writing a graph peaks at
+# about 300 bytes per edge (110 MB for the 359,988 edges of clique-chain
+# 9 20000), so about 0.6 GB at this limit.
+MAX_GENERATED_EDGES = 2_000_000
+
+
+def _clique_chain_size(delta: int, length: int, cyclic: int = 0, seed: int = 0) -> tuple[int, int]:
+    p = CliqueChainParams(delta, length)
+    k, d = p.clique_order, p.connector_degree
+    return length * k, length * (k * (k - 1) // 2) + (length - 1 + bool(cyclic)) * k * d
+
+
+def _clique_chain(params: list[int], seed: int | None) -> Graph:
+    # --seed S stands for a fourth parameter S, and may not contradict one
+    if seed is not None and len(params) > 3 and params[3] != seed:
+        raise GraphError(
+            f"generate clique-chain: positional seed {params[3]} and --seed {seed} differ"
+        )
+    if seed is None or len(params) > 3:
+        return clique_chain(CliqueChainParams(*params))
+    return clique_chain(CliqueChainParams(*params, seed=seed))
+
+
 # The tables below call through this module's globals, so a function
 # rebound here (by a test or a tracer) is the one that runs.
-# family -> (its order, from the parameters alone; builder)
+# family -> (its order and edge count, from the parameters alone; builder)
+# A builder's seed is None when --seed is not given.
 _FAMILIES = {
-    "icosahedron": (lambda: 12, lambda params, seed: icosahedron(*params)),
-    "squared-cycle": (lambda n: n, lambda params, seed: squared_cycle(*params)),
-    "squared-path": (lambda n: n, lambda params, seed: squared_path(*params)),
-    "figure2": (lambda blocks: 4 * blocks, lambda params, seed: figure2_pattern(*params)),
-    "clique-chain": (
-        lambda delta, length, *rest: length * CliqueChainParams(delta, length).clique_order,
-        lambda params, seed: clique_chain(CliqueChainParams(*params)),
+    "icosahedron": (lambda: (12, 30), lambda params, seed: icosahedron(*params)),
+    "squared-cycle": (lambda n: (n, 2 * n), lambda params, seed: squared_cycle(*params)),
+    "squared-path": (lambda n: (n, 2 * n - 3), lambda params, seed: squared_path(*params)),
+    "figure2": (
+        lambda blocks: (4 * blocks, 10 * blocks),
+        lambda params, seed: figure2_pattern(*params),
     ),
-    "random-regular": (lambda n, d: n, lambda params, seed: random_regular(*params, seed=seed)),
-    "k4": (lambda: 4, lambda params, seed: named_small("K4", *params)),
-    "triangular-prism": (lambda: 6, lambda params, seed: named_small("TriangularPrism", *params)),
-    "k3boxk3": (lambda: 9, lambda params, seed: named_small("K3BoxK3", *params)),
-    "linegraphpetersen": (lambda: 15, lambda params, seed: named_small("LineGraphPetersen", *params)),
+    "clique-chain": (_clique_chain_size, _clique_chain),
+    "random-regular": (
+        lambda n, d: (n, n * d // 2),
+        lambda params, seed: random_regular(*params, seed=seed or 0),
+    ),
+    "k4": (lambda: (4, 6), lambda params, seed: named_small("K4", *params)),
+    "triangular-prism": (
+        lambda: (6, 9),
+        lambda params, seed: named_small("TriangularPrism", *params),
+    ),
+    "k3boxk3": (lambda: (9, 18), lambda params, seed: named_small("K3BoxK3", *params)),
+    "linegraphpetersen": (
+        lambda: (15, 30),
+        lambda params, seed: named_small("LineGraphPetersen", *params),
+    ),
 }
 
 
-def _build_family(name: str, params: list[int], seed: int) -> Graph:
+def _build_family(name: str, params: list[int], seed: int | None) -> Graph:
     if name not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise GraphError(f"unknown family {name!r}; known: {known}")
-    order, build = _FAMILIES[name]
+    size, build = _FAMILIES[name]
     try:
-        n = order(*params)
+        n, m = size(*params)
     except TypeError:
-        n = 0  # a wrong parameter count, which the builder reports
+        n = m = 0  # a wrong parameter count, which the builder reports
     if n > MAX_ORDER:
         raise GraphError(f"generate {name}: order {n} above the limit {MAX_ORDER}")
+    if m > MAX_GENERATED_EDGES:
+        raise GraphError(
+            f"generate {name}: {m} edges above the limit {MAX_GENERATED_EDGES}"
+        )
     return build(params, seed)
 
 
@@ -509,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a fixture graph")
     p.add_argument("family", help="icosahedron, squared-cycle, figure2, ...")
     p.add_argument("params", nargs="*", type=int, help="family parameters")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for random families")
+    p.add_argument(
+        "--seed", type=int, default=None, help="RNG seed for random families (default 0)"
+    )
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("edge-list", "graph6"), default="edge-list")
 

@@ -26,12 +26,10 @@ It tests k-subsets in lexicographic order in one of two ways.
 - find_independent_cutset, the degree-capped walk of
   find_constrained_cutset and find_krr walk one subset at a time on an
   explicit stack, so no search recurses, and check the time hint every 64
-  steps. Their cut test fills one component level by level, through byte
-  tables of 256 entries, and stops once no vertex is left unreached. Up to
-  24 vertices a level is one expression over three tables; from 25 to 64
-  vertices it is a loop with one lookup per byte of the level, at most 8
-  tables. Above 64 vertices the tables would grow with n (4.4 MB at
-  n = 1200), so the fill there expands one vertex at a time.
+  steps. Their cut test fills one component level by level and stops once
+  no vertex is left unreached. Up to 24 vertices a level is one expression
+  over three byte tables of 256 entries; above 24 it expands one vertex at
+  a time.
 """
 
 from __future__ import annotations
@@ -139,20 +137,14 @@ class _Search:
     block holds at most _BLOCK_BITS // n lanes, and the tables it is cut
     from hold at most k * _BLOCK_BITS bits. Each lane is one step.
 
-    cuts(smask) tests one subset. Up to 64 vertices it uses byte tables,
-    built on its first call: tabs[i][x] is the union of the neighbor masks
-    of the vertices 8i + j for each set bit j of the byte x. It takes one
-    of three paths by order:
-
-    - up to 24 vertices, three tables (padded with the all-zero [0] below
-      17 vertices), so a whole BFS level is one expression of three
-      lookups;
-    - from 25 to 64 vertices, a loop with one lookup per byte of the
-      level, at most 8 tables of 256 small ints;
-    - above 64 vertices, one vertex at a time. The tables would hold
-      4.4 MB of big ints at n = 1200, built anew for every search.
-
-    On every path the fill stops as soon as no vertex is left unreached.
+    cuts(smask) tests one subset and takes one of two paths by order. Up
+    to 24 vertices, the default max_n, a whole BFS level is one expression
+    over three byte tables of 256 entries, built on its first call:
+    _tabs[i][x] is the union of the neighbor masks of the vertices 8i + j
+    for each set bit j of the byte x (the tables past the last vertex are
+    the all-zero [0]). Above 24 vertices a level expands one vertex at a
+    time. On both paths the fill stops as soon as no vertex is left
+    unreached.
     """
 
     def __init__(self, g: Graph, budget: OracleBudget | None, what: str):
@@ -170,24 +162,6 @@ class _Search:
         self.steps = 0
         self.start = time.monotonic()
         self._tabs: list[list[int]] | None = None
-
-    @property
-    def tabs(self) -> list[list[int]] | None:
-        """The byte tables of cuts(), None above 64 vertices, built on the
-        first read, so the layer searches never build them. cuts() reads
-        _tabs and comes here only while it is unset: a property read on
-        every call slowed find_independent_cutset by about a fifth."""
-        if self._tabs is None and self.n <= 64:
-            self._tabs = []
-            # up to 24 vertices there are always three tables: those past
-            # the last vertex are the all-zero [0]
-            for i in range(0, max(self.n, 24), 8):
-                # doubling: each vertex of the byte adds its mask to a copy
-                tab = [0]
-                for m in self.masks[i : i + 8]:
-                    tab += [x | m for x in tab]
-                self._tabs.append(tab)
-        return self._tabs
 
     def tick(self) -> None:
         """Count one search step; every 64 steps, enforce the time hint."""
@@ -211,7 +185,7 @@ class _Search:
         frontier = alive & -alive
         rest = alive ^ frontier  # the vertices left that the fill has not reached
         if self.n <= 24:
-            t0, t1, t2 = self._tabs or self.tabs
+            t0, t1, t2 = self._tabs or self._byte_tables()
             while rest:
                 frontier = rest & (
                     t0[frontier & 255] | t1[frontier >> 8 & 255] | t2[frontier >> 16]
@@ -220,25 +194,30 @@ class _Search:
                     return True
                 rest ^= frontier
             return False
-        masks, tabs = self.masks, self._tabs or self.tabs
+        masks = self.masks
         while rest:
             nxt = 0
-            if tabs is None:
-                while frontier:
-                    b = frontier & -frontier
-                    nxt |= masks[b.bit_length() - 1]
-                    frontier ^= b
-            else:
-                i = 0
-                while frontier:
-                    nxt |= tabs[i][frontier & 255]
-                    frontier >>= 8
-                    i += 1
+            while frontier:
+                b = frontier & -frontier
+                nxt |= masks[b.bit_length() - 1]
+                frontier ^= b
             frontier = nxt & rest
             if not frontier:
                 return True
             rest ^= frontier
         return False
+
+    def _byte_tables(self) -> list[list[int]]:
+        """The three byte tables of cuts() up to 24 vertices, built on its
+        first call, so the searches that never call it never build them."""
+        self._tabs = []
+        for i in (0, 8, 16):
+            # doubling: each vertex of the byte adds its mask to a copy
+            tab = [0]
+            for m in self.masks[i : i + 8]:
+                tab += [x | m for x in tab]
+            self._tabs.append(tab)
+        return self._tabs
 
     def layer_cuts(self, k: int) -> Iterator[tuple[int, ...]]:
         """Every k-subset whose removal leaves two or more components, in
@@ -310,12 +289,8 @@ class _Search:
                 # the j-subsets of a..n-1 are the last size lanes of tables[j]
                 base_a, base = tables[j]
                 drop = comb(n - base_a, j) - size
-                if not width and not drop:
-                    # a whole table opens the block: share its ints
-                    members[a:] = base[a - base_a :]
-                else:
-                    for v, x in zip(range(a, n), base[a - base_a :]):
-                        members[v] |= x >> drop << width
+                for v, x in zip(range(a, n), base[a - base_a :]):
+                    members[v] |= x >> drop << width
             for v in prefix:
                 members[v] |= (1 << size) - 1 << width
             block.append((width, prefix, a, j))

@@ -115,6 +115,69 @@ def test_generate_refuses_orders_above_the_limit_before_building(
         assert f"order {order} above the limit {MAX_ORDER}" in err
 
 
+def test_generate_clique_chain_seed_option_is_the_positional_seed(tmp_path, capsys):
+    def gen(*argv):
+        return run_cli(["generate", "clique-chain", *argv], capsys=capsys)
+
+    seeded = gen("9", "4", "0", "3")
+    assert gen("9", "4", "--seed", "3") == seeded == gen("9", "4", "0", "3", "--seed", "3")
+    assert gen("9", "4", "1", "--seed", "3") == gen("9", "4", "1", "3")
+    assert gen("9", "4", "--seed", "3") != gen("9", "4") == gen("9", "4", "--seed", "0")
+    target = tmp_path / "out.txt"
+    argv = ["generate", "clique-chain", "9", "4", "0", "3", "--seed", "4", "-o", str(target)]
+    code = main(argv)
+    assert (code, target.exists()) == (2, False)
+    assert "positional seed 3 and --seed 4 differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("icosahedron", []),
+        ("squared-cycle", [7]),
+        ("squared-path", [7]),
+        ("figure2", [4]),
+        ("clique-chain", [9, 4]),
+        ("clique-chain", [13, 3, 1, 2]),
+        ("random-regular", [10, 3]),
+        ("k4", []),
+        ("triangular-prism", []),
+        ("k3boxk3", []),
+        ("linegraphpetersen", []),
+    ],
+)
+def test_family_rows_give_the_order_and_edge_count_they_build(family, params):
+    size, _ = cli._FAMILIES[family]
+    g = cli._build_family(family, params, None)
+    assert size(*params) == (g.n, g.m)
+
+
+@pytest.mark.parametrize(
+    "family, builder, params, edges",
+    [
+        ("random-regular", "random_regular", [MAX_ORDER, 15], MAX_ORDER * 15 // 2),
+        ("random-regular", "random_regular", [MAX_ORDER, 16], MAX_ORDER * 8),
+        ("random-regular", "random_regular", [258047, 258046], 258047 * 129023),
+        # 3 cliques of order 79435 and 2 connectors of degree 283
+        ("clique-chain", "clique_chain", [80000, 3], 3 * 79435 * 79434 // 2 + 2 * 79435 * 283),
+    ],
+)
+def test_generate_refuses_edge_counts_above_the_limit_before_building(
+    family, builder, params, edges, tmp_path, monkeypatch, capsys
+):
+    # the builder is stubbed, so no large graph is ever allocated here
+    built = []
+    monkeypatch.setattr(cli, builder, lambda *a, **k: built.append(a) or squared_cycle(5))
+    target = tmp_path / "out.txt"
+    code = main(["generate", family, *map(str, params), "-o", str(target)])
+    err = capsys.readouterr().err
+    if edges <= cli.MAX_GENERATED_EDGES:
+        assert (code, len(built), target.exists()) == (0, 1, True)
+    else:
+        assert (code, built, target.exists()) == (2, [], False)
+        assert f"{edges} edges above the limit {cli.MAX_GENERATED_EDGES}" in err
+
+
 # -------------------------------------------------------------- find-cutset
 
 

@@ -798,25 +798,26 @@ def _graphs_with_vertex_sets(draw):
 def test_cut_test_matches_the_flood_fill(case):
     g, sets = case
     search = oracles._Search(g, OracleBudget(max_n=72), "test")
-    assert (search.tabs is None) == (g.n > 64)
     for s in sets:
         smask = sum(1 << v for v in s)
         assert search.cuts(smask) == oracles._separates(g, s)
+    assert (search._tabs is None) == (g.n > 24)
 
 
 def test_byte_tables_stay_small():
     # up to 24 vertices cuts() expands a level over exactly three tables,
-    # from 25 to 64 it loops over one table per byte, above 64 it has none
+    # built on its first call; above 24 it has none
     for n in (0, 1, 8, 9, 16, 17, 24):
-        tabs = oracles._Search(_path(n), OracleBudget(max_n=64), "test").tabs
+        search = oracles._Search(_path(n), OracleBudget(max_n=64), "test")
+        assert search._tabs is None
+        search.cuts(0)
+        tabs = search._tabs
         assert tabs is not None and len(tabs) == 3
         assert sum(map(len, tabs)) <= 2048
-    for n in (25, 63, 64):
-        tabs = oracles._Search(_path(n), OracleBudget(max_n=64), "test").tabs
-        assert tabs is not None and len(tabs) == (n + 7) // 8 > 3
-        assert sum(map(len, tabs)) <= 2048
-    for n in (65, 72, 1200):
-        assert oracles._Search(_path(n), OracleBudget(max_n=n), "test").tabs is None
+    for n in (25, 63, 64, 65, 72, 1200):
+        search = oracles._Search(_path(n), OracleBudget(max_n=n), "test")
+        search.cuts(0)
+        assert search._tabs is None
 
 
 @pytest.mark.parametrize(
@@ -843,6 +844,23 @@ def test_cut_test_matches_the_flood_fill_across_all_three_bytes(g):
             for s in (removed, kept):
                 smask = sum(1 << v for v in s)
                 assert search.cuts(smask) == oracles._separates(g, s), s
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_cycle(25), squared_cycle(25), _cycle(40), squared_cycle(40)],
+    ids=["cycle25", "squared25", "cycle40", "squared40"],
+)
+def test_cut_test_matches_the_flood_fill_just_above_the_tables(g):
+    # the same sets as above, on the one-vertex-at-a-time fill past 24
+    search = oracles._Search(g, OracleBudget(max_n=g.n), "test")
+    for k in range(4):
+        for removed in combinations(range(g.n), k):
+            kept = tuple(v for v in range(g.n) if v not in removed)
+            for s in (removed, kept):
+                smask = sum(1 << v for v in s)
+                assert search.cuts(smask) == oracles._separates(g, s), s
+    assert search._tabs is None
 
 
 # ------------------------------------------------------------------- recognizer
