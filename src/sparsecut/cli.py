@@ -211,7 +211,8 @@ def _clique_chain(params: list[int], seed: int | None) -> Graph:
 # The tables below call through this module's globals, so a function
 # rebound here (by a test or a tracer) is the one that runs.
 # family -> (its order and edge count, from the parameters alone; builder)
-# A builder's seed is None when --seed is not given.
+# A builder's seed is None when --seed is not given, and only the families in
+# _SEEDED take one.
 _FAMILIES = {
     "icosahedron": (lambda: (12, 30), lambda params, seed: icosahedron(*params)),
     "squared-cycle": (lambda n: (n, 2 * n), lambda params, seed: squared_cycle(*params)),
@@ -238,10 +239,17 @@ _FAMILIES = {
 }
 
 
+_SEEDED = ("clique-chain", "random-regular")
+
+
 def _build_family(name: str, params: list[int], seed: int | None) -> Graph:
     if name not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise GraphError(f"unknown family {name!r}; known: {known}")
+    if seed is not None and name not in _SEEDED:
+        raise GraphError(
+            f"generate {name}: takes no --seed; only {' and '.join(_SEEDED)} do"
+        )
     size, build = _FAMILIES[name]
     try:
         n, m = size(*params)
@@ -547,7 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="icosahedron, squared-cycle, figure2, ...")
     p.add_argument("params", nargs="*", type=int, help="family parameters")
     p.add_argument(
-        "--seed", type=int, default=None, help="RNG seed for random families (default 0)"
+        "--seed",
+        type=int,
+        default=None,
+        help="RNG seed of clique-chain and random-regular (default 0); other families refuse it",
     )
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("edge-list", "graph6"), default="edge-list")

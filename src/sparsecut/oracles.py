@@ -12,24 +12,27 @@ The four exponential searches (enumerate_min_cutsets,
 find_independent_cutset, find_constrained_cutset and find_krr) each build
 one _Search from the graph, the budget and their own name. It rejects an
 order above max_n, holds the adjacency bitmasks and counts search steps.
-It tests k-subsets in lexicographic order in one of two ways.
+
+The three searches for cutsets share one cut test at every order, bit-sliced
+after Biham, "A fast new DES implementation in software" (FSE 1997): the
+sets to test are the lanes of a block, each vertex gets one big int whose
+bit i says whether it is in the i-th set, and one flood fill decides every
+lane (_cut_lanes). A block holds at most _BLOCK_BITS // n sets, so its
+slices take at most 32 KB whatever the number of sets is. Its lanes come
+from one of two sources.
 
 - enumerate_min_cutsets and the average-only scan of
-  find_constrained_cutset test whole layers of k-subsets at once
-  (layer_cuts), bit-sliced after Biham, "A fast new DES implementation in
-  software" (FSE 1997): each vertex gets one big int whose bit i belongs
-  to the i-th subset, so one flood fill tests every subset of a block.
-  A block holds at most _BLOCK_BITS // n subsets, so its slices take at
-  most 32 KB whatever C(n, k) is. These searches read the clock once per
-  table row and per piece while they build the slices, and once per sweep
-  of the fill.
-- find_independent_cutset, the degree-capped walk of
-  find_constrained_cutset and find_krr walk one subset at a time on an
-  explicit stack, so no search recurses, and check the time hint every 64
-  steps. Their cut test fills one component level by level and stops once
-  no vertex is left unreached. Up to 24 vertices a level is one expression
-  over three byte tables of 256 entries; above 24 it expands one vertex at
-  a time.
+  find_constrained_cutset test whole layers of k-subsets in lexicographic
+  order (layer_cuts), with slices cut from tables built per layer.
+- find_independent_cutset and the degree-capped walk of
+  find_constrained_cutset walk their sets on an explicit stack, so no
+  search recurses, and add each set to test as the next lane of a block
+  that _Lanes fills and tests.
+
+find_krr walks its r-subsets the same way and needs no cut test. Every
+search reads the clock at its start and, with a time hint, once per sweep
+of each fill and, between fills, once every 64 steps of a walk or once per
+table row and per piece of a layer's slices.
 """
 
 from __future__ import annotations
@@ -60,12 +63,12 @@ class OracleBudget:
 
     max_n gates every exponential enumeration, max_subset_size caps
     searches that go subset-size by subset-size, and time_hint_s is a soft
-    wall-clock limit, counted from the start of each search. A search that
-    walks one subset at a time checks it every 64 steps, so one that ends
-    within 64 steps never reads it. enumerate_min_cutsets and the
-    average-only scan test whole layers: they check it once per table row
-    and per piece while they build a layer's bit slices, and once per
-    sweep of its flood fill. Without a time hint a search reads the clock
+    wall-clock limit, counted from the start of each search. Every search
+    checks it once per sweep of each block's flood fill and, between
+    fills, once every 64 steps of a walk (find_independent_cutset,
+    find_constrained_cutset(max_delta=...) and find_krr) or once per table
+    row and per piece of a layer's bit slices (enumerate_min_cutsets and
+    the average-only scan). Without a time hint a search reads the clock
     at its start only. vertex_connectivity reads time_hint_s and no other
     cap, after a flow once 64 more augmenting searches have run, and never
     reads the clock without one.
@@ -120,31 +123,27 @@ def _separates(g: Graph, removed: tuple[int, ...]) -> bool:
     return len(seen) < g.n
 
 
-# The most bits, n times lanes, in one block of layer_cuts's bit slices:
-# 32 KB per list of n slices. At n = 24 a block holds 10922 subsets, a whole
+# The most bits, n times lanes, in one block of bit slices: 32 KB per list
+# of n slices. At n = 24 a block holds 10922 subsets, a whole
 # layer up to k = 4.
 _BLOCK_BITS = 1 << 18
+
+# The lanes in the first block of a walk's sets (_Lanes).
+_FIRST_LANES = 16
 
 
 class _Search:
     """What one exponential search over g needs: its order gate, the
-    adjacency bitmasks and lists, a step clock for the time hint, a subset
-    walk with a cut test for one subset, and a cut test for a whole layer.
+    adjacency bitmasks and lists, a step clock for the time hint, a walk
+    over k-subsets, and the cut test for a block of sets.
 
-    layer_cuts(k) yields every k-subset that cuts, in lexicographic order.
-    Lane i of a block is its i-th subset; bit i of alive[v] is set when v is
-    not in it, and one flood fill over those big ints tests every lane. A
-    block holds at most _BLOCK_BITS // n lanes, and the tables it is cut
-    from hold at most k * _BLOCK_BITS bits. Each lane is one step.
-
-    cuts(smask) tests one subset and takes one of two paths by order. Up
-    to 24 vertices, the default max_n, a whole BFS level is one expression
-    over three byte tables of 256 entries, built on its first call:
-    _tabs[i][x] is the union of the neighbor masks of the vertices 8i + j
-    for each set bit j of the byte x (the tables past the last vertex are
-    the all-zero [0]). Above 24 vertices a level expands one vertex at a
-    time. On both paths the fill stops as soon as no vertex is left
-    unreached.
+    _cut_lanes(members, width) is the cut test: lane i of a block is its
+    i-th set, bit i of members[v] is set when v is in it, and one flood fill
+    over those big ints decides every lane. layer_cuts(k) yields every
+    k-subset that cuts, in lexicographic order, a block of at most
+    _BLOCK_BITS // n subsets at a time; the tables its blocks are cut from
+    hold at most k * _BLOCK_BITS bits, and each lane is one step. The walks
+    gather their blocks in _Lanes.
     """
 
     def __init__(self, g: Graph, budget: OracleBudget | None, what: str):
@@ -161,7 +160,6 @@ class _Search:
         self.full = (1 << g.n) - 1
         self.steps = 0
         self.start = time.monotonic()
-        self._tabs: list[list[int]] | None = None
 
     def tick(self) -> None:
         """Count one search step; every 64 steps, enforce the time hint."""
@@ -175,49 +173,6 @@ class _Search:
         limit = self.budget.time_hint_s
         if limit is not None and time.monotonic() - self.start > limit:
             raise BudgetExhausted(f"oracle time budget of {limit}s exceeded")
-
-    def cuts(self, smask: int) -> bool:
-        """Whether removing the vertices in smask leaves two or more
-        components: fill the component of the lowest vertex left, one BFS
-        level at a time, and stop at the first empty level (True) or once
-        no vertex is left unreached (False)."""
-        alive = self.full & ~smask
-        frontier = alive & -alive
-        rest = alive ^ frontier  # the vertices left that the fill has not reached
-        if self.n <= 24:
-            t0, t1, t2 = self._tabs or self._byte_tables()
-            while rest:
-                frontier = rest & (
-                    t0[frontier & 255] | t1[frontier >> 8 & 255] | t2[frontier >> 16]
-                )
-                if not frontier:
-                    return True
-                rest ^= frontier
-            return False
-        masks = self.masks
-        while rest:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                nxt |= masks[b.bit_length() - 1]
-                frontier ^= b
-            frontier = nxt & rest
-            if not frontier:
-                return True
-            rest ^= frontier
-        return False
-
-    def _byte_tables(self) -> list[list[int]]:
-        """The three byte tables of cuts() up to 24 vertices, built on its
-        first call, so the searches that never call it never build them."""
-        self._tabs = []
-        for i in (0, 8, 16):
-            # doubling: each vertex of the byte adds its mask to a copy
-            tab = [0]
-            for m in self.masks[i : i + 8]:
-                tab += [x | m for x in tab]
-            self._tabs.append(tab)
-        return self._tabs
 
     def layer_cuts(self, k: int) -> Iterator[tuple[int, ...]]:
         """Every k-subset whose removal leaves two or more components, in
@@ -374,12 +329,11 @@ class _Search:
                 break  # every lane is reached: no confirming sweep
         return cut
 
-    def subsets(self, k: int, independent: bool = False) -> Iterator[int]:
+    def subsets(self, k: int) -> Iterator[int]:
         """Every k-subset of the vertices, k >= 1, as a bitmask, in
-        lexicographic order; with independent, vertices adjacent to the chosen
-        ones are skipped, so only independent sets come out. Each vertex added
-        to the chosen set is one step, counted as tick() counts it."""
-        n, masks = self.n, self.masks
+        lexicographic order. Each vertex added to the chosen set is one
+        step, counted as tick() counts it."""
+        n = self.n
         picks: list[int] = []
         chosen = 0
         v = 0
@@ -389,16 +343,14 @@ class _Search:
                 # looping here spares a push and a pop per set; the step is
                 # counted inline, which spares a call per set
                 for w in range(v, n):
-                    if not (independent and masks[w] & chosen):
-                        self.steps += 1
-                        if not self.steps & 63:
-                            self.check_clock()
-                        yield chosen | 1 << w
+                    self.steps += 1
+                    if not self.steps & 63:
+                        self.check_clock()
+                    yield chosen | 1 << w
             elif v <= n - k + len(picks):
-                if not (independent and masks[v] & chosen):
-                    self.tick()
-                    picks.append(v)
-                    chosen |= 1 << v
+                self.tick()
+                picks.append(v)
+                chosen |= 1 << v
                 v += 1
                 continue
             if not picks:
@@ -406,6 +358,58 @@ class _Search:
             v = picks.pop()
             chosen ^= 1 << v
             v += 1
+
+
+class _Lanes:
+    """The sets a walk tests, gathered as the lanes of one block and decided
+    by one _cut_lanes fill.
+
+    Lane i is the i-th lane added: the vertices on the walk's stack, and
+    one more vertex when add names one. A vertex on the stack is in one run
+    of lanes per push: the run opens at the next lane when it joins and
+    closes when it leaves or the block is tested. The first block holds
+    _FIRST_LANES lanes and each later one twice as many, up to
+    _BLOCK_BITS // n, so a walk that hits early tests few sets."""
+
+    def __init__(self, search: _Search):
+        self.search = search
+        self.most = max(1, _BLOCK_BITS // max(search.n, 1))
+        self.cap = min(_FIRST_LANES, self.most)
+        self.members = [0] * search.n
+        self.width = 0
+        self.joined: dict[int, int] = {}  # vertex on the stack -> its first lane
+
+    def join(self, v: int) -> None:
+        self.joined[v] = self.width
+
+    def leave(self, v: int) -> None:
+        self.members[v] |= (1 << self.width) - (1 << self.joined.pop(v))
+
+    def add(self, last: int | None = None) -> tuple[int, ...] | None:
+        """Add the next lane; last, when given, is in this lane alone. Once
+        the block is full, test it: the first set in it that cuts, or
+        None."""
+        if last is not None:
+            self.members[last] |= 1 << self.width
+        self.width += 1
+        return self.test() if self.width == self.cap else None
+
+    def test(self) -> tuple[int, ...] | None:
+        """Test the lanes added since the last test: the first set that
+        cuts, or None. The vertices still on the stack open their runs
+        again at lane 0 of the next block."""
+        members, width = self.members, self.width
+        for v, at in self.joined.items():
+            members[v] |= (1 << width) - (1 << at)
+            self.joined[v] = 0
+        self.members, self.width = [0] * self.search.n, 0
+        self.cap = min(2 * self.cap, self.most)
+        # _cut_lanes makes its list the alive slices, so it gets a copy
+        cut = self.search._cut_lanes(members[:], width) if width else 0
+        if not cut:
+            return None
+        i = (cut & -cut).bit_length() - 1
+        return tuple(v for v, m in enumerate(members) if m >> i & 1)
 
 
 # --------------------------------------------------------- cutset enumeration
@@ -570,17 +574,62 @@ def find_independent_cutset(
     Returns the first hit, a definitive None when the full enumeration
     finishes empty, or raises BudgetExhausted. A disconnected input
     returns (), the empty set, which is an independent cutset by convention.
+    The enumeration stops at the first size that has no independent set:
+    every subset of an independent set is independent, so no larger size
+    has one either. Each set is one lane of a block (_Lanes), and each
+    vertex taken into a set is one step.
     """
     search = _Search(g, budget, "find_independent_cutset")
-    if g.n == 0:
+    n, masks = g.n, search.masks
+    if n == 0:
         return None
-    if search.cuts(0):
+    if _separates(g, ()):
         return ()
-    for k in range(1, g.n - 1):
-        for smask in search.subsets(k, independent=True):
-            if search.cuts(smask):
-                return _bits(smask)
-    return None
+    lanes = _Lanes(search)
+    join, leave, add = lanes.join, lanes.leave, lanes.add
+    for k in range(1, n - 1):
+        # the independent (k-1)-prefixes in lexicographic order on an explicit
+        # stack; cands[d] holds the vertices that can follow the first d
+        # picks: above the last pick and adjacent to none of them
+        picks: list[int] = []
+        cands = [search.full]
+        any_set = False
+        while True:
+            c = cands[-1]
+            if len(picks) == k - 1:
+                # each candidate completes one independent k-set
+                any_set = any_set or bool(c)
+                while c:
+                    b = c & -c
+                    c ^= b
+                    search.steps += 1
+                    if not search.steps & 63:
+                        search.check_clock()
+                    hit = add(b.bit_length() - 1)
+                    if hit is not None:
+                        return hit
+            elif c.bit_count() >= k - len(picks):
+                # enough candidates left for the k - len(picks) members to come
+                b = c & -c
+                v = b.bit_length() - 1
+                c ^= b
+                cands[-1] = c
+                nxt = c & ~masks[v]
+                if nxt.bit_count() >= k - 1 - len(picks):
+                    search.tick()
+                    picks.append(v)
+                    cands.append(nxt)
+                    join(v)
+                continue
+            if not picks:
+                break
+            leave(picks.pop())
+            cands.pop()
+        if not any_set:
+            # no independent k-set, so none larger: independence is
+            # hereditary
+            break
+    return lanes.test()
 
 
 def find_constrained_cutset(
@@ -595,7 +644,9 @@ def find_constrained_cutset(
 
     With max_delta given, the degree constraint is hereditary, so the
     search walks the whole family of qualifying sets in depth-first
-    inclusion order and a None answer is exhaustive over all sizes. With
+    inclusion order and a None answer is exhaustive over all sizes. Each
+    set of the walk that also meets the average bound is one lane of a
+    block (_Lanes), and the first that cuts is the answer. With
     only an average bound there is nothing hereditary to prune on, so the
     scan covers sizes up to budget.max_subset_size and None means "none
     within that cap".
@@ -611,51 +662,59 @@ def find_constrained_cutset(
             )
         avg = max_avg if isinstance(max_avg, Fraction) else Fraction(*max_avg)
     masks = search.masks
-
-    def avg_ok(smask: int, size: int) -> bool:
-        if avg is None:
-            return True
-        edges2 = 0
-        m = smask
-        while m:
-            b = m & -m
-            edges2 += (masks[b.bit_length() - 1] & smask).bit_count()
-            m ^= b
-        # edges2 counts each induced edge twice; require edges2/size < avg
-        return edges2 * avg.denominator < avg.numerator * size
+    # below, edges2 counts each induced edge of a set S twice, and S meets
+    # the average bound when edges2 / |S| < avg
 
     if max_delta is not None:
         # an explicit stack, so deep searches cannot overflow the interpreter
         # stack; S is tested when v joins it, then extended by the vertices
-        # above v, then v is swapped for its successors; masks give degrees in S
-        chosen: list[int] = []
-        smask = 0
+        # above v, then v is swapped for its successors. Each entry holds v
+        # and, as they were before v joined, saturated (the members of S
+        # with max_delta neighbors in S) and edges2
+        stack: list[tuple[int, int, int]] = []
+        lanes = _Lanes(search)
+        join, leave, add = lanes.join, lanes.leave, lanes.add
+        smask = saturated = edges2 = 0
         v = 0
         while True:
             if v == g.n:
-                if not chosen:
-                    return None
-                v = chosen.pop()
+                if not stack:
+                    return lanes.test()
+                v, saturated, edges2 = stack.pop()
                 smask ^= 1 << v
+                leave(v)
                 v += 1
                 continue
-            search.tick()
+            search.steps += 1
+            if not search.steps & 63:
+                search.check_clock()
             inside = masks[v] & smask
-            if inside.bit_count() > max_delta or any(
-                (masks[u] & smask).bit_count() >= max_delta for u in _bits(inside)
-            ):
+            d = inside.bit_count()
+            if d > max_delta or inside & saturated:
                 v += 1
                 continue
-            chosen.append(v)
+            stack.append((v, saturated, edges2))
             smask |= 1 << v
-            # the cut test rejects most sets, and more cheaply than avg_ok
-            if search.cuts(smask) and avg_ok(smask, len(chosen)):
-                return _bits(smask)
+            edges2 += 2 * d
+            if d == max_delta:
+                saturated |= 1 << v
+            while inside:
+                b = inside & -inside
+                inside ^= b
+                if (masks[b.bit_length() - 1] & smask).bit_count() == max_delta:
+                    saturated |= b
+            join(v)
+            if avg is None or edges2 * avg.denominator < avg.numerator * len(stack):
+                hit = add()
+                if hit is not None:
+                    return hit
             v += 1
 
     for k in range(1, min(search.budget.max_subset_size, g.n - 1) + 1):
         for cutset in search.layer_cuts(k):
-            if avg_ok(sum(1 << v for v in cutset), k):
+            smask = sum(1 << v for v in cutset)
+            edges2 = sum((masks[v] & smask).bit_count() for v in cutset)
+            if edges2 * avg.denominator < avg.numerator * k:
                 return cutset
     return None
 

@@ -133,6 +133,30 @@ def test_generate_clique_chain_seed_option_is_the_positional_seed(tmp_path, caps
 @pytest.mark.parametrize(
     "family, params",
     [
+        ("squared-cycle", [14]),
+        ("squared-path", [7]),
+        ("figure2", [4]),
+        ("icosahedron", []),
+        ("k4", []),
+        ("triangular-prism", []),
+        ("k3boxk3", []),
+        ("linegraphpetersen", []),
+    ],
+)
+def test_generate_refuses_a_seed_where_the_family_takes_none(family, params, tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    code = main(["generate", family, *map(str, params), "--seed", "5", "-o", str(target)])
+    captured = capsys.readouterr()
+    assert (code, target.exists(), captured.out) == (2, False, "")
+    assert captured.err.count("\n") == 1
+    assert f"generate {family}: takes no --seed" in captured.err
+    # without --seed the same family builds
+    assert main(["generate", family, *map(str, params), "-o", str(target)]) == 0
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
         ("icosahedron", []),
         ("squared-cycle", [7]),
         ("squared-path", [7]),

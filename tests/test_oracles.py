@@ -596,15 +596,18 @@ def test_constrained_search_walks_the_inclusion_order(g, max_delta, avg):
 
 # Five searches that each run well over 64 steps before their answer, with
 # the number of clock reads each makes under a time hint that never runs
-# out: one at the start, then one every 64 steps. The two layer searches,
-# min-cutsets and constrained-avg, read it instead once per table row and
-# per piece of each layer's bit slices and once per sweep of its fill.
+# out: one at the start, then one every 64 steps. The two walks,
+# independent and constrained-delta, also read it once per sweep of each
+# block's fill: 356 steps and 4 sweeps, and 712 steps and 9 sweeps. The two
+# layer searches, min-cutsets and constrained-avg, read it instead once per
+# table row and per piece of each layer's bit slices and once per sweep of
+# its fill.
 _LONG_SEARCHES = {
     "min-cutsets": (lambda b: enumerate_min_cutsets(squared_cycle(14), b), 52),
-    "independent": (lambda b: find_independent_cutset(squared_cycle(14), b), 12),
+    "independent": (lambda b: find_independent_cutset(squared_cycle(14), b), 10),
     "constrained-delta": (
         lambda b: find_constrained_cutset(icosahedron(), max_delta=1, budget=b),
-        12,
+        21,
     ),
     "constrained-avg": (
         lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
@@ -793,31 +796,29 @@ def _graphs_with_vertex_sets(draw):
     return g, sets
 
 
+def _lane_cuts(search, sets) -> list[bool]:
+    """Whether each set cuts, all tested as the lanes of one block."""
+    members = [0] * search.n
+    for i, s in enumerate(sets):
+        for v in s:
+            members[v] |= 1 << i
+    cut = search._cut_lanes(members, len(sets))
+    return [bool(cut >> i & 1) for i in range(len(sets))]
+
+
 @given(case=_graphs_with_vertex_sets())
 @settings(max_examples=150, deadline=None)
 def test_cut_test_matches_the_flood_fill(case):
     g, sets = case
     search = oracles._Search(g, OracleBudget(max_n=72), "test")
-    for s in sets:
-        smask = sum(1 << v for v in s)
-        assert search.cuts(smask) == oracles._separates(g, s)
-    assert (search._tabs is None) == (g.n > 24)
+    assert _lane_cuts(search, sets) == [oracles._separates(g, s) for s in sets]
 
 
-def test_byte_tables_stay_small():
-    # up to 24 vertices cuts() expands a level over exactly three tables,
-    # built on its first call; above 24 it has none
-    for n in (0, 1, 8, 9, 16, 17, 24):
-        search = oracles._Search(_path(n), OracleBudget(max_n=64), "test")
-        assert search._tabs is None
-        search.cuts(0)
-        tabs = search._tabs
-        assert tabs is not None and len(tabs) == 3
-        assert sum(map(len, tabs)) <= 2048
-    for n in (25, 63, 64, 65, 72, 1200):
-        search = oracles._Search(_path(n), OracleBudget(max_n=n), "test")
-        search.cuts(0)
-        assert search._tabs is None
+def test_cut_test_keeps_a_path_whole():
+    # removing nothing from a path, from the empty order up to 1200
+    for n in (0, 1, 8, 9, 16, 17, 24, 25, 63, 64, 65, 72, 1200):
+        search = oracles._Search(_path(n), OracleBudget(max_n=max(n, 64)), "test")
+        assert _lane_cuts(search, [()]) == [oracles._separates(_path(n), ())] == [False]
 
 
 @pytest.mark.parametrize(
@@ -828,22 +829,25 @@ def test_byte_tables_stay_small():
 def test_cut_test_matches_the_flood_fill_on_every_subset(g):
     # every subset, so removing nothing, everything and all but one vertex
     search = oracles._Search(g, None, "test")
-    for smask in range(1 << g.n):
-        removed = tuple(v for v in range(g.n) if smask >> v & 1)
-        assert search.cuts(smask) == oracles._separates(g, removed), removed
+    sets = [tuple(v for v in range(g.n) if smask >> v & 1) for smask in range(1 << g.n)]
+    assert _lane_cuts(search, sets) == [oracles._separates(g, s) for s in sets]
+
+
+def _small_sets_and_complements(n: int) -> list[tuple[int, ...]]:
+    """Every set of up to 3 of n vertices, and the complement of each."""
+    sets = []
+    for k in range(4):
+        for removed in combinations(range(n), k):
+            sets += [removed, tuple(v for v in range(n) if v not in removed)]
+    return sets
 
 
 @pytest.mark.parametrize("g", [_cycle(24), squared_cycle(24)], ids=["cycle24", "squared24"])
-def test_cut_test_matches_the_flood_fill_across_all_three_bytes(g):
-    # every set of up to 3 vertices and every complement of one: the fills
-    # cross from each byte of the vertex range into the next
+def test_cut_test_matches_the_flood_fill_on_sets_of_up_to_three(g):
+    # the fills cross the whole vertex range
     search = oracles._Search(g, None, "test")
-    for k in range(4):
-        for removed in combinations(range(g.n), k):
-            kept = tuple(v for v in range(g.n) if v not in removed)
-            for s in (removed, kept):
-                smask = sum(1 << v for v in s)
-                assert search.cuts(smask) == oracles._separates(g, s), s
+    sets = _small_sets_and_complements(g.n)
+    assert _lane_cuts(search, sets) == [oracles._separates(g, s) for s in sets]
 
 
 @pytest.mark.parametrize(
@@ -851,16 +855,81 @@ def test_cut_test_matches_the_flood_fill_across_all_three_bytes(g):
     [_cycle(25), squared_cycle(25), _cycle(40), squared_cycle(40)],
     ids=["cycle25", "squared25", "cycle40", "squared40"],
 )
-def test_cut_test_matches_the_flood_fill_just_above_the_tables(g):
-    # the same sets as above, on the one-vertex-at-a-time fill past 24
+def test_cut_test_matches_the_flood_fill_past_24_vertices(g):
+    # the same sets as above, past the default max_n
     search = oracles._Search(g, OracleBudget(max_n=g.n), "test")
-    for k in range(4):
-        for removed in combinations(range(g.n), k):
-            kept = tuple(v for v in range(g.n) if v not in removed)
-            for s in (removed, kept):
-                smask = sum(1 << v for v in s)
-                assert search.cuts(smask) == oracles._separates(g, s), s
-    assert search._tabs is None
+    sets = _small_sets_and_complements(g.n)
+    assert _lane_cuts(search, sets) == [oracles._separates(g, s) for s in sets]
+
+
+# ------------------------------------------------------------ the two walks
+
+
+def _walk_answers(graphs) -> list:
+    return [
+        (
+            find_independent_cutset(g),
+            *(
+                find_constrained_cutset(g, max_delta, avg)
+                for max_delta in (0, 1, 2)
+                for avg in (None, Fraction(1, 2))
+            ),
+        )
+        for g in graphs
+    ]
+
+
+@pytest.mark.parametrize("bits", [1, 40, 333])
+def test_walk_answers_do_not_depend_on_the_block_size(monkeypatch, bits):
+    graphs = [*_layer_graphs(), icosahedron(), figure2_pattern(3), _path(1), Graph(2, [])]
+    whole = _walk_answers(graphs)
+    widths = []
+    cut_lanes = oracles._Search._cut_lanes
+
+    def counted(self, members, width):
+        widths.append((self.n, width))
+        return cut_lanes(self, members, width)
+
+    monkeypatch.setattr(oracles, "_BLOCK_BITS", bits)
+    monkeypatch.setattr(oracles._Search, "_cut_lanes", counted)
+    assert _walk_answers(graphs) == whole
+    # the walks took several blocks, each within the bound
+    assert all(width <= max(1, bits // n) for n, width in widths)
+    assert len(widths) > 10 * len(graphs)
+
+
+def test_walk_blocks_double_from_the_first_block(monkeypatch):
+    # the degree walk on the icosahedron finds nothing, so its blocks are
+    # 16, 32, 64, ... lanes, the last one partly filled
+    widths = []
+    cut_lanes = oracles._Search._cut_lanes
+
+    def counted(self, members, width):
+        widths.append(width)
+        return cut_lanes(self, members, width)
+
+    monkeypatch.setattr(oracles._Search, "_cut_lanes", counted)
+    assert find_constrained_cutset(icosahedron(), max_delta=1) is None
+    assert widths[:-1] == [oracles._FIRST_LANES << i for i in range(len(widths) - 1)]
+    assert 0 < widths[-1] <= oracles._FIRST_LANES << (len(widths) - 1)
+
+
+def test_independent_walk_stops_at_the_independence_number(monkeypatch):
+    # alpha(C_24^2) = 8: the walk tests every independent set of up to 8
+    # vertices, finds no cut, and stops at size 9, which has no set at all
+    sizes = []
+    cut_lanes = oracles._Search._cut_lanes
+
+    def counted(self, members, width):
+        sizes.extend(sum(m >> i & 1 for m in members) for i in range(width))
+        return cut_lanes(self, members, width)
+
+    monkeypatch.setattr(oracles._Search, "_cut_lanes", counted)
+    assert find_independent_cutset(squared_cycle(24)) is None
+    assert max(sizes) == 8
+    # the 24 + 228 + 1088 + 2730 + 3432 + 1848 + 288 + 3 independent sets
+    # of C_24^2, each tested once
+    assert len(sizes) == 9641
 
 
 # ------------------------------------------------------------------- recognizer
