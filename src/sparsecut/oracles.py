@@ -29,10 +29,12 @@ from one of two sources.
   search recurses, and add each set to test as the next lane of a block
   that _Lanes fills and tests.
 
-find_krr walks its r-subsets the same way and needs no cut test. Every
-search reads the clock at its start and, with a time hint, once per sweep
-of each fill and, between fills, once every 64 steps of a walk or once per
-table row and per piece of a layer's slices.
+find_krr walks its r-subsets in lexicographic order on an explicit stack
+too and needs no cut test. It prunes on common neighbors: a prefix whose
+picks have fewer than r of them left is dropped, since further picks can
+only lose some. Every search reads the clock at its start and, with a
+time hint, once per sweep of each fill and, between fills, once every 64
+steps of a walk or once per table row and per piece of a layer's slices.
 """
 
 from __future__ import annotations
@@ -98,15 +100,6 @@ class OracleBudget:
             )
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
-
-
 def _separates(g: Graph, removed: tuple[int, ...]) -> bool:
     """Whether g minus removed has at least two components, by flood fill."""
     seen = set(removed)
@@ -134,8 +127,8 @@ _FIRST_LANES = 16
 
 class _Search:
     """What one exponential search over g needs: its order gate, the
-    adjacency bitmasks and lists, a step clock for the time hint, a walk
-    over k-subsets, and the cut test for a block of sets.
+    adjacency bitmasks and lists, a step clock for the time hint and the
+    cut test for a block of sets.
 
     _cut_lanes(members, width) is the cut test: lane i of a block is its
     i-th set, bit i of members[v] is set when v is in it, and one flood fill
@@ -329,36 +322,6 @@ class _Search:
                 break  # every lane is reached: no confirming sweep
         return cut
 
-    def subsets(self, k: int) -> Iterator[int]:
-        """Every k-subset of the vertices, k >= 1, as a bitmask, in
-        lexicographic order. Each vertex added to the chosen set is one
-        step, counted as tick() counts it."""
-        n = self.n
-        picks: list[int] = []
-        chosen = 0
-        v = 0
-        while True:
-            if len(picks) == k - 1:
-                # the last member: each vertex left completes a set, and
-                # looping here spares a push and a pop per set; the step is
-                # counted inline, which spares a call per set
-                for w in range(v, n):
-                    self.steps += 1
-                    if not self.steps & 63:
-                        self.check_clock()
-                    yield chosen | 1 << w
-            elif v <= n - k + len(picks):
-                self.tick()
-                picks.append(v)
-                chosen |= 1 << v
-                v += 1
-                continue
-            if not picks:
-                return
-            v = picks.pop()
-            chosen ^= 1 << v
-            v += 1
-
 
 class _Lanes:
     """The sets a walk tests, gathered as the lanes of one block and decided
@@ -404,12 +367,13 @@ class _Lanes:
             self.joined[v] = 0
         self.members, self.width = [0] * self.search.n, 0
         self.cap = min(2 * self.cap, self.most)
-        # _cut_lanes makes its list the alive slices, so it gets a copy
-        cut = self.search._cut_lanes(members[:], width) if width else 0
+        cut = self.search._cut_lanes(members, width) if width else 0
         if not cut:
             return None
         i = (cut & -cut).bit_length() - 1
-        return tuple(v for v, m in enumerate(members) if m >> i & 1)
+        # _cut_lanes has made members the alive slices: v is in lane i when
+        # bit i of its slice is clear
+        return tuple(v for v, x in enumerate(members) if not x >> i & 1)
 
 
 # --------------------------------------------------------- cutset enumeration
@@ -655,12 +619,20 @@ def find_constrained_cutset(
     if max_delta is None and max_avg is None:
         raise PreconditionError("find_constrained_cutset needs at least one constraint")
     avg: Fraction | None = None
-    if max_avg is not None:
-        if not isinstance(max_avg, Fraction) and max_avg[1] <= 0:
+    if isinstance(max_avg, Fraction):
+        avg = max_avg
+    elif max_avg is not None:
+        pair = isinstance(max_avg, (tuple, list)) and len(max_avg) == 2
+        if not (pair and all(isinstance(x, int) for x in max_avg)):
+            raise PreconditionError(
+                f"find_constrained_cutset: max_avg must be a Fraction or a pair of ints, "
+                f"got {max_avg!r}"
+            )
+        if max_avg[1] <= 0:
             raise PreconditionError(
                 f"find_constrained_cutset: max_avg needs a positive denominator, got {max_avg}"
             )
-        avg = max_avg if isinstance(max_avg, Fraction) else Fraction(*max_avg)
+        avg = Fraction(*max_avg)
     masks = search.masks
     # below, edges2 counts each induced edge of a set S twice, and S meets
     # the average bound when edges2 / |S| < avg
@@ -724,23 +696,37 @@ def find_krr(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """A complete bipartite K_{r,r} subgraph, as (side_a, side_b), or None.
 
-    Scans r-subsets in lexicographic order; side_b is the r smallest
-    common neighbors. The subgraph need not be induced.
+    side_a is the lexicographically first r-set with r common neighbors,
+    and side_b is the r smallest of them. The subgraph need not be induced.
+    The r-sets are walked in lexicographic order on an explicit stack that
+    prunes on common neighbors: a vertex joins the picks only while they
+    keep r common neighbors, since further picks can only lose some. Each
+    vertex tried is one step.
     """
     if r < 1:
         raise PreconditionError(f"find_krr requires r >= 1, got {r}")
     search = _Search(g, budget, "find_krr")
-    masks = search.masks
-    for smask in search.subsets(r):
-        common = search.full
-        m = smask
-        while m:
-            b = m & -m
-            common &= masks[b.bit_length() - 1]
-            m ^= b
-        if common.bit_count() >= r:
-            return _bits(smask), _bits(common)[:r]
-    return None
+    n, masks = g.n, search.masks
+    # common[d] is the common neighborhood of the first d picks
+    picks: list[int] = []
+    common = [search.full]
+    v = 0
+    while True:
+        if v <= n - r + len(picks):
+            # enough vertices from v on for the r - len(picks) picks to come
+            search.tick()
+            c = common[-1] & masks[v]
+            if c.bit_count() >= r:
+                picks.append(v)
+                common.append(c)
+                if len(picks) == r:
+                    return tuple(picks), tuple(w for w in range(n) if c >> w & 1)[:r]
+            v += 1
+            continue
+        if not picks:
+            return None
+        v = picks.pop() + 1
+        common.pop()
 
 
 # ------------------------------------------------------------------- recognizer

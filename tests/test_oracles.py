@@ -398,6 +398,7 @@ def test_find_constrained_cutset_exhaustive_none_on_dense_families():
 def test_find_constrained_cutset_avg_only_within_size_cap():
     got = find_constrained_cutset(_path(5), max_avg=(1, 1))
     assert got is not None and got == (1,)
+    assert find_constrained_cutset(_path(5), max_avg=[1, 1]) == got
     # strictness: a single edge in S of size 2 has average exactly 1
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
     hit = find_constrained_cutset(g, max_avg=Fraction(1))
@@ -413,6 +414,16 @@ def test_find_constrained_cutset_needs_a_constraint():
 @pytest.mark.parametrize("max_avg", [(1, 0), (1, -2), (0, -1)])
 def test_find_constrained_cutset_refuses_a_denominator_below_one(max_avg):
     message = f"find_constrained_cutset: max_avg needs a positive denominator, got {max_avg}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        find_constrained_cutset(_cycle(6), max_avg=max_avg)
+
+
+@pytest.mark.parametrize("max_avg", [(1, 2, 3), "1/2", (1.5, 2), 0.5, (1, 2.0)])
+def test_find_constrained_cutset_refuses_a_malformed_average(max_avg):
+    message = (
+        "find_constrained_cutset: max_avg must be a Fraction or a pair of ints, "
+        f"got {max_avg!r}"
+    )
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         find_constrained_cutset(_cycle(6), max_avg=max_avg)
 
@@ -450,6 +461,24 @@ def test_find_krr_r1_is_any_edge():
 def test_find_krr_validates_r():
     with pytest.raises(PreconditionError):
         find_krr(_path(3), 0)
+
+
+def test_find_krr_prunes_on_common_neighbors(monkeypatch):
+    searches = []
+    init = oracles._Search.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        searches.append(self)
+
+    monkeypatch.setattr(oracles._Search, "__init__", kept)
+    # a walk over every 3-subset of C_24^2 takes 22 + 253 + 2024 = 2299
+    # steps; dropping each prefix with fewer than 3 common neighbors leaves
+    # 275
+    assert find_krr(squared_cycle(24), 3) is None
+    assert searches[-1].steps == 275
+    assert find_krr(petersen(), 3) is None
+    assert searches[-1].steps == 44
 
 
 # ------------------------------------------------ searches against references
@@ -581,6 +610,27 @@ def test_searches_match_plain_references():
             assert _outcome(run) == _outcome(reference)
 
 
+def test_find_krr_matches_the_plain_reference_up_to_16_vertices():
+    rng = random.Random(20261019)
+    found = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(0, 16)
+        r = rng.randint(1, 4)
+        p = rng.choice((0.1, 0.3, 0.5, 0.7))
+        edges = {e for e in combinations(range(n), 2) if rng.random() < p}
+        planted = 2 * r <= n and rng.random() < 0.5
+        if planted:
+            picked = rng.sample(range(n), 2 * r)
+            edges |= {tuple(sorted((u, w))) for u in picked[:r] for w in picked[r:]}
+        g = Graph(n, sorted(edges))
+        got = find_krr(g, r)
+        assert got == _krr_reference(g, r), (n, r, sorted(edges))
+        assert got is not None or not planted
+        found[got is not None] += 1
+    # both answers are common
+    assert min(found.values()) > 50
+
+
 @given(
     g=_small_graphs(max_n=9),
     max_delta=st.integers(0, 2),
@@ -596,7 +646,8 @@ def test_constrained_search_walks_the_inclusion_order(g, max_delta, avg):
 
 # Five searches that each run well over 64 steps before their answer, with
 # the number of clock reads each makes under a time hint that never runs
-# out: one at the start, then one every 64 steps. The two walks,
+# out: one at the start, then one every 64 steps, so 1 + 275 // 64 = 5 for
+# the 275 steps of the K_{3,3} walk on C_24^2. The two walks,
 # independent and constrained-delta, also read it once per sweep of each
 # block's fill: 356 steps and 4 sweeps, and 712 steps and 9 sweeps. The two
 # layer searches, min-cutsets and constrained-avg, read it instead once per
@@ -613,7 +664,7 @@ _LONG_SEARCHES = {
         lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
         86,
     ),
-    "krr": (lambda b: find_krr(petersen(), 3, b), 3),
+    "krr": (lambda b: find_krr(squared_cycle(24), 3, b), 5),
 }
 
 
