@@ -28,7 +28,7 @@ from .certificates import (
     KrrWitness,
     SquaredCycleIso,
 )
-from .errors import NoCutsetFound, PreconditionError, ensure
+from .errors import NoCutsetFound, PreconditionError, ensure, require_int
 from .graph import (
     Graph,
     _ids,
@@ -239,6 +239,7 @@ def theorem1_cutset(
     degree at most delta - 3, so the loop stops at its first state. Pass a
     list as trace to collect the GrowthStates.
     """
+    require_int(delta, "theorem1_cutset: delta")
     if delta < 3:
         raise PreconditionError(f"theorem1_cutset: delta must be at least 3, got {delta}")
     _require_connected(g, "theorem1_cutset")
@@ -598,6 +599,8 @@ def theorem5_certify(
     vertex), c must exceed 3, and the order must exceed
     delta + (c-3)(r-1) + r. Exactly one certificate kind comes back.
     """
+    require_int(delta, "theorem5_certify: delta")
+    require_int(r, "theorem5_certify: r")
     if r < 2:
         raise PreconditionError(f"theorem5_certify: r must be at least 2, got {r}")
     if g.max_degree() != delta:

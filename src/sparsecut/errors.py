@@ -39,3 +39,11 @@ def ensure(condition: bool, message: str) -> None:
     """
     if not condition:
         raise InternalInvariantError(message)
+
+
+def require_int(value: object, what: str) -> None:
+    """Raise PreconditionError unless value is an int that is not a bool,
+    the same rule vertex ids follow. A float or bool would compare without
+    complaint and lead to wrong bounds or bare errors further on."""
+    if type(value) is not int:
+        raise PreconditionError(f"{what} must be an int, got {value!r}")

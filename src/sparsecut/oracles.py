@@ -18,16 +18,19 @@ after Biham, "A fast new DES implementation in software" (FSE 1997): the
 sets to test are the lanes of a block, each vertex gets one big int whose
 bit i says whether it is in the i-th set, and one flood fill decides every
 lane (_cut_lanes). A block holds at most _BLOCK_BITS // n sets, so its
-slices take at most 32 KB whatever the number of sets is. Its lanes come
-from one of two sources.
+slices take at most 32 KB whatever the number of sets is. Blocks are
+filled in two ways and read back in one: _Search.block_cuts tests a block
+and names each set that cuts, in lane order, from the slices its fill
+leaves behind.
 
 - enumerate_min_cutsets and the average-only scan of
-  find_constrained_cutset test whole layers of k-subsets in lexicographic
-  order (layer_cuts), with slices cut from tables built per layer.
+  find_constrained_cutset fill blocks with whole layers of k-subsets in
+  lexicographic order (layer_cuts), with slices cut from tables built per
+  layer.
 - find_independent_cutset and the degree-capped walk of
   find_constrained_cutset walk their sets on an explicit stack, so no
   search recurses, and add each set to test as the next lane of a block
-  that _Lanes fills and tests.
+  that _Lanes fills.
 
 find_krr walks its r-subsets in lexicographic order on an explicit stack
 too and needs no cut test. It prunes on common neighbors: a prefix whose
@@ -40,11 +43,11 @@ steps of a walk or once per table row and per piece of a layer's slices.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
+from numbers import Real
 from typing import Iterator
 
 from .certificates import (
@@ -55,7 +58,7 @@ from .certificates import (
     KrrWitness,
     SquaredCycleIso,
 )
-from .errors import BudgetExhausted, PreconditionError
+from .errors import BudgetExhausted, PreconditionError, require_int
 from .graph import Graph
 
 
@@ -75,6 +78,10 @@ class OracleBudget:
     cap, after a flow once 64 more augmenting searches have run, and never
     reads the clock without one.
 
+    The two caps are ints that are not bools, and time_hint_s, when given,
+    is a positive number that is not a bool; anything else raises
+    PreconditionError.
+
     max_subset_size does not cap find_independent_cutset or
     find_constrained_cutset(max_delta=...): both are exhaustive, so their
     None means "no such cutset at all", and a cap would turn those answers
@@ -86,6 +93,8 @@ class OracleBudget:
     time_hint_s: float | None = None
 
     def __post_init__(self) -> None:
+        require_int(self.max_n, "OracleBudget: max_n")
+        require_int(self.max_subset_size, "OracleBudget: max_subset_size")
         if self.max_n < 0:
             raise PreconditionError(
                 f"OracleBudget: max_n must be non-negative, got {self.max_n}"
@@ -94,10 +103,15 @@ class OracleBudget:
             raise PreconditionError(
                 f"OracleBudget: max_subset_size must be non-negative, got {self.max_subset_size}"
             )
-        if self.time_hint_s is not None and not self.time_hint_s > 0:
+        hint = self.time_hint_s
+        if hint is None:
+            return
+        if isinstance(hint, bool) or not isinstance(hint, Real):
             raise PreconditionError(
-                f"OracleBudget: time_hint_s must be positive, got {self.time_hint_s}"
+                f"OracleBudget: time_hint_s must be a number or None, got {hint!r}"
             )
+        if not hint > 0:
+            raise PreconditionError(f"OracleBudget: time_hint_s must be positive, got {hint}")
 
 
 def _separates(g: Graph, removed: tuple[int, ...]) -> bool:
@@ -130,13 +144,14 @@ class _Search:
     adjacency bitmasks and lists, a step clock for the time hint and the
     cut test for a block of sets.
 
-    _cut_lanes(members, width) is the cut test: lane i of a block is its
-    i-th set, bit i of members[v] is set when v is in it, and one flood fill
-    over those big ints decides every lane. layer_cuts(k) yields every
-    k-subset that cuts, in lexicographic order, a block of at most
-    _BLOCK_BITS // n subsets at a time; the tables its blocks are cut from
-    hold at most k * _BLOCK_BITS bits, and each lane is one step. The walks
-    gather their blocks in _Lanes.
+    A block holds at most self.lanes = _BLOCK_BITS // n sets: lane i is its
+    i-th set, and bit i of members[v] is set when v is in it. Blocks are
+    filled in two ways, by _blocks for layer_cuts(k) and by _Lanes for the
+    walks, and read back in one: block_cuts(members, width) runs the one
+    flood fill of _cut_lanes over the block and yields each set that cuts.
+    layer_cuts(k) yields every k-subset that cuts, in lexicographic order;
+    the tables its blocks are cut from hold at most k * _BLOCK_BITS bits,
+    and each lane is one step.
     """
 
     def __init__(self, g: Graph, budget: OracleBudget | None, what: str):
@@ -151,6 +166,8 @@ class _Search:
         # which is why they are built only past the order gate
         self.masks = tuple(sum(1 << w for w in g.neighbors(v)) for v in range(g.n))
         self.full = (1 << g.n) - 1
+        # the most lanes in one block
+        self.lanes = max(1, _BLOCK_BITS // max(g.n, 1))
         self.steps = 0
         self.start = time.monotonic()
 
@@ -171,49 +188,22 @@ class _Search:
         """Every k-subset whose removal leaves two or more components, in
         lexicographic order, found a block of subsets at a time.
 
-        The subsets come in lexicographic blocks of at most
-        _BLOCK_BITS // n. Lane i of a block is its i-th subset, and one
-        flood fill over the block's big ints (_cut_lanes) tests every lane
-        at once. Each subset tested is one step. A generator, so a caller
+        _blocks fills lexicographic blocks of at most self.lanes subsets,
+        lane i of a block holding its i-th subset, and block_cuts tests
+        each one. Each subset tested is one step. A generator, so a caller
         that stops at its first hit leaves the blocks after it untested."""
-        n = self.n
-        lanes = max(1, _BLOCK_BITS // max(n, 1))
-        cols: list[list[int]] = []  # cols[j][m] = C(m, j), once a lane cuts
-        for block, members, width in self._blocks(k, lanes):
-            cut = self._cut_lanes(members, width)
+        for members, width in self._blocks(k):
             self.steps += width
-            # bit i of cut is character i of bits
-            bits = bin(cut)[:1:-1]
-            i = bits.find("1")
-            p = 0
-            while i >= 0:
-                while p + 1 < len(block) and block[p + 1][0] <= i:
-                    p += 1
-                at, prefix, a, j = block[p]
-                # the (i - at)-th j-subset of a..n-1: t counts the subsets
-                # from it to the last, and its least member b leaves fewer
-                # than t subsets after those that hold b
-                if not cols:
-                    cols = [[comb(m, j) for m in range(n + 1)] for j in range(k + 1)]
-                out = list(prefix)
-                t = cols[j][n - a] - (i - at)
-                while j:
-                    col = cols[j]
-                    m = bisect_left(col, t) - 1
-                    out.append(n - 1 - m)
-                    t -= col[m]
-                    j -= 1
-                yield tuple(out)
-                i = bits.find("1", i + 1)
+            yield from self.block_cuts(members, width)
 
-    def _blocks(self, k: int, lanes: int) -> Iterator[tuple[list, list[int], int]]:
-        """The k-subsets in lexicographic blocks of at most lanes subsets,
-        each as (pieces, members, width): bit i of members[v] is set when v
-        is in the block's i-th subset. A piece (at, prefix, a, j) is prefix
-        joined to each j-subset of a..n-1, from lane at of its block. One
-        clock read per piece."""
-        n = self.n
-        tables = self._tables(k, lanes)
+    def _blocks(self, k: int) -> Iterator[tuple[list[int], int]]:
+        """The k-subsets in lexicographic blocks of at most self.lanes
+        subsets, each as (members, width) for block_cuts: bit i of
+        members[v] is set when v is in the block's i-th subset. A block is
+        filled a piece at a time, a piece being a prefix joined to each
+        j-subset of a..n-1, with one clock read per piece."""
+        n, lanes = self.n, self.lanes
+        tables = self._tables(k)
 
         def pieces(prefix: tuple[int, ...], a: int, j: int):
             # split by the least member until a piece fits in a block; the
@@ -224,14 +214,13 @@ class _Search:
             if j <= n - a:
                 yield prefix, a, j
 
-        block: list[tuple[int, tuple[int, ...], int, int]] = []
         members = [0] * n
         width = 0
         for prefix, a, j in pieces((), 0, k):
             size = comb(n - a, j)
             if width + size > lanes:
-                yield block, members, width
-                block, members, width = [], [0] * n, 0
+                yield members, width
+                members, width = [0] * n, 0
             self.check_clock()
             if j:  # else the prefix is the whole subset
                 # the j-subsets of a..n-1 are the last size lanes of tables[j]
@@ -241,14 +230,13 @@ class _Search:
                     members[v] |= x >> drop << width
             for v in prefix:
                 members[v] |= (1 << size) - 1 << width
-            block.append((width, prefix, a, j))
             width += size
         # the last block needs no tables: free them before its fill
         tables = base = None
-        if block:
-            yield block, members, width
+        if width:
+            yield members, width
 
-    def _tables(self, k: int, lanes: int) -> list:
+    def _tables(self, k: int) -> list:
         """tables[j] = (a, slices) for 1 <= j <= k: bit i of slices[v - a] is
         set when v is in the i-th j-subset of a..n-1 in lexicographic order,
         for the least a whose C(n - a, j) subsets fit in a block and with
@@ -258,7 +246,7 @@ class _Search:
         are built from a = n - 2 down by C(a, j) = {a}·C(a+1, j-1) ++
         C(a+1, j), with one clock read per a. Each table fits in a block,
         so together they hold at most k * _BLOCK_BITS bits."""
-        n = self.n
+        n, lanes = self.n, self.lanes
         tables: list = [None] * (k + 1)
         if k:
             low = max(n - lanes, 0)  # the least a whose C(n - a, 1) fits
@@ -322,22 +310,33 @@ class _Search:
                 break  # every lane is reached: no confirming sweep
         return cut
 
+    def block_cuts(self, members: list[int], width: int) -> Iterator[tuple[int, ...]]:
+        """The sets of a block that leave two or more components, in lane
+        order: lane i is the block's i-th set, and bit i of members[v] is set
+        when v is in it. One _cut_lanes fill tests every lane; it leaves
+        members as the alive slices, so v is in a cutting lane's set when
+        that lane's bit of its slice is clear."""
+        cut = self._cut_lanes(members, width)
+        while cut:
+            low = cut & -cut
+            cut ^= low
+            yield tuple(v for v, x in enumerate(members) if not x & low)
+
 
 class _Lanes:
-    """The sets a walk tests, gathered as the lanes of one block and decided
-    by one _cut_lanes fill.
+    """The sets a walk tests, gathered as the lanes of one block; test reads
+    the block back through _Search.block_cuts, as layer_cuts does.
 
     Lane i is the i-th lane added: the vertices on the walk's stack, and
     one more vertex when add names one. A vertex on the stack is in one run
     of lanes per push: the run opens at the next lane when it joins and
     closes when it leaves or the block is tested. The first block holds
     _FIRST_LANES lanes and each later one twice as many, up to
-    _BLOCK_BITS // n, so a walk that hits early tests few sets."""
+    search.lanes, so a walk that hits early tests few sets."""
 
     def __init__(self, search: _Search):
         self.search = search
-        self.most = max(1, _BLOCK_BITS // max(search.n, 1))
-        self.cap = min(_FIRST_LANES, self.most)
+        self.cap = min(_FIRST_LANES, search.lanes)
         self.members = [0] * search.n
         self.width = 0
         self.joined: dict[int, int] = {}  # vertex on the stack -> its first lane
@@ -366,14 +365,8 @@ class _Lanes:
             members[v] |= (1 << width) - (1 << at)
             self.joined[v] = 0
         self.members, self.width = [0] * self.search.n, 0
-        self.cap = min(2 * self.cap, self.most)
-        cut = self.search._cut_lanes(members, width) if width else 0
-        if not cut:
-            return None
-        i = (cut & -cut).bit_length() - 1
-        # _cut_lanes has made members the alive slices: v is in lane i when
-        # bit i of its slice is clear
-        return tuple(v for v, x in enumerate(members) if not x >> i & 1)
+        self.cap = min(2 * self.cap, self.search.lanes)
+        return next(self.search.block_cuts(members, width), None) if width else None
 
 
 # --------------------------------------------------------- cutset enumeration
@@ -602,9 +595,9 @@ def find_constrained_cutset(
     max_avg: tuple[int, int] | Fraction | None = None,
     budget: OracleBudget | None = None,
 ) -> tuple[int, ...] | None:
-    """Cutset with max internal degree <= max_delta and/or average internal
-    degree strictly below max_avg, a Fraction or a (numerator, positive
-    denominator) pair.
+    """Cutset with max internal degree <= max_delta, an int, and/or average
+    internal degree strictly below max_avg, a Fraction or a (numerator,
+    positive denominator) pair.
 
     With max_delta given, the degree constraint is hereditary, so the
     search walks the whole family of qualifying sets in depth-first
@@ -618,6 +611,9 @@ def find_constrained_cutset(
     search = _Search(g, budget, "find_constrained_cutset")
     if max_delta is None and max_avg is None:
         raise PreconditionError("find_constrained_cutset needs at least one constraint")
+    if max_delta is not None:
+        # a float bound would never mark a vertex saturated
+        require_int(max_delta, "find_constrained_cutset: max_delta")
     avg: Fraction | None = None
     if isinstance(max_avg, Fraction):
         avg = max_avg
@@ -703,6 +699,7 @@ def find_krr(
     keep r common neighbors, since further picks can only lose some. Each
     vertex tried is one step.
     """
+    require_int(r, "find_krr: r")
     if r < 1:
         raise PreconditionError(f"find_krr requires r >= 1, got {r}")
     search = _Search(g, budget, "find_krr")

@@ -187,6 +187,10 @@ def test_theorem1_rejects_bad_inputs():
     two = Graph(10, list(half) + [(a + 5, b + 5) for a, b in half])
     with pytest.raises(PreconditionError, match="connected"):
         theorem1_cutset(two, 3)
+    # a float delta would give a certificate with float bounds
+    for delta in (4.5, 4.0, True):
+        with pytest.raises(PreconditionError, match="delta must be an int"):
+            theorem1_cutset(squared_cycle(14), delta)
 
 
 # ---------------------------------------------------------------- theorem 2
@@ -589,6 +593,9 @@ def test_theorem5_rejects():
         theorem5_certify(circulant(20, (1, 2, 10)), 6, 2)
     with pytest.raises(PreconditionError, match="at least 2"):
         theorem5_certify(circulant(20, (1, 2, 10)), 5, 1)
+    for delta, r in ((5.0, 2), (True, 2), (5, 2.0), (5, True), (5, "2")):
+        with pytest.raises(PreconditionError, match="must be an int"):
+            theorem5_certify(circulant(20, (1, 2, 10)), delta, r)
 
 
 # ------------------------------------------------------------ propositions

@@ -374,6 +374,15 @@ def test_find_independent_cutset_budget():
         {"max_subset_size": -1},
         {"time_hint_s": 0.0},
         {"time_hint_s": -1.0},
+        # the caps are ints that are not bools, and the hint is a number
+        # that is not a bool
+        {"max_n": "30"},
+        {"max_n": 24.0},
+        {"max_n": True},
+        {"max_subset_size": 2.5},
+        {"max_subset_size": False},
+        {"time_hint_s": "1"},
+        {"time_hint_s": True},
     ],
 )
 def test_oracle_budget_rejects_invalid_caps(fields):
@@ -428,6 +437,15 @@ def test_find_constrained_cutset_refuses_a_malformed_average(max_avg):
         find_constrained_cutset(_cycle(6), max_avg=max_avg)
 
 
+@pytest.mark.parametrize("max_delta", [1.5, 2.0, True, "1"])
+def test_find_constrained_cutset_refuses_a_max_delta_that_is_not_an_int(max_delta):
+    # a float bound never marks a vertex saturated, so 1.5 would let a
+    # vertex of C_10^2 keep 2 neighbours in the answer
+    message = f"find_constrained_cutset: max_delta must be an int, got {max_delta!r}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        find_constrained_cutset(squared_cycle(10), max_delta=max_delta)
+
+
 def test_find_constrained_cutset_respects_degree_bound():
     g = squared_cycle(12)
     got = find_constrained_cutset(g, max_delta=2)
@@ -458,9 +476,10 @@ def test_find_krr_r1_is_any_edge():
     assert a == (0,) and b == (1,)
 
 
-def test_find_krr_validates_r():
-    with pytest.raises(PreconditionError):
-        find_krr(_path(3), 0)
+@pytest.mark.parametrize("r", [0, -1, 1.5, 2.0, "2", True])
+def test_find_krr_validates_r(r):
+    with pytest.raises(PreconditionError, match="^find_krr.* r "):
+        find_krr(_path(3), r)
 
 
 def test_find_krr_prunes_on_common_neighbors(monkeypatch):
@@ -806,6 +825,26 @@ def test_layer_cuts_is_every_cutting_subset_in_order(monkeypatch, bits):
             assert list(search.layer_cuts(k)) == want, (g, k)
 
 
+def _squared_cycle_min_cutsets(n: int) -> list[tuple[int, ...]]:
+    """The minimum cutsets of C_n^2 for n >= 7, sorted: two pairs of
+    consecutive vertices {i, i+1} and {j, j+1} with (j - i) mod n not in
+    {0, ±1, ±2}, so n(n-5)/2 sets of 4."""
+    far = [d for d in range(n) if d not in (0, 1, 2, n - 2, n - 1)]
+    pairs = {
+        tuple(sorted({i, (i + 1) % n, (i + d) % n, (i + d + 1) % n})) for i in range(n) for d in far
+    }
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("n", [14, 24, 64])
+def test_min_cutsets_of_squared_cycles_past_24_vertices(n):
+    # up to n = 24 the layer of 4-sets is one block, at n = 24 with 228
+    # hits; at n = 64 its 1888 hits are spread over 190 blocks
+    want = _squared_cycle_min_cutsets(n)
+    assert len(want) == n * (n - 5) // 2
+    assert enumerate_min_cutsets(squared_cycle(n), OracleBudget(max_n=n)) == want
+
+
 def test_layer_blocks_stay_within_the_bit_bound(monkeypatch):
     # the C(320, 2) = 51040 pairs in lexicographic blocks of at most
     # 2**18 // 320 = 819 lanes
@@ -847,13 +886,18 @@ def _graphs_with_vertex_sets(draw):
     return g, sets
 
 
-def _lane_cuts(search, sets) -> list[bool]:
-    """Whether each set cuts, all tested as the lanes of one block."""
-    members = [0] * search.n
+def _packed(n: int, sets) -> list[int]:
+    """The member slices of one block whose lane i is sets[i]."""
+    members = [0] * n
     for i, s in enumerate(sets):
         for v in s:
             members[v] |= 1 << i
-    cut = search._cut_lanes(members, len(sets))
+    return members
+
+
+def _lane_cuts(search, sets) -> list[bool]:
+    """Whether each set cuts, all tested as the lanes of one block."""
+    cut = search._cut_lanes(_packed(search.n, sets), len(sets))
     return [bool(cut >> i & 1) for i in range(len(sets))]
 
 
@@ -907,10 +951,16 @@ def test_cut_test_matches_the_flood_fill_on_sets_of_up_to_three(g):
     ids=["cycle25", "squared25", "cycle40", "squared40"],
 )
 def test_cut_test_matches_the_flood_fill_past_24_vertices(g):
-    # the same sets as above, past the default max_n
+    # the same sets as above, past the default max_n, among them removing
+    # nothing and everything
     search = oracles._Search(g, OracleBudget(max_n=g.n), "test")
     sets = _small_sets_and_complements(g.n)
-    assert _lane_cuts(search, sets) == [oracles._separates(g, s) for s in sets]
+    assert () in sets and tuple(range(g.n)) in sets
+    want = [oracles._separates(g, s) for s in sets]
+    assert _lane_cuts(search, sets) == want
+    # and block_cuts names the sets that cut, in lane order, from one block
+    got = list(search.block_cuts(_packed(g.n, sets), len(sets)))
+    assert got == [s for s, cuts in zip(sets, want) if cuts]
 
 
 # ------------------------------------------------------------ the two walks
