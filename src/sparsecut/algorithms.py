@@ -461,6 +461,7 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
     raises NoCutsetFound, a reported outcome covering orders below the
     (unknown) threshold where the dichotomy kicks in.
     """
+    require_int(min_order, "theorem3_dichotomy: min_order")
     _require_connected(g, "theorem3_dichotomy")
     _require_regular(g, 4, "theorem3_dichotomy")
     if all(_link_is(g, v, 4, 1) for v in g.vertices()):

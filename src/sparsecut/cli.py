@@ -130,11 +130,25 @@ def _emit(report: dict, path: str | None = None) -> None:
     _write_out(json.dumps(report, indent=2) + "\n", path)
 
 
+# schema 1 prints minimality up to this many vertices and null above, as the
+# recorded answers pin, though induced_stats decides every size
+MINIMALITY_REPORT_LIMIT = 6
+
+
 def _stats_for(g: Graph, cert: Certificate | None) -> dict | None:
     members = getattr(cert, "cutset", None)
     if members is None:
         return None
-    return induced_stats(g, members).to_dict()
+    rep = induced_stats(g, members)
+    avg = rep.avg_degree_in_s
+    return {
+        "cutset": list(rep.cutset),
+        "max_degree_in_s": rep.max_degree_in_s,
+        "induced_edge_count": rep.induced_edge_count,
+        "avg_degree_in_s": [avg.numerator, avg.denominator],
+        "component_count": rep.component_count,
+        "minimal": rep.minimal if len(rep.cutset) <= MINIMALITY_REPORT_LIMIT else None,
+    }
 
 
 def _verification_wanted(args, g: Graph) -> bool:
@@ -273,6 +287,15 @@ def _require_options(what: str, args, names: tuple[str, ...]) -> None:
         raise PreconditionError(f"{what} requires {flags}")
 
 
+def _refuse_options(what: str, args, offered: tuple[str, ...], takes: tuple[str, ...]) -> None:
+    """Refuse each offered option that the method or probe does not take,
+    rather than echo it into the report as if it had shaped the run."""
+    given = [n for n in offered if n not in takes and getattr(args, n) is not None]
+    if given:
+        flags = " or ".join("--" + n.replace("_", "-") for n in given)
+        raise PreconditionError(f"{what} takes no {flags}")
+
+
 # method -> (options it requires, call)
 _METHODS = {
     "thm1": (("delta",), lambda g, args: theorem1_cutset(g, args.delta)),
@@ -287,7 +310,9 @@ _METHODS = {
 
 def _run_method(g: Graph, args) -> Certificate:
     needs, run = _METHODS[args.method]
-    _require_options(f"find-cutset --method {args.method}", args, needs)
+    what = f"find-cutset --method {args.method}"
+    _refuse_options(what, args, ("delta", "r"), needs)
+    _require_options(what, args, needs)
     return run(g, args)
 
 
@@ -339,18 +364,21 @@ def _probe_squared_cycle(g: Graph, args, budget: OracleBudget) -> Certificate | 
     return {"found": False} if order is None else SquaredCycleIso(order=order)
 
 
+# probe -> (which of --r, --max-delta and --avg it takes, call)
 _PROBES = {
-    "independent-cutset": _probe_independent,
-    "constrained-cutset": _probe_constrained,
-    "connectivity": lambda g, args, budget: {"connectivity": vertex_connectivity(g, budget)},
-    "krr": _probe_krr,
-    "min-cutsets": _probe_min_cutsets,
-    "squared-cycle": _probe_squared_cycle,
+    "independent-cutset": ((), _probe_independent),
+    "constrained-cutset": (("max_delta", "avg"), _probe_constrained),
+    "connectivity": ((), lambda g, args, budget: {"connectivity": vertex_connectivity(g, budget)}),
+    "krr": (("r",), _probe_krr),
+    "min-cutsets": ((), _probe_min_cutsets),
+    "squared-cycle": ((), _probe_squared_cycle),
 }
 
 
 def _run_oracle(g: Graph, args) -> Certificate | dict:
-    return _PROBES[args.probe](g, args, _budget(args))
+    takes, probe = _PROBES[args.probe]
+    _refuse_options(f"oracle {args.probe}", args, ("r", "max_delta", "avg"), takes)
+    return probe(g, args, _budget(args))
 
 
 # -------------------------------------------------------------------- verify

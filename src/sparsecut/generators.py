@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, PreconditionError
+from .errors import BudgetExhausted, PreconditionError, require_int
 from .graph import Graph
 
 # Vertex 0..11 of icosahedron() carries label a..l. The edge list is fixed
@@ -38,6 +38,7 @@ def squared_cycle(n: int) -> Graph:
     Below 5 the +-2 chords collide with cycle edges or each other, which
     the simple-graph constructor would reject anyway.
     """
+    require_int(n, "squared_cycle: n")
     if n < 5:
         raise PreconditionError(f"squared_cycle requires n >= 5, got {n}")
     return Graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
@@ -45,6 +46,7 @@ def squared_cycle(n: int) -> Graph:
 
 def squared_path(n: int) -> Graph:
     """P_n^2: vertex i adjacent to i+-1 and i+-2 within range. Requires n >= 3."""
+    require_int(n, "squared_path: n")
     if n < 3:
         raise PreconditionError(f"squared_path requires n >= 3, got {n}")
     edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
@@ -65,6 +67,7 @@ def figure2_pattern(blocks: int) -> Graph:
     and the result is isomorphic to the icosahedron; blocks >= 4 gives the
     generic member of the family.
     """
+    require_int(blocks, "figure2_pattern: blocks")
     if blocks < 3:
         raise PreconditionError(f"figure2_pattern requires blocks >= 3, got {blocks}")
     edges = []
@@ -148,6 +151,8 @@ def clique_chain(params: CliqueChainParams) -> Graph:
     of asserting any asymptotic bound. A connector that takes too many draws
     raises BudgetExhausted, as almost every seed does from delta 17 on.
     """
+    require_int(params.delta, "clique_chain: delta")
+    require_int(params.base_length, "clique_chain: base_length")
     if params.delta < 9:
         raise PreconditionError(f"clique_chain requires delta >= 9, got {params.delta}")
     if params.base_length < 3:
@@ -243,6 +248,8 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     repeated edge is thrown away entirely, so the result is uniform over
     simple pairings. Deterministic given the seed.
     """
+    require_int(n, "random_regular: n")
+    require_int(d, "random_regular: d")
     if n <= 0 or d < 0:
         raise PreconditionError(f"random_regular needs n > 0, d >= 0, got n={n} d={d}")
     if d >= n:

@@ -3,7 +3,8 @@
 Vertices are dense 0-based ints. The constructor rejects self-loops and
 parallel edges instead of normalizing them, so every Graph is a simple
 graph by construction. All derived quantities that feed certificates are
-exact: average degrees are rationals, never floats.
+exact: average degrees are rationals, never floats, and minimality is
+decided for a set of any size.
 
 A vertex set is a sorted tuple of distinct ids, the same shape that
 certificates hold. The functions here accept any iterable of ids, drop
@@ -18,11 +19,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import GraphError, InternalInvariantError, PreconditionError
-
-# Minimality is reported only up to this size; a larger cutset reports
-# minimal=None. The rule below decides any size, but report schema 1 and
-# the recorded benchmark answers pin null for these sets.
-MINIMALITY_REPORT_LIMIT = 6
 
 
 class Graph:
@@ -121,17 +117,16 @@ class CutsetReport:
     """Exact statistics for a vertex set considered as a cutset.
 
     avg_degree_in_s is kept as an exact rational via the induced edge
-    count. minimal is decided exactly from the components of G - S: S is
-    an inclusion-minimal cutset iff G - S has two or more components and
-    each has a neighbour at every vertex of S. A cutset of more than
-    MINIMALITY_REPORT_LIMIT vertices reports None under report schema 1.
+    count. minimal is decided exactly, for a set of any size, from the
+    components of G - S: S is an inclusion-minimal cutset iff G - S has two
+    or more components and each has a neighbour at every vertex of S.
     """
 
     cutset: tuple[int, ...]
     max_degree_in_s: int
     induced_edge_count: int
     component_count: int
-    minimal: bool | None
+    minimal: bool
 
     @property
     def is_cutset(self) -> bool:
@@ -142,17 +137,6 @@ class CutsetReport:
         if len(self.cutset) == 0:
             return Fraction(0)
         return Fraction(2 * self.induced_edge_count, len(self.cutset))
-
-    def to_dict(self) -> dict:
-        avg = self.avg_degree_in_s
-        return {
-            "cutset": list(self.cutset),
-            "max_degree_in_s": self.max_degree_in_s,
-            "induced_edge_count": self.induced_edge_count,
-            "avg_degree_in_s": [avg.numerator, avg.denominator],
-            "component_count": self.component_count,
-            "minimal": self.minimal,
-        }
 
 
 def _ids(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
@@ -223,14 +207,12 @@ def induced_stats(g: Graph, s: Iterable[int]) -> CutsetReport:
     )
 
 
-def _minimality(g: Graph, ids: tuple[int, ...], comps: list[tuple[int, ...]]) -> bool | None:
+def _minimality(g: Graph, ids: tuple[int, ...], comps: list[tuple[int, ...]]) -> bool:
     # the rule in CutsetReport: a vertex of S that misses a component C can
     # leave S with C still cut off, while vertices touching every component
     # join them all again once any proper subset of S is removed
     if len(comps) < 2:
         return False
-    if len(ids) > MINIMALITY_REPORT_LIMIT:
-        return None
     label = {v: i for i, comp in enumerate(comps) for v in comp}
     return all(
         len({label[w] for w in g.neighbors(u) if w in label}) == len(comps)

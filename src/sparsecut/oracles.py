@@ -805,12 +805,18 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
         return (
             g.n >= 5
             and len(cert.order) == g.n
-            and sorted(cert.order) == list(range(g.n))
+            and _vertex_set(g, cert.order)
             and _order_matches(g, cert.order)
         )
     if isinstance(cert, IsIcosahedron):
         return _verify_icosahedron(g)
     raise PreconditionError(f"unknown certificate type {type(cert).__name__}")
+
+
+def _vertex_set(g: Graph, ids: tuple) -> bool:
+    """Whether ids are distinct vertices of g, each an int and not a bool
+    (True would pass for vertex 1, and 1.0 would fail at an index)."""
+    return all(type(v) is int and 0 <= v < g.n for v in ids) and len(set(ids)) == len(ids)
 
 
 def _verify_cutset_claim(
@@ -821,9 +827,7 @@ def _verify_cutset_claim(
     avg_bound: tuple[int, int] | None = None,
     require_minimal: bool = False,
 ) -> bool:
-    if len(set(cutset)) != len(cutset):
-        return False
-    if any(not (0 <= v < g.n) for v in cutset):
+    if not _vertex_set(g, cutset):
         return False
     if not _separates(g, cutset):
         return False
@@ -851,14 +855,13 @@ def _verify_cutset_claim(
 
 
 def _verify_krr(g: Graph, cert: KrrWitness) -> bool:
-    a, b = cert.side_a, cert.side_b
-    if cert.r < 1 or len(a) != cert.r or len(b) != cert.r:
-        return False
-    if len(set(a)) != cert.r or len(set(b)) != cert.r or set(a) & set(b):
-        return False
-    if any(not (0 <= v < g.n) for v in (*a, *b)):
-        return False
-    return all(g.has_edge(u, w) for u in a for w in b)
+    r, a, b = cert.r, cert.side_a, cert.side_b
+    return (
+        type(r) is int and r >= 1 and len(a) == len(b) == r
+        # one set of 2r distinct vertices: each side distinct, the sides disjoint
+        and _vertex_set(g, (*a, *b))
+        and all(g.has_edge(u, w) for u in a for w in b)
+    )
 
 
 def _verify_icosahedron(g: Graph) -> bool:

@@ -326,6 +326,12 @@ def test_theorem3_threshold_gate():
         theorem3_dichotomy(complement_cube())
 
 
+@pytest.mark.parametrize("min_order", ["10", 10.0, 8.5, True])
+def test_theorem3_refuses_a_min_order_that_is_not_an_int(min_order):
+    with pytest.raises(PreconditionError, match="min_order must be an int"):
+        theorem3_dichotomy(squared_cycle(14), min_order=min_order)
+
+
 def test_theorem3_no_cutset_below_threshold():
     # complement of the cube: sparse cutsets of order <= 4 provably absent
     with pytest.raises(NoCutsetFound):

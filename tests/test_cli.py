@@ -444,6 +444,32 @@ def test_oracle_constrained_avg_bound(monkeypatch, capsys):
     assert report["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["find-cutset", "--method", "thm1", "--delta", "4", "--r", "7"],
+         "find-cutset --method thm1 takes no --r"),
+        (["find-cutset", "--method", "thm2", "--delta", "4"],
+         "find-cutset --method thm2 takes no --delta"),
+        (["find-cutset", "--method", "degenerate", "--delta", "4", "--r", "2"],
+         "find-cutset --method degenerate takes no --delta or --r"),
+        (["oracle", "min-cutsets", "--r", "3", "--max-delta", "2", "--avg", "1/2"],
+         "oracle min-cutsets takes no --r or --max-delta or --avg"),
+        (["oracle", "krr", "--r", "2", "--max-delta", "1"], "oracle krr takes no --max-delta"),
+        (["oracle", "constrained-cutset", "--max-delta", "1", "--r", "2"],
+         "oracle constrained-cutset takes no --r"),
+        (["oracle", "connectivity", "--avg", "1/2"], "oracle connectivity takes no --avg"),
+    ],
+)
+def test_options_a_method_or_probe_ignores_are_refused(argv, message, monkeypatch, capsys):
+    # one report, exit 2, rather than an option echoed as if it shaped the run
+    code, out = pipe(monkeypatch, capsys, ["generate", "squared-cycle", "14"], argv)
+    report = json.loads(out)
+    assert (code, report["certificate"]) == (2, None)
+    assert report["error"]["type"] == "PreconditionError"
+    assert report["error"]["message"] == message
+
+
 def test_oracle_budget_exhausted_exit(monkeypatch, capsys):
     code, out = pipe(
         monkeypatch,

@@ -256,6 +256,29 @@ def test_random_regular_rejects_bad_parameters():
         random_regular(4, 4, seed=0)
 
 
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: squared_cycle(14.0), "squared_cycle: n"),
+        (lambda: squared_cycle(True), "squared_cycle: n"),
+        (lambda: squared_path(6.0), "squared_path: n"),
+        (lambda: figure2_pattern(4.5), "figure2_pattern: blocks"),
+        (lambda: random_regular(16.0, 5, 0), "random_regular: n"),
+        (lambda: random_regular(16, 5.0, 0), "random_regular: d"),
+        (lambda: clique_chain(CliqueChainParams(9.0, 4)), "clique_chain: delta"),
+        (lambda: clique_chain(CliqueChainParams(9, "4")), "clique_chain: base_length"),
+    ],
+    ids=[
+        "squared-cycle-float", "squared-cycle-bool", "squared-path-float", "figure2-float",
+        "random-regular-n-float", "random-regular-d-float", "clique-chain-delta-float",
+        "clique-chain-length-str",
+    ],
+)
+def test_generators_refuse_parameters_that_are_not_ints(build, what):
+    with pytest.raises(PreconditionError, match=f"{what} must be an int"):
+        build()
+
+
 def _shuffle_reference(n: int, d: int, seed: int) -> Graph:
     """The pairing model as first written, on random.Random.shuffle."""
     rng = random.Random(seed)

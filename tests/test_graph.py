@@ -19,13 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsecut
-from helpers import induced_subgraph
+from helpers import induced_subgraph, union_find_components
 from sparsecut.algorithms import degenerate_sparse_cutset
-from sparsecut.certificates import GoodCutset
 from sparsecut.errors import GraphError, PreconditionError
 from sparsecut.generators import squared_cycle
 from sparsecut.graph import (
-    MINIMALITY_REPORT_LIMIT,
     Graph,
     components,
     induced_stats,
@@ -34,7 +32,6 @@ from sparsecut.graph import (
     min_degree_vertex,
 )
 from sparsecut.io import to_dot
-from sparsecut.oracles import verify_certificate
 
 
 def _path(n: int) -> Graph:
@@ -43,30 +40,6 @@ def _path(n: int) -> Graph:
 
 def _cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def _union_find_components(n: int, edges, removed: set[int]) -> list[list[int]]:
-    # independent of the library BFS on purpose
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        if u in removed or v in removed:
-            continue
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        if v in removed:
-            continue
-        groups.setdefault(find(v), []).append(v)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
 # ---------------------------------------------------------------- construction
@@ -272,7 +245,7 @@ def test_components_against_union_find_1000_instances():
         g = Graph(n, edges)
         removed = {v for v in range(n) if rng.random() < 0.2}
         got = [list(c) for c in components(g, removed)]
-        assert got == _union_find_components(n, edges, removed)
+        assert got == union_find_components(n, edges, removed)
 
 
 def test_is_cutset_path_and_cycle():
@@ -316,14 +289,19 @@ def test_induced_stats_empty_set_conventions():
     assert rep.minimal is True
 
 
-def test_induced_stats_minimality_exhaustive_and_unknown():
+def test_induced_stats_minimality_at_every_size():
     g = _path(10)
     rep = induced_stats(g, [4])
     assert rep.minimal is True
     rep = induced_stats(g, [3, 4])
     assert rep.is_cutset and rep.minimal is False
+    # {4} alone cuts P10, so the seven vertices 1..7 are not minimal
     big = induced_stats(g, [1, 2, 3, 4, 5, 6, 7])
-    assert big.minimal is None  # beyond the exhaustive limit
+    assert big.is_cutset and big.minimal is False
+    # K_{2,7}: the seven middle vertices each touch both sides
+    k27 = Graph(9, [(side, v) for side in (0, 1) for v in range(2, 9)])
+    rep = induced_stats(k27, range(2, 9))
+    assert rep.component_count == 2 and rep.minimal is True
 
 
 def test_minimality_checks_all_proper_subsets_not_just_deletions():
@@ -342,23 +320,30 @@ def test_minimality_in_a_disconnected_graph():
     assert rep.component_count == 4 and rep.minimal is False
 
 
+def _proper_submasks(mask: int):
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        yield sub
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_induced_stats_minimality_matches_the_oracle(data):
-    # graphs connected or not, every vertex set: up to the report limit the
-    # verdict is the oracle's subset scan; above it a cutset reports None
+def test_induced_stats_minimality_matches_a_subset_scan(data):
+    # graphs connected or not, every vertex set of every size: the verdict
+    # is a brute-force scan of the set's proper subsets by union-find
     n = data.draw(st.integers(min_value=0, max_value=9))
     pairs = list(combinations(range(n), 2))
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = Graph(n, [e for e, kept in zip(pairs, keep) if kept])
-    for size in range(n + 1):
-        for s in combinations(range(n), size):
-            rep = induced_stats(g, s)
-            if size <= MINIMALITY_REPORT_LIMIT:
-                exhaustive = verify_certificate(g, GoodCutset(cutset=s, require_minimal=True))
-                assert rep.minimal is exhaustive, (g.edges(), s)
-            else:
-                assert rep.minimal is (None if rep.is_cutset else False), (g.edges(), s)
+    separates = [
+        len(union_find_components(n, g.edges(), {v for v in range(n) if mask >> v & 1})) >= 2
+        for mask in range(1 << n)
+    ]
+    for mask in range(1 << n):
+        s = [v for v in range(n) if mask >> v & 1]
+        minimal = separates[mask] and not any(separates[sub] for sub in _proper_submasks(mask))
+        assert induced_stats(g, s).minimal is minimal, (g.edges(), s)
 
 
 def test_induced_stats_makes_one_components_pass(monkeypatch):
@@ -452,7 +437,7 @@ def test_all_size_leq2_sets_cutset_vs_bruteforce():
         g = Graph(n, edges)
         for size in (0, 1, 2):
             for s in combinations(range(n), size):
-                expect = len(_union_find_components(n, edges, set(s))) >= 2
+                expect = len(union_find_components(n, edges, set(s))) >= 2
                 assert is_cutset(g, s) == expect
 
 

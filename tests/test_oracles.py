@@ -1156,6 +1156,34 @@ def test_verify_squared_cycle_iso():
     assert not verify_certificate(g, SquaredCycleIso(order=bad))
 
 
+_P3 = Graph(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "g, cert, honest",
+    [
+        (_P3, GoodCutset(cutset=(True,)), GoodCutset(cutset=(1,))),
+        (_P3, GoodCutset(cutset=(1.0,)), GoodCutset(cutset=(1,))),
+        (_P3, IndependentCutset(cutset=(True,)), IndependentCutset(cutset=(1,))),
+        (_P3, IndependentCutset(cutset=(1.0,)), IndependentCutset(cutset=(1,))),
+        (_P3, KrrWitness(1, (True,), (0,)), KrrWitness(1, (1,), (0,))),
+        (_P3, KrrWitness(1, (1.0,), (0,)), KrrWitness(1, (1,), (0,))),
+        (_P3, KrrWitness(True, (1,), (0,)), KrrWitness(1, (1,), (0,))),
+        (squared_cycle(5), SquaredCycleIso((0, True, 2, 3, 4)), SquaredCycleIso((0, 1, 2, 3, 4))),
+        (squared_cycle(5), SquaredCycleIso((0, 1.0, 2, 3, 4)), SquaredCycleIso((0, 1, 2, 3, 4))),
+    ],
+    ids=[
+        "cutset-bool", "cutset-float", "independent-bool", "independent-float",
+        "krr-side-bool", "krr-side-float", "krr-r-bool", "order-bool", "order-float",
+    ],
+)
+def test_verify_refuses_vertex_ids_that_are_not_ints(g, cert, honest):
+    # each claim holds with the int 1 in place of True or 1.0; a bool is not
+    # a vertex id, and a float must not reach an index
+    assert verify_certificate(g, honest) is True
+    assert verify_certificate(g, cert) is False
+
+
 def test_verify_is_icosahedron():
     assert verify_certificate(icosahedron(), IsIcosahedron())
     assert verify_certificate(figure2_pattern(3), IsIcosahedron())
