@@ -130,11 +130,6 @@ def _emit(report: dict, path: str | None = None) -> None:
     _write_out(json.dumps(report, indent=2) + "\n", path)
 
 
-# schema 1 prints minimality up to this many vertices and null above, as the
-# recorded answers pin, though induced_stats decides every size
-MINIMALITY_REPORT_LIMIT = 6
-
-
 def _stats_for(g: Graph, cert: Certificate | None) -> dict | None:
     members = getattr(cert, "cutset", None)
     if members is None:
@@ -147,7 +142,8 @@ def _stats_for(g: Graph, cert: Certificate | None) -> dict | None:
         "induced_edge_count": rep.induced_edge_count,
         "avg_degree_in_s": [avg.numerator, avg.denominator],
         "component_count": rep.component_count,
-        "minimal": rep.minimal if len(rep.cutset) <= MINIMALITY_REPORT_LIMIT else None,
+        # schema 1 prints null above six vertices, as the recorded answers pin
+        "minimal": rep.minimal if len(rep.cutset) <= 6 else None,
     }
 
 
@@ -281,22 +277,20 @@ def _build_family(name: str, params: list[int], seed: int | None) -> Graph:
 # --------------------------------------------------------------- find-cutset
 
 
-def _require_options(what: str, args, names: tuple[str, ...]) -> None:
-    if any(getattr(args, name) is None for name in names):
-        flags = " and ".join(f"--{name}" for name in names)
-        raise PreconditionError(f"{what} requires {flags}")
-
-
-def _refuse_options(what: str, args, offered: tuple[str, ...], takes: tuple[str, ...]) -> None:
-    """Refuse each offered option that the method or probe does not take,
-    rather than echo it into the report as if it had shaped the run."""
-    given = [n for n in offered if n not in takes and getattr(args, n) is not None]
-    if given:
-        flags = " or ".join("--" + n.replace("_", "-") for n in given)
+def _check_options(what: str, args, takes: tuple[str, ...], needs: tuple[str, ...]) -> None:
+    """Refuse each of --delta, --r, --max-delta and --avg that the method or
+    probe does not take, rather than echo it into the report as if it had
+    shaped the run; then require the options it needs."""
+    foreign = [n for n in ("delta", "r", "max_delta", "avg")
+               if n not in takes and getattr(args, n, None) is not None]
+    if foreign:
+        flags = " or ".join("--" + n.replace("_", "-") for n in foreign)
         raise PreconditionError(f"{what} takes no {flags}")
+    if any(getattr(args, n) is None for n in needs):
+        raise PreconditionError(f"{what} requires " + " and ".join(f"--{n}" for n in needs))
 
 
-# method -> (options it requires, call)
+# method -> (options it requires, the only ones it takes; call)
 _METHODS = {
     "thm1": (("delta",), lambda g, args: theorem1_cutset(g, args.delta)),
     "thm2": ((), lambda g, args: theorem2_cutset(g)),
@@ -310,9 +304,7 @@ _METHODS = {
 
 def _run_method(g: Graph, args) -> Certificate:
     needs, run = _METHODS[args.method]
-    what = f"find-cutset --method {args.method}"
-    _refuse_options(what, args, ("delta", "r"), needs)
-    _require_options(what, args, needs)
+    _check_options(f"find-cutset --method {args.method}", args, needs, needs)
     return run(g, args)
 
 
@@ -347,7 +339,6 @@ def _probe_constrained(g: Graph, args, budget: OracleBudget) -> Certificate | di
 
 
 def _probe_krr(g: Graph, args, budget: OracleBudget) -> Certificate | dict:
-    _require_options("oracle krr", args, ("r",))
     hit = find_krr(g, args.r, budget)
     if hit is None:
         return {"found": False}
@@ -364,20 +355,23 @@ def _probe_squared_cycle(g: Graph, args, budget: OracleBudget) -> Certificate | 
     return {"found": False} if order is None else SquaredCycleIso(order=order)
 
 
-# probe -> (which of --r, --max-delta and --avg it takes, call)
+# probe -> (which of --r, --max-delta and --avg it takes, which it requires,
+# call); constrained-cutset requires one of its two, which it checks itself
 _PROBES = {
-    "independent-cutset": ((), _probe_independent),
-    "constrained-cutset": (("max_delta", "avg"), _probe_constrained),
-    "connectivity": ((), lambda g, args, budget: {"connectivity": vertex_connectivity(g, budget)}),
-    "krr": (("r",), _probe_krr),
-    "min-cutsets": ((), _probe_min_cutsets),
-    "squared-cycle": ((), _probe_squared_cycle),
+    "independent-cutset": ((), (), _probe_independent),
+    "constrained-cutset": (("max_delta", "avg"), (), _probe_constrained),
+    "connectivity": (
+        (), (), lambda g, args, budget: {"connectivity": vertex_connectivity(g, budget)}
+    ),
+    "krr": (("r",), ("r",), _probe_krr),
+    "min-cutsets": ((), (), _probe_min_cutsets),
+    "squared-cycle": ((), (), _probe_squared_cycle),
 }
 
 
 def _run_oracle(g: Graph, args) -> Certificate | dict:
-    takes, probe = _PROBES[args.probe]
-    _refuse_options(f"oracle {args.probe}", args, ("r", "max_delta", "avg"), takes)
+    takes, needs, probe = _PROBES[args.probe]
+    _check_options(f"oracle {args.probe}", args, takes, needs)
     return probe(g, args, _budget(args))
 
 

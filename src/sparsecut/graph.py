@@ -3,8 +3,7 @@
 Vertices are dense 0-based ints. The constructor rejects self-loops and
 parallel edges instead of normalizing them, so every Graph is a simple
 graph by construction. All derived quantities that feed certificates are
-exact: average degrees are rationals, never floats, and minimality is
-decided for a set of any size.
+exact: average degrees are rationals, never floats.
 
 A vertex set is a sorted tuple of distinct ids, the same shape that
 certificates hold. The functions here accept any iterable of ids, drop

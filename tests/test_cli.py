@@ -305,6 +305,23 @@ def test_find_cutset_reports_null_minimality_above_six_vertices(monkeypatch, cap
     assert stats["minimal"] is None and '"minimal": null' in out
 
 
+@pytest.mark.parametrize("size, printed", [(6, False), (7, None)])
+def test_verify_prints_minimality_up_to_six_vertices(size, printed, tmp_path, monkeypatch, capsys):
+    # vertices 1..size of P10 cut it, and none is minimal since {1} alone
+    # does; the library says False at both sizes, schema 1 prints null at 7
+    from sparsecut.certificates import GoodCutset, certificate_to_dict
+
+    cert = tmp_path / "cut.json"
+    cert.write_text(json.dumps(certificate_to_dict(GoodCutset(cutset=tuple(range(1, size + 1))))))
+    path10 = emit_edge_list(Graph(10, [(i, i + 1) for i in range(9)]))
+    code, out = run_cli(
+        ["verify", "--certificate", str(cert)], path10, monkeypatch=monkeypatch, capsys=capsys
+    )
+    stats = json.loads(out)["stats"]
+    assert (code, len(stats["cutset"]), stats["component_count"]) == (0, size, 2)
+    assert stats["minimal"] is printed
+
+
 def test_find_cutset_thm4_from_file(tmp_path, monkeypatch, capsys):
     from helpers import four_regular_cut2
     from sparsecut.io import emit_edge_list
@@ -459,10 +476,17 @@ def test_oracle_constrained_avg_bound(monkeypatch, capsys):
         (["oracle", "constrained-cutset", "--max-delta", "1", "--r", "2"],
          "oracle constrained-cutset takes no --r"),
         (["oracle", "connectivity", "--avg", "1/2"], "oracle connectivity takes no --avg"),
+        # a foreign option is named before a missing one
+        (["find-cutset", "--method", "thm1", "--r", "2"], "find-cutset --method thm1 takes no --r"),
+        (["find-cutset", "--method", "thm5", "--delta", "5"],
+         "find-cutset --method thm5 requires --delta and --r"),
+        (["oracle", "krr"], "oracle krr requires --r"),
+        (["oracle", "constrained-cutset"], "oracle constrained-cutset needs --max-delta or --avg"),
     ],
 )
-def test_options_a_method_or_probe_ignores_are_refused(argv, message, monkeypatch, capsys):
-    # one report, exit 2, rather than an option echoed as if it shaped the run
+def test_options_are_checked_against_the_method_or_probe(argv, message, monkeypatch, capsys):
+    # one report, exit 2, rather than an option echoed as if it shaped the
+    # run, or a run without an option it needs
     code, out = pipe(monkeypatch, capsys, ["generate", "squared-cycle", "14"], argv)
     report = json.loads(out)
     assert (code, report["certificate"]) == (2, None)

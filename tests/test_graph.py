@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import sparsecut
 from helpers import induced_subgraph, union_find_components
 from sparsecut.algorithms import degenerate_sparse_cutset
+from sparsecut.certificates import GoodCutset
 from sparsecut.errors import GraphError, PreconditionError
 from sparsecut.generators import squared_cycle
 from sparsecut.graph import (
@@ -32,6 +33,7 @@ from sparsecut.graph import (
     min_degree_vertex,
 )
 from sparsecut.io import to_dot
+from sparsecut.oracles import verify_certificate
 
 
 def _path(n: int) -> Graph:
@@ -329,9 +331,10 @@ def _proper_submasks(mask: int):
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_induced_stats_minimality_matches_a_subset_scan(data):
+def test_induced_stats_minimality_matches_the_oracle(data):
     # graphs connected or not, every vertex set of every size: the verdict
-    # is a brute-force scan of the set's proper subsets by union-find
+    # is a brute-force scan of the set's proper subsets by union-find, and
+    # up to six vertices also the oracle's own subset scan
     n = data.draw(st.integers(min_value=0, max_value=9))
     pairs = list(combinations(range(n), 2))
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -344,6 +347,9 @@ def test_induced_stats_minimality_matches_a_subset_scan(data):
         s = [v for v in range(n) if mask >> v & 1]
         minimal = separates[mask] and not any(separates[sub] for sub in _proper_submasks(mask))
         assert induced_stats(g, s).minimal is minimal, (g.edges(), s)
+        if len(s) <= 6:
+            exhaustive = verify_certificate(g, GoodCutset(cutset=tuple(s), require_minimal=True))
+            assert exhaustive is minimal, (g.edges(), s)
 
 
 def test_induced_stats_makes_one_components_pass(monkeypatch):

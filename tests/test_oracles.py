@@ -1132,6 +1132,15 @@ def test_verify_good_cutset_minimality_claim():
     g = _path(10)
     assert verify_certificate(g, GoodCutset(cutset=(4,), require_minimal=True))
     assert not verify_certificate(g, GoodCutset(cutset=(3, 4), require_minimal=True))
+    # the scan starts at the empty set: in two disjoint paths it already cuts
+    two_paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    assert not verify_certificate(two_paths, GoodCutset(cutset=(1,), require_minimal=True))
+    # K_{2,k}: the k middle vertices are a minimal cutset, which the scan
+    # confirms up to six vertices and refuses to judge above
+    for k, claim in ((6, True), (7, False)):
+        k2k = Graph(k + 2, [(side, v) for side in (0, 1) for v in range(2, k + 2)])
+        cut = GoodCutset(cutset=tuple(range(2, k + 2)), require_minimal=True)
+        assert verify_certificate(k2k, cut) is claim
 
 
 def test_verify_independent_cutset():
