@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to verify certificates.
 
 Everything here works from the graph alone (its own flood fill, its own
-unit-capacity max flow on one vertex-split network per graph and, for
+unit-capacity path searches on one vertex-split network per graph and, for
 graphs within the budget's order cap, adjacency bitmasks) and shares no
 logic with the constructive algorithms it audits.
 Exponential searches are gated by an OracleBudget; running out of budget
@@ -75,8 +75,9 @@ class OracleBudget:
     row and per piece of a layer's bit slices (enumerate_min_cutsets and
     the average-only scan). Without a time hint a search reads the clock
     at its start only. vertex_connectivity reads time_hint_s and no other
-    cap, after a flow once 64 more augmenting searches have run, and never
-    reads the clock without one.
+    cap. It counts the augmenting searches of its fans and of its flows
+    alike, reads the clock after a pair once 64 more have run, and never
+    reads it without a time hint.
 
     The two caps are ints that are not bools, and time_hint_s, when given,
     is a positive number that is not a bool; anything else raises
@@ -406,90 +407,133 @@ def enumerate_min_cutsets(
 # ------------------------------------------------------------------------ flow
 
 
-# (head, cap, arcs): see _split_network
-_Network = tuple[list[int], list[int], list[tuple[int, ...]]]
+class _Network:
+    """The vertex-split network of g, with scratch for its searches.
 
-
-def _split_network(g: Graph) -> _Network:
-    """The vertex-split network of g as (head, cap, arcs).
-
-    Node 2v is v's in side and 2v+1 its out side, joined by one unit arc;
-    each edge uv adds unit arcs out(u) -> in(v) and out(v) -> in(u). Arc e
-    runs to head[e] with capacity cap[e], its residual reverse is arc e ^ 1,
-    and arcs[x] holds the ids of the arcs leaving node x.
+    Node 2v is v's in side and 2v+1 its out side, joined by arc 2v, v's
+    unit; each edge uv adds unit arcs out(u) -> in(v) and out(v) -> in(u).
+    Arc e runs to head[e] with capacity cap[e], its residual reverse is arc
+    e ^ 1, and arcs[x] holds the ids of the arcs leaving node x. A search
+    marks node x reached by setting seen[x] to a stamp of its own and
+    prev[x] to the arc that reached it, so both lists serve every search.
     """
-    head: list[int] = []
-    cap: list[int] = []
-    arcs: list[list[int]] = [[] for _ in range(2 * g.n)]
 
-    def arc(a: int, b: int) -> None:
-        arcs[a].append(len(head))
-        head.append(b)
-        cap.append(1)
-        arcs[b].append(len(head))
-        head.append(a)
-        cap.append(0)
+    __slots__ = ("head", "cap", "arcs", "seen", "prev", "stamp")
 
-    for v in range(g.n):
-        arc(2 * v, 2 * v + 1)
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            arc(2 * u + 1, 2 * v)
-    return head, cap, [tuple(a) for a in arcs]
+    def __init__(self, g: Graph):
+        head: list[int] = []
+        cap: list[int] = []
+        arcs: list[list[int]] = [[] for _ in range(2 * g.n)]
+
+        def arc(a: int, b: int) -> None:
+            arcs[a].append(len(head))
+            head.append(b)
+            cap.append(1)
+            arcs[b].append(len(head))
+            head.append(a)
+            cap.append(0)
+
+        for v in range(g.n):
+            arc(2 * v, 2 * v + 1)
+        for u in range(g.n):
+            for v in g.neighbors(u):
+                arc(2 * u + 1, 2 * v)
+        self.head, self.cap = head, cap
+        self.arcs = [tuple(a) for a in arcs]
+        self.seen = [0] * len(arcs)
+        self.prev = [0] * len(arcs)
+        self.stamp = 0
 
 
-def _flow_between(net: _Network, s: int, t: int, stop_at: int) -> int:
-    """Number of internally vertex-disjoint paths between non-adjacent s
-    and t: breadth-first augmenting paths from s's out side to t's in side,
-    on a fresh copy of the network's capacities. Stops early once stop_at
-    is reached."""
-    head, base, arcs = net
-    cap = base[:]
-    src, snk = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < stop_at:
-        # prev[x] is the arc that reached node x, -1 while x is unreached;
-        # the source is marked reached with an id no arc has
-        prev = [-1] * len(arcs)
-        prev[src] = len(head)
-        queue = [src]
+def _fan(net: _Network, src: int, ends, stop_at: int) -> int:
+    """How many paths run from src to distinct vertices of the set ends,
+    sharing only src, counted up to stop_at; src is not in ends.
+
+    Each path comes from one breadth-first augmenting search from src's out
+    side. The search stops at the in side of a vertex of ends whose unit
+    no earlier path took, and the path then takes that unit. The
+    capacities the paths change are logged and restored before returning.
+
+    For non-adjacent s and t this is also the capped pair flow:
+    _fan(net, s, N(t), k) = min(k, kappa(s, t)), since a path to a neighbor
+    of t extends to t and a path to t passes a neighbor of t last."""
+    head, cap, arcs, seen, prev = net.head, net.cap, net.arcs, net.seen, net.prev
+    stamp = net.stamp
+    source = 2 * src + 1
+    taken: list[int] = []  # each arc that passed one unit to its reverse
+    found = 0
+    while found < stop_at:
+        stamp += 1
+        seen[source] = stamp
+        queue = [source]
+        end = -1
         for x in queue:
             for e in arcs[x]:
-                if cap[e] and prev[head[e]] < 0:
-                    prev[head[e]] = e
-                    queue.append(head[e])
-            if prev[snk] >= 0:
+                if cap[e]:
+                    y = head[e]
+                    if seen[y] != stamp:
+                        seen[y] = stamp
+                        prev[y] = e
+                        # in side 2v is also the id of v's unit arc
+                        if not y & 1 and cap[y] and y >> 1 in ends:
+                            end = y
+                            break
+                        queue.append(y)
+            if end >= 0:
                 break
         else:
-            break  # the sink is out of reach: the flow is maximum
-        y = snk
-        while y != src:
-            e = prev[y]
+            break  # no free end is in reach: the fan is maximum
+        # the end's unit, then the path back to the source
+        e, y = end, end
+        while True:
             cap[e] -= 1
             cap[e ^ 1] += 1
+            taken.append(e)
+            if y == source:
+                break
+            e = prev[y]
             y = head[e ^ 1]
-        flow += 1
-    return flow
+        found += 1
+    net.stamp = stamp
+    for e in taken:
+        cap[e] += 1
+        cap[e ^ 1] -= 1
+    return found
 
 
 def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
-    """Exact vertex connectivity by unit-capacity max flow, with the pair
+    """Exact vertex connectivity by unit-capacity paths, with the pair
     selection of Esfahanian and Hakimi, "On computing the connectivities of
-    graphs and digraphs" (Networks 1984).
+    graphs and digraphs" (Networks 1984), and the check of Even, "An
+    algorithm for determining whether the connectivity of a graph is at
+    least k" (SIAM J. Comput. 1975), in place of most of its flows.
 
     Let v0 be the smallest-index vertex of minimum degree. A minimum cutset
     that misses v0 separates it from some non-neighbor. One that contains
     v0 is minimal, so v0 has a neighbor in two of the components it leaves,
-    and those two neighbors are non-adjacent. So the minimum of deg(v0) and
-    the flows from v0 to each non-neighbor and between each non-adjacent
-    pair of its neighbors is exact. That is at most n - deg(v0) - 1 +
-    C(deg(v0), 2) flows, all on one split network built once per call.
-    Complete graphs return n-1.
+    and those two neighbors are non-adjacent. So the minimum of deg(v0),
+    kappa(v0, u) over the non-neighbors u, and kappa(x, y) over the
+    non-adjacent pairs of neighbors is exact.
+
+    best starts at deg(v0) and only falls. W holds v0, its neighbors and
+    the non-neighbors decided so far, each of which has kappa(v0, w) >=
+    best. The non-neighbors u are decided in breadth-first order from v0:
+    if best paths run from u to distinct vertices of W, sharing only u
+    (_fan), then kappa(v0, u) >= best. Proof: let X, of fewer than best
+    vertices and holding neither v0 nor u, part them. X misses one of the
+    paths whole. Its end is v0, a neighbor of v0 outside X, or a decided
+    w, which X cannot part from v0 since kappa(v0, w) >= best > |X|. So u
+    reaches v0 in G - X, a contradiction. Only when the fan falls short
+    does a flow from v0 to u run, and best falls to its value. Either way
+    u then joins W. Each non-adjacent pair of neighbors gets its flow. All
+    of it runs on one split network built once per call. Complete graphs
+    return n-1.
 
     Of budget only time_hint_s applies: it is counted from the start of
-    the call and checked after a flow once 64 more augmenting searches
-    have run, and running out raises BudgetExhausted naming how many pairs
-    were finished. Without a time hint the clock is never read.
+    the call and checked after a pair once 64 more augmenting searches
+    have run, fans included, and running out raises BudgetExhausted
+    naming how many pairs were finished. Without a time hint the clock is
+    never read.
     """
     if g.n <= 1:
         return max(g.n - 1, 0)
@@ -498,21 +542,40 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
     v0 = min(range(g.n), key=g.degree)
-    pairs = [(v0, u) for u in range(g.n) if u != v0 and not g.has_edge(v0, u)]
+    near = g.neighbor_set(v0)
+    # breadth-first order from v0; the graph is connected
+    order = [v0]
+    reached = {v0}
+    for x in order:
+        for y in g.neighbors(x):
+            if y not in reached:
+                reached.add(y)
+                order.append(y)
+    pairs = [(u, None) for u in order[1:] if u not in near]
     pairs += [(x, y) for x, y in combinations(g.neighbors(v0), 2) if not g.has_edge(x, y)]
-    net = _split_network(g)
+    net = _Network(g)
     best = g.degree(v0)
+    checked = {v0, *near}
     limit = None if budget is None else budget.time_hint_s
     start = None if limit is None else time.monotonic()
     searches = 0
+
+    def fan(src: int, ends) -> int:
+        # one augmenting search per path, and one more that finds none
+        # unless the cap stopped the fan
+        nonlocal searches
+        found = _fan(net, src, ends, best)
+        searches += found + (found < best)
+        return found
+
     for done, (s, t) in enumerate(pairs, 1):
-        # a flow capped at best never exceeds it
-        flow = _flow_between(net, s, t, best)
-        # one augmenting search per unit of flow, and one more that finds
-        # no path unless the cap stopped the flow
         passed = searches >> 6
-        searches += flow + (flow < best)
-        best = flow
+        if t is not None:
+            best = fan(s, g.neighbor_set(t))
+        else:
+            if fan(s, checked) < best:
+                best = fan(v0, g.neighbor_set(s))
+            checked.add(s)
         if limit is not None and searches >> 6 > passed and time.monotonic() - start > limit:
             raise BudgetExhausted(
                 f"oracle time budget of {limit}s exceeded after {done} of {len(pairs)} flow pairs"

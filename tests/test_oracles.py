@@ -279,11 +279,12 @@ def test_vertex_connectivity_matches_earlier_flow_code():
 @pytest.mark.parametrize(
     "g, done",
     [
-        # 16 flows of 4 augmenting searches each reach the first check
+        # 16 fans of 4 augmenting searches each reach the first check
         (squared_cycle(400), "16 of 398"),
-        # the first flow across the cut vertex stops below its cap, so the
-        # search that finds no path counts too
-        (_joined_at_cut_vertex(0), "27 of 37"),
+        # the first fan across the cut vertex and the flow after it stop
+        # below their cap, so the search that finds no path counts for
+        # each; without those two the last pair ends at 63 searches
+        (_joined_at_cut_vertex(2), "37 of 38"),
     ],
     ids=["squared400", "cut-vertex"],
 )
@@ -302,7 +303,8 @@ def test_vertex_connectivity_reads_only_the_time_hint(monkeypatch):
 
     monkeypatch.setattr(oracles.time, "monotonic", monotonic)
     g = squared_cycle(160)
-    # the start, then one read per 64 of the 158 * 4 augmenting searches
+    # the start, then one read per 64 of the 158 * 4 augmenting searches:
+    # 155 fans and 3 pair flows of 4 paths each
     assert vertex_connectivity(g, OracleBudget(time_hint_s=1.0)) == 4
     assert len(clock) == 1 + 158 * 4 // 64
     # without a time hint the clock is never read, and max_n is no cap
@@ -312,21 +314,78 @@ def test_vertex_connectivity_reads_only_the_time_hint(monkeypatch):
     assert clock == []
 
 
+def _counted_fans(monkeypatch, g: Graph) -> list[tuple[str, int, int, int]]:
+    """Each _fan call of vertex_connectivity(g) as (kind, src, found,
+    stop_at). kind is "fan" for a non-neighbor u of v0 checked against the
+    vertices already decided, "flow" for the flow from v0 to u after a
+    fan falls short, and "pair" for a pair of neighbors of v0."""
+    calls = []
+    fan = oracles._fan
+    v0 = min(range(g.n), key=g.degree)
+
+    def counted(net, src, ends, stop_at):
+        found = fan(net, src, ends, stop_at)
+        kind = "flow" if src == v0 else "pair" if g.has_edge(v0, src) else "fan"
+        calls.append((kind, src, found, stop_at))
+        return found
+
+    monkeypatch.setattr(oracles, "_fan", counted)
+    return calls
+
+
 def test_vertex_connectivity_flow_count(monkeypatch):
-    pairs = []
-    flow = oracles._flow_between
+    g = squared_cycle(160)
+    calls = _counted_fans(monkeypatch, g)
+    assert vertex_connectivity(g) == 4
+    kinds = [kind for kind, *_ in calls]
+    assert kinds == ["fan"] * 155 + ["pair"] * 3
+    # every fan finds its 4 paths, so no flow from v0 runs at all
+    assert all(found == stop_at == 4 for *_, found, stop_at in calls)
+    # the non-neighbors of 0 in breadth-first order, then the non-adjacent
+    # pairs of neighbors 1, 2, 158, 159 by their first member
+    fans = [src for _, src, *_ in calls[:155]]
+    assert sorted(fans) == list(range(3, 158))
+    hops = [(min(u, 160 - u) + 1) // 2 for u in fans]
+    assert fans[:8] == [3, 4, 156, 157, 5, 6, 154, 155] and hops == sorted(hops)
+    assert [src for _, src, *_ in calls[155:]] == [1, 2, 2]
 
-    def counted(net, s, t, stop_at):
-        pairs.append((s, t))
-        return flow(net, s, t, stop_at)
 
-    monkeypatch.setattr(oracles, "_flow_between", counted)
-    assert vertex_connectivity(squared_cycle(160)) == 4
-    n, delta = 160, 4
-    assert len(pairs) <= n - delta - 1 + delta * (delta - 1) // 2 == 161
-    # root 0: its 155 non-neighbors, then the non-adjacent pairs of
-    # neighbors 1, 2, 158, 159 in ascending order
-    assert pairs[155:] == [(1, 158), (2, 158), (2, 159)]
+def test_vertex_connectivity_settles_an_expander_by_fans(monkeypatch):
+    g = random_regular(4000, 4, 1)
+    calls = _counted_fans(monkeypatch, g)
+    assert vertex_connectivity(g) == 4
+    # the 3995 non-neighbors of v0, each by a full fan, then the 6 pairs of
+    # its neighbors, none adjacent
+    kinds = [kind for kind, *_ in calls]
+    assert kinds == ["fan"] * 3995 + ["pair"] * 6
+    assert all(found == stop_at == 4 for *_, found, stop_at in calls)
+
+
+def _planted_cut(seed: int, cross: int) -> Graph:
+    """Two random 4-regular halves of 16 and 20 vertices joined by cross
+    edges i -- 16 + i for i < cross: connectivity cross, for cross <= 3."""
+    (a, _), (b, _) = connected_random_regular(16, 4, seed), connected_random_regular(20, 4, seed + 50)
+    edges = [*a.edges(), *((x + 16, y + 16) for x, y in b.edges())]
+    return Graph(36, edges + [(i, 16 + i) for i in range(cross)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_joined_at_cut_vertex(seed) for seed in range(3)]
+    + [_planted_cut(seed, cross) for seed in range(2) for cross in (2, 3)],
+    ids=["cut-vertex-0", "cut-vertex-1", "cut-vertex-2", "cross2-0", "cross3-0", "cross2-1", "cross3-1"],
+)
+def test_vertex_connectivity_falls_back_to_a_flow(monkeypatch, g):
+    calls = _counted_fans(monkeypatch, g)
+    assert vertex_connectivity(g) == _reference_connectivity(g)
+    kinds = [kind for kind, *_ in calls]
+    short = [found < stop_at for kind, _, found, stop_at in calls if kind == "fan"]
+    assert any(short)
+    # a flow from v0 runs right after each fan that falls short, and only then
+    assert kinds.count("flow") == sum(short)
+    for i, kind in enumerate(kinds):
+        if kind == "flow":
+            assert kinds[i - 1] == "fan" and calls[i - 1][2] < calls[i - 1][3]
 
 
 # ---------------------------------------------------------- independent cutsets

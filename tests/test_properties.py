@@ -260,6 +260,37 @@ def test_connectivity_flow_matches_the_oracle(g):
     assert _connectivity(g) == vertex_connectivity(g)
 
 
+@st.composite
+def regular_or_planted_cut(draw) -> Graph:
+    """A random d-regular graph on up to 200 vertices, 3 <= d <= 6, or two
+    of them side by side joined by 1 to d random cross edges, which plants
+    a cut of at most that many vertices."""
+    d = draw(st.integers(3, 6))
+    pieces = []
+    count = draw(st.integers(1, 2))
+    for _ in range(count):
+        n = draw(st.integers(d + 1, 200 // count))
+        assume(n * d % 2 == 0)
+        try:
+            pieces.append(random_regular(n, d, draw(st.integers(0, 10**6))))
+        except BudgetExhausted:
+            assume(False)
+    if len(pieces) == 1:
+        return pieces[0]
+    a, b = pieces
+    edges = {*a.edges(), *((u + a.n, v + a.n) for u, v in b.edges())}
+    for _ in range(draw(st.integers(1, d))):
+        edges.add((draw(st.integers(0, a.n - 1)), a.n + draw(st.integers(0, b.n - 1))))
+    return Graph(a.n + b.n, sorted(edges))
+
+
+@given(g=regular_or_planted_cut())
+@settings(max_examples=100, deadline=None)
+def test_connectivity_flow_matches_the_oracle_up_to_200(g):
+    assert g.n <= 200
+    assert _connectivity(g) == vertex_connectivity(g)
+
+
 @given(g=four_regular(max_piece=14))
 @settings(max_examples=60, deadline=None)
 def test_theorem4_certifies_or_declines(g):
