@@ -94,16 +94,11 @@ class OracleBudget:
     time_hint_s: float | None = None
 
     def __post_init__(self) -> None:
-        require_int(self.max_n, "OracleBudget: max_n")
-        require_int(self.max_subset_size, "OracleBudget: max_subset_size")
-        if self.max_n < 0:
-            raise PreconditionError(
-                f"OracleBudget: max_n must be non-negative, got {self.max_n}"
-            )
-        if self.max_subset_size < 0:
-            raise PreconditionError(
-                f"OracleBudget: max_subset_size must be non-negative, got {self.max_subset_size}"
-            )
+        for name in ("max_n", "max_subset_size"):
+            cap = getattr(self, name)
+            require_int(cap, f"OracleBudget: {name}")
+            if cap < 0:
+                raise PreconditionError(f"OracleBudget: {name} must be non-negative, got {cap}")
         hint = self.time_hint_s
         if hint is None:
             return
@@ -527,7 +522,7 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
     does a flow from v0 to u run, and best falls to its value. Either way
     u then joins W. Each non-adjacent pair of neighbors gets its flow. All
     of it runs on one split network built once per call. Complete graphs
-    return n-1.
+    return n-1, and one breadth-first pass from v0 finds a disconnected g: 0.
 
     Of budget only time_hint_s applies: it is counted from the start of
     the call and checked after a pair once 64 more augmenting searches
@@ -537,13 +532,11 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
     """
     if g.n <= 1:
         return max(g.n - 1, 0)
-    if _separates(g, ()):
-        return 0
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
     v0 = min(range(g.n), key=g.degree)
     near = g.neighbor_set(v0)
-    # breadth-first order from v0; the graph is connected
+    # breadth-first order from v0; it decides connectedness too
     order = [v0]
     reached = {v0}
     for x in order:
@@ -551,6 +544,8 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
             if y not in reached:
                 reached.add(y)
                 order.append(y)
+    if len(order) < g.n:
+        return 0
     pairs = [(u, None) for u in order[1:] if u not in near]
     pairs += [(x, y) for x, y in combinations(g.neighbors(v0), 2) if not g.has_edge(x, y)]
     net = _Network(g)
@@ -666,10 +661,12 @@ def find_constrained_cutset(
     search walks the whole family of qualifying sets in depth-first
     inclusion order and a None answer is exhaustive over all sizes. Each
     set of the walk that also meets the average bound is one lane of a
-    block (_Lanes), and the first that cuts is the answer. With
-    only an average bound there is nothing hereditary to prune on, so the
-    scan covers sizes up to budget.max_subset_size and None means "none
-    within that cap".
+    block (_Lanes), and the first that cuts is the answer. With max_delta
+    and no average bound a disconnected input returns (), as in
+    find_independent_cutset; the empty set has no average, so an average
+    bound keeps the walk. With only an average bound there is nothing
+    hereditary to prune on, so the scan covers sizes up to
+    budget.max_subset_size and None means "none within that cap".
     """
     search = _Search(g, budget, "find_constrained_cutset")
     if max_delta is None and max_avg is None:
@@ -697,6 +694,8 @@ def find_constrained_cutset(
     # the average bound when edges2 / |S| < avg
 
     if max_delta is not None:
+        if avg is None and _separates(g, ()):
+            return ()
         # an explicit stack, so deep searches cannot overflow the interpreter
         # stack; S is tested when v joins it, then extended by the vertices
         # above v, then v is swapped for its successors. Each entry holds v
@@ -890,31 +889,31 @@ def _verify_cutset_claim(
     avg_bound: tuple[int, int] | None = None,
     require_minimal: bool = False,
 ) -> bool:
-    if not _vertex_set(g, cutset):
-        return False
-    if not _separates(g, cutset):
+    """Whether cutset is a set of distinct vertices that separates g and
+    meets each bound given; with require_minimal, also that no proper
+    subset separates g, at every size.
+
+    S is minimal exactly when no S - x (x in S) separates, so |S| flood
+    fills decide it. Proof: suppose a proper subset T of S separates. V - S
+    is not empty, since S is a cutset. If V - S meets two components of
+    G - T, then S - x separates for any x in S - T, as G - (S - x) is an
+    induced subgraph of G - T that holds V - S. Otherwise V - S lies in one
+    component of G - T. Another component then lies inside S - T, and any
+    x in it has no neighbor in V - S, so it is alone in G - (S - x).
+    """
+    if not (_vertex_set(g, cutset) and _separates(g, cutset)):
         return False
     if size_bound is not None and len(cutset) > size_bound:
         return False
     members = frozenset(cutset)
     inner = [len(g.neighbor_set(v) & members) for v in cutset]
-    edges2 = sum(inner)
     if degree_bound is not None and max(inner, default=0) > degree_bound:
         return False
     if avg_bound is not None:
         num, den = avg_bound
-        if len(cutset) == 0 or den <= 0:
+        if len(cutset) == 0 or den <= 0 or not sum(inner) * den < num * len(cutset):
             return False
-        if not (edges2 * den < num * len(cutset)):
-            return False
-    if require_minimal:
-        if len(cutset) > 6:
-            return False
-        for size in range(len(cutset)):
-            for sub in combinations(sorted(cutset), size):
-                if _separates(g, sub):
-                    return False
-    return True
+    return not (require_minimal and any(_separates(g, tuple(members - {x})) for x in cutset))
 
 
 def _verify_krr(g: Graph, cert: KrrWitness) -> bool:

@@ -1,8 +1,10 @@
 """Acceptance suite: the ten delivery criteria, one test each.
 
 Every test prints a single pass/fail line with its elapsed time and
-asserts the stated runtime budget. Checks are exact: integer and
-rational comparisons carry no tolerance anywhere.
+asserts the stated runtime budget on it. A PASS line also splits the time
+into fixtures (building and selecting the input graphs) and the methods
+and checks run on them. Checks are exact: integer and rational comparisons
+carry no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -66,14 +68,32 @@ from sparsecut.oracles import (
 
 @contextmanager
 def criterion(num: int, budget_s: float):
+    """Time criterion num against its budget. The block gets building, a
+    context manager to enter around each piece of fixture work; the time
+    spent in it is printed apart from the rest, and the budget holds the
+    total of both."""
+    fixture_s = 0.0
+
+    @contextmanager
+    def building():
+        nonlocal fixture_s
+        t = time.monotonic()
+        try:
+            yield
+        finally:
+            fixture_s += time.monotonic() - t
+
     t0 = time.monotonic()
     try:
-        yield
+        yield building
     except BaseException:
         print(f"criterion {num:2d}: FAIL ({time.monotonic() - t0:.2f}s)")
         raise
     elapsed = time.monotonic() - t0
-    print(f"criterion {num:2d}: PASS ({elapsed:.2f}s, budget {budget_s:g}s)")
+    print(
+        f"criterion {num:2d}: PASS ({elapsed:.2f}s: fixtures {fixture_s:.2f}s, "
+        f"methods and checks {elapsed - fixture_s:.2f}s; budget {budget_s:g}s)"
+    )
     assert elapsed < budget_s, f"criterion {num} overran {budget_s}s: {elapsed:.2f}s"
 
 
@@ -85,31 +105,32 @@ def separates(g: Graph, members) -> bool:
 
 
 def test_criterion_1_theorem1_guarantees():
-    with criterion(1, 5.0):
-        rng = random.Random(1201)
-        cases = []
-        for delta in (3, 4, 5, 6):
-            for _ in range(125):
-                n = rng.randint(2 * delta + 4, 60)
-                cases.append((bounded_degree_connected(n, delta, rng), delta))
-        fixtures = [
-            (squared_cycle(12), 4),
-            (squared_cycle(14), 4),
-            (squared_cycle(20), 4),
-            (squared_cycle(24), 4),
-            (squared_path(12), 4),
-            (squared_path(16), 4),
-            (figure2_pattern(4), 5),
-            (figure2_pattern(5), 5),
-            (clique_chain(CliqueChainParams(delta=9, base_length=6)), 9),
-            (pg24_incidence(), 5),
-            (named_small("LineGraphPetersen"), 4),
-            (petersen(), 3),
-            (circulant(20, (1, 2, 10)), 5),
-            (four_regular_cut2(), 4),
-            (four_regular_cut3(), 4),
-            (diamond_chain(4), 4),
-        ]
+    with criterion(1, 5.0) as building:
+        with building():
+            rng = random.Random(1201)
+            cases = []
+            for delta in (3, 4, 5, 6):
+                for _ in range(125):
+                    n = rng.randint(2 * delta + 4, 60)
+                    cases.append((bounded_degree_connected(n, delta, rng), delta))
+            fixtures = [
+                (squared_cycle(12), 4),
+                (squared_cycle(14), 4),
+                (squared_cycle(20), 4),
+                (squared_cycle(24), 4),
+                (squared_path(12), 4),
+                (squared_path(16), 4),
+                (figure2_pattern(4), 5),
+                (figure2_pattern(5), 5),
+                (clique_chain(CliqueChainParams(delta=9, base_length=6)), 9),
+                (pg24_incidence(), 5),
+                (named_small("LineGraphPetersen"), 4),
+                (petersen(), 3),
+                (circulant(20, (1, 2, 10)), 5),
+                (four_regular_cut2(), 4),
+                (four_regular_cut3(), 4),
+                (diamond_chain(4), 4),
+            ]
         for g, delta in fixtures:
             assert g.max_degree() <= delta and g.n >= 2 * delta + 4
         cases.extend(fixtures)
@@ -131,12 +152,13 @@ def test_criterion_1_theorem1_guarantees():
 
 
 def test_criterion_2_theorem2_guarantees():
-    with criterion(2, 10.0):
+    with criterion(2, 10.0) as building:
         orders = list(range(14, 41, 2))
         cursor = 1
         for i in range(200):
             n = orders[i % len(orders)]
-            g, used = connected_random_regular(n, 5, cursor)
+            with building():
+                g, used = connected_random_regular(n, 5, cursor)
             cursor = used + 1
             cert = theorem2_cutset(g)
             assert isinstance(cert, GoodCutset)
@@ -153,20 +175,24 @@ def test_criterion_2_theorem2_guarantees():
 
 
 def test_criterion_3_theorem3_dichotomy():
-    with criterion(3, 30.0):
+    with criterion(3, 30.0) as building:
         for n in range(7, 21):
-            out = theorem3_dichotomy(squared_cycle(n), min_order=7)
+            with building():
+                g = squared_cycle(n)
+            out = theorem3_dichotomy(g, min_order=7)
             assert isinstance(out, SquaredCycleIso)
-            assert verify_certificate(squared_cycle(n), out)
+            assert verify_certificate(g, out)
         orders = list(range(12, 25))
         cursor = 1
         done = 0
         while done < 100:
             n = orders[done % len(orders)]
-            g, used = connected_random_regular(n, 4, cursor)
-            cursor = used + 1
-            if recognize_squared_cycle(g) is not None:
-                continue
+            # a fixture is a random 4-regular graph that is no squared cycle
+            with building():
+                g, used = connected_random_regular(n, 4, cursor)
+                cursor = used + 1
+                if recognize_squared_cycle(g) is not None:
+                    continue
             try:
                 out = theorem3_dichotomy(g)
             except PreconditionError:
@@ -180,27 +206,31 @@ def test_criterion_3_theorem3_dichotomy():
             assert verify_certificate(g, out)
             done += 1
         for name in ("K3BoxK3", "LineGraphPetersen"):
+            with building():
+                g = named_small(name)
             with pytest.raises(PreconditionError, match="2K2"):
-                theorem3_dichotomy(named_small(name))
+                theorem3_dichotomy(g)
 
 
 # 4. low-connectivity independent cutsets
 
 
 def test_criterion_4_theorem4_independent():
-    with criterion(4, 10.0):
-        corpus = [four_regular_cut1(), four_regular_cut2(), four_regular_cut3()]
-        block = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-        corpus.append(Graph(10, block + [(a + 5, b + 5) for a, b in block]))
-        orders = (12, 14, 16, 18, 20, 22, 24)
-        cursor = 1
-        tries = 0
-        while len(corpus) < 14 and tries < 500:
-            tries += 1
-            g, used = connected_random_regular(orders[tries % len(orders)], 4, cursor)
-            cursor = used + 1
-            if vertex_connectivity(g) <= 3:
-                corpus.append(g)
+    with criterion(4, 10.0) as building:
+        # the corpus keeps the random 4-regular graphs of connectivity <= 3
+        with building():
+            corpus = [four_regular_cut1(), four_regular_cut2(), four_regular_cut3()]
+            block = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+            corpus.append(Graph(10, block + [(a + 5, b + 5) for a, b in block]))
+            orders = (12, 14, 16, 18, 20, 22, 24)
+            cursor = 1
+            tries = 0
+            while len(corpus) < 14 and tries < 500:
+                tries += 1
+                g, used = connected_random_regular(orders[tries % len(orders)], 4, cursor)
+                cursor = used + 1
+                if vertex_connectivity(g) <= 3:
+                    corpus.append(g)
         assert len(corpus) >= 9, "random sampling starved the corpus"
         for g in corpus:
             cert = theorem4_independent_cutset(g)
@@ -218,8 +248,9 @@ def test_criterion_4_theorem4_independent():
 
 
 def test_criterion_5_theorem5_dual():
-    with criterion(5, 5.0):
-        g = pg24_incidence()
+    with criterion(5, 5.0) as building:
+        with building():
+            g = pg24_incidence()
         assert g.n >= 30
         assert find_krr(g, 2, OracleBudget(max_n=42)) is None
         cert = theorem5_certify(g, 5, 2)
@@ -228,12 +259,13 @@ def test_criterion_5_theorem5_dual():
         assert induced_stats(g, cert.cutset).max_degree_in_s <= 1
         assert verify_certificate(g, cert)
 
-        runs = [(circulant(20, (1, 2, 10)), 5)]
-        cursor = 1
-        for i in range(10):
-            h, used = connected_random_regular(14 + 2 * (i % 5), 5, cursor)
-            cursor = used + 1
-            runs.append((h, 5))
+        with building():
+            runs = [(circulant(20, (1, 2, 10)), 5)]
+            cursor = 1
+            for i in range(10):
+                h, used = connected_random_regular(14 + 2 * (i % 5), 5, cursor)
+                cursor = used + 1
+                runs.append((h, 5))
         for h, delta in runs:
             out = theorem5_certify(h, delta, 2)
             assert isinstance(out, (GoodCutset, KrrWitness))
@@ -252,43 +284,47 @@ def test_criterion_5_theorem5_dual():
 
 
 def test_criterion_6_exhaustive_facts():
-    with criterion(6, 60.0):
-        assert find_independent_cutset(named_small("K4")) is None
-        assert find_independent_cutset(named_small("TriangularPrism")) is None
-        assert find_independent_cutset(squared_cycle(14)) is None
-        ico = icosahedron()
+    with criterion(6, 60.0) as building:
+        with building():
+            k4, prism, sq14 = named_small("K4"), named_small("TriangularPrism"), squared_cycle(14)
+            ico, fig3 = icosahedron(), figure2_pattern(3)
+        assert find_independent_cutset(k4) is None
+        assert find_independent_cutset(prism) is None
+        assert find_independent_cutset(sq14) is None
         assert find_constrained_cutset(ico, max_delta=1) is None
         assert vertex_connectivity(ico) == 5
-        assert find_constrained_cutset(figure2_pattern(3), max_delta=1) is None
+        assert find_constrained_cutset(fig3, max_delta=1) is None
 
 
 # 7. recognizer is exact on the fixture shelf
 
 
 def test_criterion_7_prop1_exactness():
-    with criterion(7, 1.0):
-        assert prop1_is_icosahedron(icosahedron())
-        others = [
-            squared_cycle(12),
-            squared_cycle(14),
-            squared_path(16),
-            figure2_pattern(4),
-            figure2_pattern(5),
-            clique_chain(CliqueChainParams(delta=9, base_length=4)),
-            named_small("K4"),
-            named_small("TriangularPrism"),
-            named_small("K3BoxK3"),
-            named_small("LineGraphPetersen"),
-            petersen(),
-            pg24_incidence(),
-            circulant(20, (1, 2, 10)),
-            four_regular_cut1(),
-            four_regular_cut2(),
-            four_regular_cut3(),
-            complement_cube(),
-            diamond_chain(3),
-            connected_random_regular(16, 5, 1)[0],
-        ]
+    with criterion(7, 1.0) as building:
+        with building():
+            ico = icosahedron()
+            others = [
+                squared_cycle(12),
+                squared_cycle(14),
+                squared_path(16),
+                figure2_pattern(4),
+                figure2_pattern(5),
+                clique_chain(CliqueChainParams(delta=9, base_length=4)),
+                named_small("K4"),
+                named_small("TriangularPrism"),
+                named_small("K3BoxK3"),
+                named_small("LineGraphPetersen"),
+                petersen(),
+                pg24_incidence(),
+                circulant(20, (1, 2, 10)),
+                four_regular_cut1(),
+                four_regular_cut2(),
+                four_regular_cut3(),
+                complement_cube(),
+                diamond_chain(3),
+                connected_random_regular(16, 5, 1)[0],
+            ]
+        assert prop1_is_icosahedron(ico)
         for g in others:
             assert not prop1_is_icosahedron(g)
 
@@ -338,9 +374,10 @@ def test_criterion_8_prop2_sparse_corpus(monkeypatch):
         return find_independent_cutset(gp, *rest)
 
     monkeypatch.setattr("sparsecut.algorithms.find_independent_cutset", counted)
-    with criterion(8, 30.0):
-        rng = random.Random(808)
-        for g in _gated_sparse_corpus(100, rng):
+    with criterion(8, 30.0) as building:
+        with building():
+            corpus = _gated_sparse_corpus(100, random.Random(808))
+        for g in corpus:
             report = induced_stats(g, prop2_cutset(g).cutset)
             s = report.cutset
             assert report.max_degree_in_s <= 1
@@ -350,7 +387,8 @@ def test_criterion_8_prop2_sparse_corpus(monkeypatch):
         assert contracted == []
         for k in range(2, 9):
             contracted.clear()
-            g = diamond_chain(k)
+            with building():
+                g = diamond_chain(k)
             report = induced_stats(g, prop2_cutset(g).cutset)
             assert contracted == [3 * k]
             assert report.cutset == (0, 1)
@@ -362,27 +400,28 @@ def test_criterion_8_prop2_sparse_corpus(monkeypatch):
 
 
 def test_criterion_9_trivial_bound_audit():
-    with criterion(9, 10.0):
-        shelf = [
-            named_small("K4"),
-            named_small("TriangularPrism"),
-            named_small("K3BoxK3"),
-            named_small("LineGraphPetersen"),
-            petersen(),
-            icosahedron(),
-            figure2_pattern(3),
-            squared_cycle(8),
-            squared_cycle(14),
-            squared_path(10),
-            complement_cube(),
-            four_regular_cut1(),
-            four_regular_cut2(),
-            four_regular_cut3(),
-            diamond_chain(3),
-            circulant(20, (1, 2, 10)),
-            Graph(8, [(i, i + 1) for i in range(7)]),
-            Graph(6, [(i, (i + 1) % 6) for i in range(6)]),
-        ]
+    with criterion(9, 10.0) as building:
+        with building():
+            shelf = [
+                named_small("K4"),
+                named_small("TriangularPrism"),
+                named_small("K3BoxK3"),
+                named_small("LineGraphPetersen"),
+                petersen(),
+                icosahedron(),
+                figure2_pattern(3),
+                squared_cycle(8),
+                squared_cycle(14),
+                squared_path(10),
+                complement_cube(),
+                four_regular_cut1(),
+                four_regular_cut2(),
+                four_regular_cut3(),
+                diamond_chain(3),
+                circulant(20, (1, 2, 10)),
+                Graph(8, [(i, i + 1) for i in range(7)]),
+                Graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+            ]
         audited = 0
         for g in shelf:
             for cut in enumerate_min_cutsets(g):
@@ -395,14 +434,15 @@ def test_criterion_9_trivial_bound_audit():
 
 
 def test_criterion_10_deterministic_reports(tmp_path, monkeypatch, capsys):
-    with criterion(10, 10.0):
+    with criterion(10, 10.0) as building:
         monkeypatch.setenv("SPARSECUT_ZERO_TIMING", "1")
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        for n in (14, 16, 18):
-            (corpus / f"sq{n}.edges").write_text(
-                emit_edge_list(squared_cycle(n)), encoding="ascii"
-            )
+        with building():
+            for n in (14, 16, 18):
+                (corpus / f"sq{n}.edges").write_text(
+                    emit_edge_list(squared_cycle(n)), encoding="ascii"
+                )
         outputs = []
         for _ in range(2):
             code = cli_main(

@@ -398,7 +398,8 @@ def test_theorem3_walk_refused_on_a_switched_squared_cycle():
 
 def test_minimal_cutset_rule_matches_the_exhaustive_check():
     # every nonempty set of at most 4 vertices of random connected graphs:
-    # the one-pass full-component rule against the oracle's subset scan
+    # the one-pass full-component rule against the oracle's own rule, that
+    # no S - x separates
     rng = random.Random(3)
     checked = minimal = 0
     for _ in range(30):
@@ -408,8 +409,8 @@ def test_minimal_cutset_rule_matches_the_exhaustive_check():
             for s in combinations(range(g.n), size):
                 smask = sum(1 << v for v in s)
                 rule = _splits_minimally(masks, (1 << g.n) - 1 & ~smask, smask)
-                exhaustive = verify_certificate(g, GoodCutset(cutset=s, require_minimal=True))
-                assert rule == exhaustive, (g.edges(), s)
+                verified = verify_certificate(g, GoodCutset(cutset=s, require_minimal=True))
+                assert rule == verified, (g.edges(), s)
                 checked += 1
                 minimal += rule
     assert checked > 3000 and minimal > 50

@@ -322,6 +322,33 @@ def test_verify_prints_minimality_up_to_six_vertices(size, printed, tmp_path, mo
     assert stats["minimal"] is printed
 
 
+def test_verify_judges_a_minimality_claim_above_six_vertices(tmp_path, monkeypatch, capsys):
+    # the seven middle vertices of K_{2,7} are a minimal cutset; schema 1
+    # still prints null for them, though verify has judged the claim
+    from sparsecut.certificates import GoodCutset, certificate_to_dict
+
+    cert = tmp_path / "cut.json"
+    claim = GoodCutset(cutset=tuple(range(2, 9)), require_minimal=True)
+    cert.write_text(json.dumps(certificate_to_dict(claim)))
+    k27 = emit_edge_list(Graph(9, [(side, v) for side in (0, 1) for v in range(2, 9)]))
+    code, out = run_cli(
+        ["verify", "--certificate", str(cert)], k27, monkeypatch=monkeypatch, capsys=capsys
+    )
+    report = json.loads(out)
+    assert code == 0 and report["verified"] is True and "error" not in report
+    assert report["stats"]["minimal"] is None and '"minimal": null' in out
+    # vertices 1..7 of P10 cut it, but {1} alone does: the claim fails
+    claim = GoodCutset(cutset=tuple(range(1, 8)), require_minimal=True)
+    cert.write_text(json.dumps(certificate_to_dict(claim)))
+    path10 = emit_edge_list(Graph(10, [(i, i + 1) for i in range(9)]))
+    code, out = run_cli(
+        ["verify", "--certificate", str(cert)], path10, monkeypatch=monkeypatch, capsys=capsys
+    )
+    report = json.loads(out)
+    assert code == 1 and report["verified"] is False
+    assert report["error"]["type"] == "VerificationFailed"
+
+
 def test_find_cutset_thm4_from_file(tmp_path, monkeypatch, capsys):
     from helpers import four_regular_cut2
     from sparsecut.io import emit_edge_list

@@ -61,6 +61,9 @@ def _cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+_TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
 # ------------------------------------------------------- min cutset enumeration
 
 
@@ -121,6 +124,19 @@ def test_vertex_connectivity_known_values():
     assert vertex_connectivity(Graph(5, [(0, 1), (2, 3)])) == 0
     assert vertex_connectivity(Graph(1, [])) == 0
     assert vertex_connectivity(petersen()) == 3
+
+
+def test_vertex_connectivity_makes_no_separate_connectedness_pass(monkeypatch):
+    # the breadth-first order from v0 alone decides connectedness
+    def refused(g, removed):
+        raise AssertionError("vertex_connectivity called _separates")
+
+    monkeypatch.setattr(oracles, "_separates", refused)
+    assert vertex_connectivity(Graph(5, [(0, 1), (2, 3)])) == 0
+    assert vertex_connectivity(Graph(2, [])) == 0
+    assert vertex_connectivity(_TWO_TRIANGLES) == 0
+    assert vertex_connectivity(squared_cycle(14)) == 4
+    assert vertex_connectivity(named_small("K4")) == 3
 
 
 def test_vertex_connectivity_against_subset_scan():
@@ -458,6 +474,25 @@ def test_find_constrained_cutset_delta_zero_matches_independent():
     assert got is not None and got == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [Graph(2, []), Graph(3, []), _TWO_TRIANGLES],
+    ids=["2-isolated", "3-isolated", "two-triangles"],
+)
+@pytest.mark.parametrize("max_delta", [0, 1, 2])
+def test_find_constrained_cutset_disconnected_returns_empty(g, max_delta):
+    # the convention of find_independent_cutset, for every degree cap
+    assert find_constrained_cutset(g, max_delta=max_delta) == ()
+    assert verify_certificate(g, GoodCutset(cutset=(), degree_bound=max_delta))
+
+
+def test_find_constrained_cutset_keeps_the_walk_under_an_average_bound():
+    # the empty set has no average, so the walk names a nonempty set
+    assert find_constrained_cutset(Graph(3, []), max_delta=1, max_avg=Fraction(1)) == (0,)
+    assert find_constrained_cutset(Graph(2, []), max_delta=1, max_avg=Fraction(1)) is None
+    assert find_constrained_cutset(Graph(0, []), max_delta=1) is None
+
+
 def test_find_constrained_cutset_exhaustive_none_on_dense_families():
     assert find_constrained_cutset(icosahedron(), max_delta=1) is None
     assert find_constrained_cutset(figure2_pattern(3), max_delta=1) is None
@@ -615,6 +650,9 @@ def _independent_reference(g: Graph):
 
 
 def _constrained_reference(g: Graph, max_delta, avg, budget: OracleBudget):
+    if max_delta is not None and avg is None and g.n and not is_connected(g):
+        # the empty set cuts a disconnected graph and meets every degree cap
+        return ()
     if max_delta is not None:
         # on Python sets: S grows by each vertex above its last one that
         # keeps every degree in S at most max_delta, is tested on joining,
@@ -1195,12 +1233,16 @@ def test_verify_good_cutset_minimality_claim():
     # the scan starts at the empty set: in two disjoint paths it already cuts
     two_paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     assert not verify_certificate(two_paths, GoodCutset(cutset=(1,), require_minimal=True))
-    # K_{2,k}: the k middle vertices are a minimal cutset, which the scan
-    # confirms up to six vertices and refuses to judge above
-    for k, claim in ((6, True), (7, False)):
+    # K_{2,k}: the k middle vertices are a minimal cutset at every size
+    for k in range(2, 13):
         k2k = Graph(k + 2, [(side, v) for side in (0, 1) for v in range(2, k + 2)])
         cut = GoodCutset(cutset=tuple(range(2, k + 2)), require_minimal=True)
-        assert verify_certificate(k2k, cut) is claim
+        assert verify_certificate(k2k, cut) is True
+    # {0, 1} cuts K_{2,7} and lies inside {0, 1, ..., 6}, so that set is
+    # a cutset but not a minimal one
+    k27 = Graph(9, [(side, v) for side in (0, 1) for v in range(2, 9)])
+    assert verify_certificate(k27, GoodCutset(cutset=tuple(range(7))))
+    assert not verify_certificate(k27, GoodCutset(cutset=tuple(range(7)), require_minimal=True))
 
 
 def test_verify_independent_cutset():
@@ -1299,7 +1341,7 @@ def _two_squared_cycles_of_order_7() -> Graph:
                 _path(10), GoodCutset(cutset=tuple(range(1, 8)), require_minimal=True)
             ),
             False,
-            id="minimality-above-6-vertices",
+            id="seven-vertices-not-minimal-as-vertex-1-alone-cuts",
         ),
         pytest.param(
             lambda: verify_certificate(
