@@ -19,18 +19,21 @@ sets to test are the lanes of a block, each vertex gets one big int whose
 bit i says whether it is in the i-th set, and one flood fill decides every
 lane (_cut_lanes). A block holds at most _BLOCK_BITS // n sets, so its
 slices take at most 32 KB whatever the number of sets is. Blocks are
-filled in two ways and read back in one: _Search.block_cuts tests a block
-and names each set that cuts, in lane order, from the slices its fill
-leaves behind.
+filled and read back in two ways.
 
 - enumerate_min_cutsets and the average-only scan of
   find_constrained_cutset fill blocks with whole layers of k-subsets in
   lexicographic order (layer_cuts), with slices cut from tables built per
-  layer.
+  layer, and _Search.block_cuts names each set that cuts, in lane order,
+  from the slices the fill leaves behind.
 - find_independent_cutset and the degree-capped walk of
   find_constrained_cutset walk their sets on an explicit stack, so no
-  search recurses, and add each set to test as the next lane of a block
-  that _Lanes fills.
+  search recurses, and add each set's vertex mask as the next lane of a
+  block that _Lanes fills. It transposes the masks into slices for the
+  fill and reads the first hit back from its mask. The independent walk
+  reaches each size from stored roots, the sets of the deepest smaller
+  size that has at most one block's lanes of them, so it does not walk
+  the prefixes of every size again.
 
 find_krr walks its r-subsets in lexicographic order on an explicit stack
 too and needs no cut test. It prunes on common neighbors: a prefix whose
@@ -134,6 +137,9 @@ _BLOCK_BITS = 1 << 18
 # The lanes in the first block of a walk's sets (_Lanes).
 _FIRST_LANES = 16
 
+# _DIGITS[j] maps each byte to the ASCII digit of its bit j.
+_DIGITS = tuple(bytes(48 + (x >> j & 1) for x in range(256)) for j in range(8))
+
 
 class _Search:
     """What one exponential search over g needs: its order gate, the
@@ -141,10 +147,10 @@ class _Search:
     cut test for a block of sets.
 
     A block holds at most self.lanes = _BLOCK_BITS // n sets: lane i is its
-    i-th set, and bit i of members[v] is set when v is in it. Blocks are
-    filled in two ways, by _blocks for layer_cuts(k) and by _Lanes for the
-    walks, and read back in one: block_cuts(members, width) runs the one
-    flood fill of _cut_lanes over the block and yields each set that cuts.
+    i-th set, and bit i of members[v] is set when v is in it. _cut_lanes
+    tests every lane of a block in one flood fill. layer_cuts(k) fills its
+    blocks with _blocks and reads them back with block_cuts(members,
+    width), which yields each set that cuts; the walks use _Lanes.
     layer_cuts(k) yields every k-subset that cuts, in lexicographic order;
     the tables its blocks are cut from hold at most k * _BLOCK_BITS bits,
     and each lane is one step.
@@ -320,49 +326,47 @@ class _Search:
 
 
 class _Lanes:
-    """The sets a walk tests, gathered as the lanes of one block; test reads
-    the block back through _Search.block_cuts, as layer_cuts does.
+    """The sets a walk tests, gathered as the lanes of one block.
 
-    Lane i is the i-th lane added: the vertices on the walk's stack, and
-    one more vertex when add names one. A vertex on the stack is in one run
-    of lanes per push: the run opens at the next lane when it joins and
-    closes when it leaves or the block is tested. The first block holds
-    _FIRST_LANES lanes and each later one twice as many, up to
-    search.lanes, so a walk that hits early tests few sets."""
+    Lane i is the i-th set added, kept as its n-bit vertex mask in
+    ceil(n / 8) little-endian bytes of one bytearray, so adding a lane is
+    one to_bytes whatever the block's width. test transposes the buffer
+    into the member slices with C-level bytes operations: slice v is the
+    byte at offset v >> 3 of every lane, each mapped to the digit of its
+    bit v & 7 and the digits reversed, read in base 2. One _cut_lanes fill
+    tests the block, and the first cutting lane's set is read back from its
+    mask. The first block holds _FIRST_LANES lanes and each later one twice
+    as many, up to search.lanes, so a walk that hits early tests few sets."""
 
     def __init__(self, search: _Search):
         self.search = search
         self.cap = min(_FIRST_LANES, search.lanes)
-        self.members = [0] * search.n
+        self.size = (search.n + 7) >> 3  # bytes per lane
+        self.buf = bytearray()
         self.width = 0
-        self.joined: dict[int, int] = {}  # vertex on the stack -> its first lane
 
-    def join(self, v: int) -> None:
-        self.joined[v] = self.width
-
-    def leave(self, v: int) -> None:
-        self.members[v] |= (1 << self.width) - (1 << self.joined.pop(v))
-
-    def add(self, last: int | None = None) -> tuple[int, ...] | None:
-        """Add the next lane; last, when given, is in this lane alone. Once
-        the block is full, test it: the first set in it that cuts, or
-        None."""
-        if last is not None:
-            self.members[last] |= 1 << self.width
+    def add(self, mask: int) -> tuple[int, ...] | None:
+        """Add the set whose vertex mask is mask as the next lane. Once the
+        block is full, test it: the first set in it that cuts, or None."""
+        self.buf += mask.to_bytes(self.size, "little")
         self.width += 1
         return self.test() if self.width == self.cap else None
 
     def test(self) -> tuple[int, ...] | None:
         """Test the lanes added since the last test: the first set that
-        cuts, or None. The vertices still on the stack open their runs
-        again at lane 0 of the next block."""
-        members, width = self.members, self.width
-        for v, at in self.joined.items():
-            members[v] |= (1 << width) - (1 << at)
-            self.joined[v] = 0
-        self.members, self.width = [0] * self.search.n, 0
+        cuts, or None."""
+        buf, width, size, n = self.buf, self.width, self.size, self.search.n
+        self.buf, self.width = bytearray(), 0
         self.cap = min(2 * self.cap, self.search.lanes)
-        return next(self.search.block_cuts(members, width), None) if width else None
+        if not width:
+            return None
+        members = [int(buf[v >> 3 :: size].translate(_DIGITS[v & 7])[::-1], 2) for v in range(n)]
+        cut = self.search._cut_lanes(members, width)
+        if not cut:
+            return None
+        at = (cut & -cut).bit_length() - 1
+        mask = int.from_bytes(buf[at * size : (at + 1) * size], "little")
+        return tuple(v for v in range(n) if mask >> v & 1)
 
 
 # --------------------------------------------------------- cutset enumeration
@@ -591,8 +595,19 @@ def find_independent_cutset(
     returns (), the empty set, which is an independent cutset by convention.
     The enumeration stops at the first size that has no independent set:
     every subset of an independent set is independent, so no larger size
-    has one either. Each set is one lane of a block (_Lanes), and each
-    vertex taken into a set is one step.
+    has one either. Each set is one lane of a block (_Lanes).
+
+    Size k is walked from stored roots: the independent sets of the deepest
+    size j < k that has at most search.lanes of them, in lexicographic
+    order, each kept with its candidates. From each root an explicit stack
+    takes the k - j picks left. A size whose sets fit under that cap
+    becomes the next roots, so when every size fits each independent set
+    is visited once, and when none does the walk goes from the empty root.
+    The roots hold at most search.lanes sets. The next roots are dropped
+    once they pass that cap, checked after the candidates of each
+    (k-1)-set, so they hold at most n sets more. So the walk's memory stays
+    within a block's lane bound whatever max_n is. Each pick the walk
+    takes, a set's last one included, is one step.
     """
     search = _Search(g, budget, "find_independent_cutset")
     n, masks = g.n, search.masks
@@ -601,49 +616,59 @@ def find_independent_cutset(
     if _separates(g, ()):
         return ()
     lanes = _Lanes(search)
-    join, leave, add = lanes.join, lanes.leave, lanes.add
+    add, most = lanes.add, 2 * search.lanes
+    # flat, each root's vertex mask then its candidates: the vertices that
+    # can join it, above its last member and adjacent to none of it
+    roots, j = [0, search.full], 0
+    # sets[d] is a root and its first d picks, cands[d] their candidates
+    sets, cands = [0], [0]
     for k in range(1, n - 1):
-        # the independent (k-1)-prefixes in lexicographic order on an explicit
-        # stack; cands[d] holds the vertices that can follow the first d
-        # picks: above the last pick and adjacent to none of them
-        picks: list[int] = []
-        cands = [search.full]
-        any_set = False
-        while True:
-            c = cands[-1]
-            if len(picks) == k - 1:
-                # each candidate completes one independent k-set
-                any_set = any_set or bool(c)
-                while c:
+        need = k - j
+        grown: list[int] | None = []  # the k-sets as roots, while they fit
+        for r in range(0, len(roots), 2):
+            sets[0], cands[0] = roots[r], roots[r + 1]
+            while True:
+                c = cands[-1]
+                depth = len(cands)
+                if depth == need:
+                    # each candidate completes one independent k-set
+                    s = sets[-1]
+                    while c:
+                        b = c & -c
+                        c ^= b
+                        search.steps += 1
+                        if not search.steps & 63:
+                            search.check_clock()
+                        x = s | b
+                        if grown is not None:
+                            grown.append(x)
+                            grown.append(c & ~masks[b.bit_length() - 1])
+                        hit = add(x)
+                        if hit is not None:
+                            return hit
+                    if grown is not None and len(grown) > most:
+                        grown = None
+                elif c.bit_count() > need - depth:
+                    # enough candidates left for the picks to come
                     b = c & -c
                     c ^= b
-                    search.steps += 1
-                    if not search.steps & 63:
-                        search.check_clock()
-                    hit = add(b.bit_length() - 1)
-                    if hit is not None:
-                        return hit
-            elif c.bit_count() >= k - len(picks):
-                # enough candidates left for the k - len(picks) members to come
-                b = c & -c
-                v = b.bit_length() - 1
-                c ^= b
-                cands[-1] = c
-                nxt = c & ~masks[v]
-                if nxt.bit_count() >= k - 1 - len(picks):
-                    search.tick()
-                    picks.append(v)
-                    cands.append(nxt)
-                    join(v)
-                continue
-            if not picks:
+                    cands[-1] = c
+                    nxt = c & ~masks[b.bit_length() - 1]
+                    if nxt.bit_count() >= need - depth:
+                        search.tick()
+                        sets.append(sets[-1] | b)
+                        cands.append(nxt)
+                    continue
+                if depth == 1:
+                    break
+                sets.pop()
+                cands.pop()
+        if grown is not None:
+            if not grown:
+                # no independent k-set, so none larger: independence is
+                # hereditary
                 break
-            leave(picks.pop())
-            cands.pop()
-        if not any_set:
-            # no independent k-set, so none larger: independence is
-            # hereditary
-            break
+            roots, j = grown, k
     return lanes.test()
 
 
@@ -653,9 +678,9 @@ def find_constrained_cutset(
     max_avg: tuple[int, int] | Fraction | None = None,
     budget: OracleBudget | None = None,
 ) -> tuple[int, ...] | None:
-    """Cutset with max internal degree <= max_delta, an int, and/or average
-    internal degree strictly below max_avg, a Fraction or a (numerator,
-    positive denominator) pair.
+    """Cutset with max internal degree <= max_delta, a non-negative int,
+    and/or average internal degree strictly below max_avg, a Fraction or a
+    (numerator, positive denominator) pair.
 
     With max_delta given, the degree constraint is hereditary, so the
     search walks the whole family of qualifying sets in depth-first
@@ -674,6 +699,11 @@ def find_constrained_cutset(
     if max_delta is not None:
         # a float bound would never mark a vertex saturated
         require_int(max_delta, "find_constrained_cutset: max_delta")
+        if max_delta < 0:
+            # no set meets a negative cap, not even the empty set
+            raise PreconditionError(
+                f"find_constrained_cutset: max_delta must be non-negative, got {max_delta}"
+            )
     avg: Fraction | None = None
     if isinstance(max_avg, Fraction):
         avg = max_avg
@@ -703,7 +733,6 @@ def find_constrained_cutset(
         # with max_delta neighbors in S) and edges2
         stack: list[tuple[int, int, int]] = []
         lanes = _Lanes(search)
-        join, leave, add = lanes.join, lanes.leave, lanes.add
         smask = saturated = edges2 = 0
         v = 0
         while True:
@@ -712,7 +741,6 @@ def find_constrained_cutset(
                     return lanes.test()
                 v, saturated, edges2 = stack.pop()
                 smask ^= 1 << v
-                leave(v)
                 v += 1
                 continue
             search.steps += 1
@@ -733,9 +761,8 @@ def find_constrained_cutset(
                 inside ^= b
                 if (masks[b.bit_length() - 1] & smask).bit_count() == max_delta:
                     saturated |= b
-            join(v)
             if avg is None or edges2 * avg.denominator < avg.numerator * len(stack):
-                hit = add()
+                hit = lanes.add(smask)
                 if hit is not None:
                     return hit
             v += 1

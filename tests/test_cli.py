@@ -602,6 +602,19 @@ def test_oracle_rejects_negative_budget(monkeypatch, capsys):
     assert json.loads(out)["error"]["type"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("graph_text", ["n 2\n", "n 3\n0 1\n1 2\n"], ids=["disconnected", "path3"])
+def test_oracle_rejects_a_negative_max_delta(graph_text, monkeypatch, capsys):
+    # no set meets a negative cap: a refusal, not an answer that fails its
+    # own re-check (exit 1) or a "found": false
+    code, out = run_cli(
+        ["oracle", "constrained-cutset", "--max-delta", "-1"], graph_text, monkeypatch, capsys
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "PreconditionError"
+    assert error["message"] == "find_constrained_cutset: max_delta must be non-negative, got -1"
+
+
 def test_oracle_squared_cycle_recognizer(monkeypatch, capsys):
     code, out = pipe(
         monkeypatch,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import inspect
 import random
 import re
+import tracemalloc
 from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations
@@ -541,6 +542,17 @@ def test_find_constrained_cutset_refuses_a_max_delta_that_is_not_an_int(max_delt
         find_constrained_cutset(squared_cycle(10), max_delta=max_delta)
 
 
+@pytest.mark.parametrize("g", [Graph(2, []), _cycle(6)], ids=["2-isolated", "cycle6"])
+@pytest.mark.parametrize("max_delta", [-1, -3])
+def test_find_constrained_cutset_refuses_a_negative_max_delta(g, max_delta):
+    # no set meets the cap, so the empty set must not answer a disconnected
+    # input, nor None a connected one
+    message = f"find_constrained_cutset: max_delta must be non-negative, got {max_delta}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        find_constrained_cutset(g, max_delta=max_delta)
+    assert not verify_certificate(g, GoodCutset(cutset=(), degree_bound=max_delta))
+
+
 def test_find_constrained_cutset_respects_degree_bound():
     g = squared_cycle(12)
     got = find_constrained_cutset(g, max_delta=2)
@@ -577,7 +589,8 @@ def test_find_krr_validates_r(r):
         find_krr(_path(3), r)
 
 
-def test_find_krr_prunes_on_common_neighbors(monkeypatch):
+def _kept_searches(monkeypatch) -> list:
+    """Every _Search built from here on, in order."""
     searches = []
     init = oracles._Search.__init__
 
@@ -586,6 +599,11 @@ def test_find_krr_prunes_on_common_neighbors(monkeypatch):
         searches.append(self)
 
     monkeypatch.setattr(oracles._Search, "__init__", kept)
+    return searches
+
+
+def test_find_krr_prunes_on_common_neighbors(monkeypatch):
+    searches = _kept_searches(monkeypatch)
     # a walk over every 3-subset of C_24^2 takes 22 + 253 + 2024 = 2299
     # steps; dropping each prefix with fewer than 3 common neighbors leaves
     # 275
@@ -766,13 +784,16 @@ def test_constrained_search_walks_the_inclusion_order(g, max_delta, avg):
 # out: one at the start, then one every 64 steps, so 1 + 275 // 64 = 5 for
 # the 275 steps of the K_{3,3} walk on C_24^2. The two walks,
 # independent and constrained-delta, also read it once per sweep of each
-# block's fill: 356 steps and 4 sweeps, and 712 steps and 9 sweeps. The two
+# block's fill: 210 steps and 4 sweeps, so 1 + 3 + 4 = 8, and 712 steps and
+# 9 sweeps. The independent walk takes one step per independent set of
+# C_14^2, which has no independent cutset, since every size's sets fit as
+# the next roots. The two
 # layer searches, min-cutsets and constrained-avg, read it instead once per
 # table row and per piece of each layer's bit slices and once per sweep of
 # its fill.
 _LONG_SEARCHES = {
     "min-cutsets": (lambda b: enumerate_min_cutsets(squared_cycle(14), b), 52),
-    "independent": (lambda b: find_independent_cutset(squared_cycle(14), b), 10),
+    "independent": (lambda b: find_independent_cutset(squared_cycle(14), b), 8),
     "constrained-delta": (
         lambda b: find_constrained_cutset(icosahedron(), max_delta=1, budget=b),
         21,
@@ -1124,11 +1145,78 @@ def test_independent_walk_stops_at_the_independence_number(monkeypatch):
         return cut_lanes(self, members, width)
 
     monkeypatch.setattr(oracles._Search, "_cut_lanes", counted)
+    searches = _kept_searches(monkeypatch)
     assert find_independent_cutset(squared_cycle(24)) is None
     assert max(sizes) == 8
     # the 24 + 228 + 1088 + 2730 + 3432 + 1848 + 288 + 3 independent sets
     # of C_24^2, each tested once
     assert len(sizes) == 9641
+    # and each reached in one step from a root one vertex smaller, since
+    # every size fits in a block as the next roots
+    assert searches[-1].steps == 9641
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25, 40])
+def test_lanes_transpose_their_masks_at_every_byte_boundary(monkeypatch, n):
+    # a hand-filled block on a path: bit i of slice v is bit v of lane i's
+    # mask, and test names the first lane whose set cuts
+    rng = random.Random(n)
+    g = _path(n)
+    masks = [0, (1 << n) - 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(12))]
+    sets = [tuple(v for v in range(n) if m >> v & 1) for m in masks]
+    cutting = [s for s in sets if oracles._separates(g, s)]
+    assert bool(cutting) == (n > 1)
+    blocks = []
+    cut_lanes = oracles._Search._cut_lanes
+
+    def kept(self, members, width):
+        blocks.append((list(members), width))
+        return cut_lanes(self, members, width)
+
+    monkeypatch.setattr(oracles._Search, "_cut_lanes", kept)
+    lanes = oracles._Lanes(oracles._Search(g, OracleBudget(max_n=n), "test"))
+    assert len(masks) < oracles._FIRST_LANES
+    assert all(lanes.add(m) is None for m in masks)
+    assert lanes.test() == (cutting[0] if cutting else None)
+    [(members, width)] = blocks
+    assert width == len(masks) and len(members) == n
+    assert all(members[v] >> i & 1 == m >> v & 1 for i, m in enumerate(masks) for v in range(n))
+    # the next block starts empty
+    assert lanes.test() is None and len(blocks) == 1
+
+
+@given(g=_small_graphs(max_n=12), bits=st.sampled_from((1, 24, 60, 150)))
+@settings(max_examples=200, deadline=None)
+def test_independent_walk_from_capped_roots_matches_the_reference(g, bits):
+    # with a few lanes per block most sizes have more independent sets than
+    # fit as roots, so a size is walked from roots two or more vertices
+    # smaller, or from the empty root
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "_BLOCK_BITS", bits)
+        assert find_independent_cutset(g) == _independent_reference(g)
+
+
+def test_independent_walk_memory_stays_within_the_roots_cap(monkeypatch):
+    # 24 * 300 bits per block: at most 360 sets of C_20^2 and 300 of C_24^2
+    # fit as roots, fewer than the 3432 independent 5-sets of C_24^2, so
+    # both walks keep roots below some sizes and their peaks stay alike
+    monkeypatch.setattr(oracles, "_BLOCK_BITS", 24 * 300)
+    searches = _kept_searches(monkeypatch)
+
+    def peak(n: int) -> int:
+        g = squared_cycle(n)
+        tracemalloc.start()
+        try:
+            assert find_independent_cutset(g) is None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    high = peak(24)
+    # sizes 3 to 6 do not fit, so they are walked from the 2-sets with
+    # picks below each size: more steps than the 9641 sets tested
+    assert searches[-1].steps > 9641
+    assert high <= 1.5 * peak(20)
 
 
 # ------------------------------------------------------------------- recognizer
