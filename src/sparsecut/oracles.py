@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to verify certificates.
 
 Everything here works from the graph alone (its own flood fill, its own
-unit-capacity path searches on one vertex-split network per graph and, for
-graphs within the budget's order cap, adjacency bitmasks) and shares no
-logic with the constructive algorithms it audits.
+unit-capacity path searches on the residual sets of one vertex-split
+network per connectivity call and, for graphs within the budget's order
+cap, adjacency bitmasks) and shares no logic with the constructive
+algorithms it audits.
 Exponential searches are gated by an OracleBudget; running out of budget
 raises BudgetExhausted, which is a first-class outcome distinct from a
 definitive "none".
@@ -406,97 +407,50 @@ def enumerate_min_cutsets(
 # ------------------------------------------------------------------------ flow
 
 
-class _Network:
-    """The vertex-split network of g, with scratch for its searches.
-
-    Node 2v is v's in side and 2v+1 its out side, joined by arc 2v, v's
-    unit; each edge uv adds unit arcs out(u) -> in(v) and out(v) -> in(u).
-    Arc e runs to head[e] with capacity cap[e], its residual reverse is arc
-    e ^ 1, and arcs[x] holds the ids of the arcs leaving node x. A search
-    marks node x reached by setting seen[x] to a stamp of its own and
-    prev[x] to the arc that reached it, so both lists serve every search.
-    """
-
-    __slots__ = ("head", "cap", "arcs", "seen", "prev", "stamp")
-
-    def __init__(self, g: Graph):
-        head: list[int] = []
-        cap: list[int] = []
-        arcs: list[list[int]] = [[] for _ in range(2 * g.n)]
-
-        def arc(a: int, b: int) -> None:
-            arcs[a].append(len(head))
-            head.append(b)
-            cap.append(1)
-            arcs[b].append(len(head))
-            head.append(a)
-            cap.append(0)
-
-        for v in range(g.n):
-            arc(2 * v, 2 * v + 1)
-        for u in range(g.n):
-            for v in g.neighbors(u):
-                arc(2 * u + 1, 2 * v)
-        self.head, self.cap = head, cap
-        self.arcs = [tuple(a) for a in arcs]
-        self.seen = [0] * len(arcs)
-        self.prev = [0] * len(arcs)
-        self.stamp = 0
+def _free_end(residual: list[set[int]], source: int, ends):
+    """Breadth-first from source to the in side 2v of a vertex v of ends
+    whose unit arc to 2v+1 is free: that node, and prev, the node that
+    each reached node came from; None if no such end is in reach."""
+    prev = {source: None}
+    queue = [source]
+    for x in queue:
+        for y in residual[x]:
+            if y not in prev:
+                prev[y] = x
+                if not y & 1 and y >> 1 in ends and y + 1 in residual[y]:
+                    return y, prev
+                queue.append(y)
+    return None
 
 
-def _fan(net: _Network, src: int, ends, stop_at: int) -> int:
+def _fan(residual: list[set[int]], src: int, ends, stop_at: int) -> int:
     """How many paths run from src to distinct vertices of the set ends,
     sharing only src, counted up to stop_at; src is not in ends.
 
-    Each path comes from one breadth-first augmenting search from src's out
-    side. The search stops at the in side of a vertex of ends whose unit
-    no earlier path took, and the path then takes that unit. The
-    capacities the paths change are logged and restored before returning.
+    In residual, node 2v is v's in side and 2v+1 its out side, and
+    residual[x] holds each node that x has a free unit arc to. Each path
+    comes from one augmenting search from src's out side (_free_end) and
+    turns its arcs, the end's unit first: each leaves its tail's set and
+    joins its head's. The turned arcs are logged and turned back before
+    returning.
 
     For non-adjacent s and t this is also the capped pair flow:
-    _fan(net, s, N(t), k) = min(k, kappa(s, t)), since a path to a neighbor
-    of t extends to t and a path to t passes a neighbor of t last."""
-    head, cap, arcs, seen, prev = net.head, net.cap, net.arcs, net.seen, net.prev
-    stamp = net.stamp
-    source = 2 * src + 1
-    taken: list[int] = []  # each arc that passed one unit to its reverse
+    _fan(residual, s, N(t), k) = min(k, kappa(s, t)), since a path to a
+    neighbor of t extends to t and a path to t passes a neighbor of t last."""
+    turned: list[tuple[int, int]] = []
     found = 0
-    while found < stop_at:
-        stamp += 1
-        seen[source] = stamp
-        queue = [source]
-        end = -1
-        for x in queue:
-            for e in arcs[x]:
-                if cap[e]:
-                    y = head[e]
-                    if seen[y] != stamp:
-                        seen[y] = stamp
-                        prev[y] = e
-                        # in side 2v is also the id of v's unit arc
-                        if not y & 1 and cap[y] and y >> 1 in ends:
-                            end = y
-                            break
-                        queue.append(y)
-            if end >= 0:
-                break
-        else:
-            break  # no free end is in reach: the fan is maximum
-        # the end's unit, then the path back to the source
-        e, y = end, end
-        while True:
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            taken.append(e)
-            if y == source:
-                break
-            e = prev[y]
-            y = head[e ^ 1]
+    while found < stop_at and (hit := _free_end(residual, 2 * src + 1, ends)):
+        x, prev = hit
+        y = x + 1
+        while x is not None:
+            residual[x].remove(y)
+            residual[y].add(x)
+            turned.append((x, y))
+            x, y = prev[x], x
         found += 1
-    net.stamp = stamp
-    for e in taken:
-        cap[e] += 1
-        cap[e ^ 1] -= 1
+    for x, y in reversed(turned):
+        residual[y].remove(x)
+        residual[x].add(y)
     return found
 
 
@@ -525,8 +479,10 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
     reaches v0 in G - X, a contradiction. Only when the fan falls short
     does a flow from v0 to u run, and best falls to its value. Either way
     u then joins W. Each non-adjacent pair of neighbors gets its flow. All
-    of it runs on one split network built once per call. Complete graphs
-    return n-1, and one breadth-first pass from v0 finds a disconnected g: 0.
+    of it runs on one set of residual arcs built once per call, node 2v
+    for v's in side and 2v+1 for its out side (_fan). A complete graph
+    leaves no pair, so its answer is deg(v0) = n-1, and one breadth-first
+    pass from v0 finds a disconnected g: 0.
 
     Of budget only time_hint_s applies: it is counted from the start of
     the call and checked after a pair once 64 more augmenting searches
@@ -534,10 +490,8 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
     naming how many pairs were finished. Without a time hint the clock is
     never read.
     """
-    if g.n <= 1:
-        return max(g.n - 1, 0)
-    if g.m == g.n * (g.n - 1) // 2:
-        return g.n - 1
+    if not g.n:
+        return 0
     v0 = min(range(g.n), key=g.degree)
     near = g.neighbor_set(v0)
     # breadth-first order from v0; it decides connectedness too
@@ -552,7 +506,10 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
         return 0
     pairs = [(u, None) for u in order[1:] if u not in near]
     pairs += [(x, y) for x, y in combinations(g.neighbors(v0), 2) if not g.has_edge(x, y)]
-    net = _Network(g)
+    # out(u) has a unit arc to in(v) for each edge uv, in(v) one to out(v)
+    residual = [
+        {x + 1} if not x & 1 else {2 * v for v in g.neighbors(x >> 1)} for x in range(2 * g.n)
+    ]
     best = g.degree(v0)
     checked = {v0, *near}
     limit = None if budget is None else budget.time_hint_s
@@ -563,7 +520,7 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
         # one augmenting search per path, and one more that finds none
         # unless the cap stopped the fan
         nonlocal searches
-        found = _fan(net, src, ends, best)
+        found = _fan(residual, src, ends, best)
         searches += found + (found < best)
         return found
 
@@ -693,7 +650,6 @@ def find_constrained_cutset(
     hereditary to prune on, so the scan covers sizes up to
     budget.max_subset_size and None means "none within that cap".
     """
-    search = _Search(g, budget, "find_constrained_cutset")
     if max_delta is None and max_avg is None:
         raise PreconditionError("find_constrained_cutset needs at least one constraint")
     if max_delta is not None:
@@ -719,6 +675,9 @@ def find_constrained_cutset(
                 f"find_constrained_cutset: max_avg needs a positive denominator, got {max_avg}"
             )
         avg = Fraction(*max_avg)
+    # the arguments are checked first, so a malformed one is never reported
+    # as an order above max_n
+    search = _Search(g, budget, "find_constrained_cutset")
     masks = search.masks
     # below, edges2 counts each induced edge of a set S twice, and S meets
     # the average bound when edges2 / |S| < avg

@@ -488,6 +488,15 @@ def test_oracle_constrained_avg_bound(monkeypatch, capsys):
     assert report["verified"] is True
 
 
+@pytest.mark.parametrize("avg", ["x", "1/0"])
+def test_oracle_constrained_refuses_a_malformed_avg(avg, monkeypatch, capsys):
+    argv = ["oracle", "constrained-cutset", "--avg", avg]
+    code, out = run_cli(argv, "n 4\n0 1\n", monkeypatch, capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == ("GraphError", f"--avg expects P/Q, got {avg!r}")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -602,7 +611,11 @@ def test_oracle_rejects_negative_budget(monkeypatch, capsys):
     assert json.loads(out)["error"]["type"] == "PreconditionError"
 
 
-@pytest.mark.parametrize("graph_text", ["n 2\n", "n 3\n0 1\n1 2\n"], ids=["disconnected", "path3"])
+@pytest.mark.parametrize(
+    "graph_text",
+    ["n 2\n", "n 3\n0 1\n1 2\n", "n 30\n"],
+    ids=["disconnected", "path3", "above-max-n"],
+)
 def test_oracle_rejects_a_negative_max_delta(graph_text, monkeypatch, capsys):
     # no set meets a negative cap: a refusal, not an answer that fails its
     # own re-check (exit 1) or a "found": false

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -163,6 +164,14 @@ def test_clique_chain_rejects_bad_params():
         clique_chain(CliqueChainParams(delta=8, base_length=3))
     with pytest.raises(PreconditionError):
         clique_chain(CliqueChainParams(delta=9, base_length=2))
+    # delta 10 leaves cliques of order 3 for connectors of degree 4, the
+    # only delta >= 9 whose chain has no simple regular connector
+    message = (
+        "clique order 3 below connector degree 4; delta=10 "
+        "leaves no room for a simple regular connector"
+    )
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        clique_chain(CliqueChainParams(delta=10, base_length=5))
 
 
 # (delta, base_length, cyclic, seed) -> graph_digest, as built with no draw
@@ -254,6 +263,10 @@ def test_random_regular_rejects_bad_parameters():
         random_regular(5, 3, seed=0)
     with pytest.raises(PreconditionError, match="d < n"):
         random_regular(4, 4, seed=0)
+    for n, d in ((0, 0), (5, -1)):
+        message = f"random_regular needs n > 0, d >= 0, got n={n} d={d}"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            random_regular(n, d, seed=0)
 
 
 @pytest.mark.parametrize(

@@ -408,6 +408,8 @@ def test_min_degree_vertex_prefers_smallest_id():
     assert min_degree_vertex(g) == 0
     h = Graph(4, [(0, 1), (1, 2), (1, 3)])
     assert min_degree_vertex(h) == 0  # degree 1, ties with 2 and 3
+    with pytest.raises(PreconditionError, match="^min_degree_vertex: graph has no vertices$"):
+        min_degree_vertex(Graph(0, []))
 
 
 def test_induced_subgraph_mapping():

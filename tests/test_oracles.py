@@ -389,6 +389,35 @@ def _planted_cut(seed: int, cross: int) -> Graph:
 
 @pytest.mark.parametrize(
     "g",
+    [squared_cycle(14), connected_random_regular(20, 3, 4)[0], _planted_cut(0, 2)],
+    ids=["squared14", "cubic20", "cross2-0"],
+)
+def test_fan_turns_back_every_arc_and_stops_at_its_cap(g):
+    # the split network as vertex_connectivity builds it: in(v) = 2v has
+    # its unit arc to out(v) = 2v+1, and out(u) one to in(v) per edge uv
+    residual = [
+        {x + 1} if not x & 1 else {2 * v for v in g.neighbors(x >> 1)} for x in range(2 * g.n)
+    ]
+    before = [set(arcs) for arcs in residual]
+    rng = random.Random(g.n)
+    for _ in range(40):
+        src = rng.randrange(g.n)
+        ends = set(rng.sample([v for v in range(g.n) if v != src], rng.randint(1, 8)))
+        full = oracles._fan(residual, src, ends, g.n)
+        assert residual == before
+        assert full <= min(len(ends), g.degree(src))
+        for stop_at in range(1, 6):
+            assert oracles._fan(residual, src, ends, stop_at) == min(stop_at, full)
+            assert residual == before
+    # on the neighbors of a non-adjacent t the fan is the pair flow
+    apart = [(s, t) for s, t in combinations(range(g.n), 2) if not g.has_edge(s, t)]
+    for s, t in rng.sample(apart, 10):
+        assert oracles._fan(residual, s, g.neighbor_set(t), g.n) == _reference_flow(g, s, t, g.n)
+        assert residual == before
+
+
+@pytest.mark.parametrize(
+    "g",
     [_joined_at_cut_vertex(seed) for seed in range(3)]
     + [_planted_cut(seed, cross) for seed in range(2) for cross in (2, 3)],
     ids=["cut-vertex-0", "cut-vertex-1", "cut-vertex-2", "cross2-0", "cross3-0", "cross2-1", "cross3-1"],
@@ -511,9 +540,16 @@ def test_find_constrained_cutset_avg_only_within_size_cap():
     assert 2 * induced_stats(g, hit).induced_edge_count < len(hit)
 
 
+# The arguments are checked before the order cap, so above max_n (the
+# 30-vertex graphs below) a malformed one is still a refusal, not an
+# exhausted budget that a bigger budget would seem to cure.
+
+
 def test_find_constrained_cutset_needs_a_constraint():
-    with pytest.raises(PreconditionError):
-        find_constrained_cutset(_cycle(6))
+    message = "find_constrained_cutset needs at least one constraint"
+    for g in (_cycle(6), Graph(30, [])):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            find_constrained_cutset(g)
 
 
 @pytest.mark.parametrize("max_avg", [(1, 0), (1, -2), (0, -1)])
@@ -538,11 +574,14 @@ def test_find_constrained_cutset_refuses_a_max_delta_that_is_not_an_int(max_delt
     # a float bound never marks a vertex saturated, so 1.5 would let a
     # vertex of C_10^2 keep 2 neighbours in the answer
     message = f"find_constrained_cutset: max_delta must be an int, got {max_delta!r}"
-    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
-        find_constrained_cutset(squared_cycle(10), max_delta=max_delta)
+    for g in (squared_cycle(10), Graph(30, [])):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            find_constrained_cutset(g, max_delta=max_delta)
 
 
-@pytest.mark.parametrize("g", [Graph(2, []), _cycle(6)], ids=["2-isolated", "cycle6"])
+@pytest.mark.parametrize(
+    "g", [Graph(2, []), _cycle(6), Graph(30, [])], ids=["2-isolated", "cycle6", "30-isolated"]
+)
 @pytest.mark.parametrize("max_delta", [-1, -3])
 def test_find_constrained_cutset_refuses_a_negative_max_delta(g, max_delta):
     # no set meets the cap, so the empty set must not answer a disconnected
