@@ -7,16 +7,16 @@ every returned certificate passes the independent oracle check
 (verify_certificate), which recomputes separation, size and internal
 degree from the graph alone, before it is handed back.
 
-thm3 and thm4 take the vertex connectivity from a unit-capacity flow of
-this module's own (_connectivity). The oracle's vertex_connectivity
-computes the same value by separate code, so thm4's check of its flow
-against the oracle's enumeration of minimum cutsets is a real second
-opinion. Likewise thm3 proposes its own squared-cycle order, from a walk
+thm3 and thm4 take the vertex connectivity from this module's own fans
+and flows (_connectivity), code apart from the oracle's
+vertex_connectivity, so thm4's check of that value against the oracle's
+enumeration of minimum cutsets is a real second opinion. Likewise thm3 proposes its own squared-cycle order, from a walk
 along the cycle (_squared_cycle_walk), for the oracle to judge.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -344,76 +344,75 @@ def _finish_thm2(g: Graph, s_side: set[int], allow_small: bool) -> Certificate:
 
 
 def _connectivity(g: Graph) -> int:
-    """Vertex connectivity of a nonempty graph by unit-capacity max flow,
-    with the pair selection of Esfahanian and Hakimi, "On computing the
-    connectivities of graphs and digraphs" (Networks 1984).
+    """Vertex connectivity of a nonempty graph by unit-capacity flows, with
+    the check of Even (SIAM J. Comput. 1975) and the pairs of Esfahanian
+    and Hakimi (Networks 1984).
 
-    Let v0 be the smallest-id vertex of minimum degree δ. A minimum cutset
-    that misses v0 separates it from a non-neighbor; one that holds v0
-    keeps two non-adjacent neighbors of v0 apart. So κ is δ or the least
-    flow over those pairs, and every flow stops at the best value so far.
-    A complete graph has no such pair and gets δ = n - 1; a disconnected
-    one gets 0 from v0 and a vertex of another component.
+    v0 is the smallest-id vertex of minimum degree δ, and best starts at δ.
+    W starts as v0 and its neighbors. Every other vertex u, in id order,
+    asks for best paths into W that share only u, then joins W; only a
+    fan that falls short runs the flow from v0 to u, which may lower best.
+    Suppose a minimum cutset S misses v0 and κ < best. Let u be the first
+    vertex in neither S nor v0's component C of G - S: W lies in C ∪ S
+    when u asks, so its fan falls short, and S caps the flow from v0 to u
+    at κ. Any order of the u would do. A minimum cutset that holds v0
+    keeps two non-adjacent neighbors of v0 apart, so each such pair keeps
+    its flow. A disconnected graph gets 0 after its first short fan, and
+    a complete graph, with no u and no pair, gets δ = n - 1.
     """
     v0 = min_degree_vertex(g)
-    near = g.neighbor_set(v0)
-    pairs = [(v0, t) for t in range(g.n) if t != v0 and t not in near]
-    pairs += [(x, y) for x, y in combinations(g.neighbors(v0), 2) if not g.has_edge(x, y)]
     # the split network's residual arcs: node v is v's in side, node n + v
     # its out side. Every arc has capacity 1 and no arc has a reverse twin,
     # so the set of heads per node is the whole residual state.
     n = g.n
     residual = [{n + v} for v in range(n)] + [set(g.neighbors(v)) for v in range(n)]
     best = g.degree(v0)
-    for s, t in pairs:
-        best = _disjoint_paths(residual, n + s, t, best)
+    joined = {v0, *g.neighbors(v0)}
+    for u in range(n):
+        if u not in joined:
+            if _disjoint_paths(residual, u, joined, best) < best:
+                best = _disjoint_paths(residual, v0, g.neighbor_set(u), best)
+            joined.add(u)
+    for x, y in combinations(g.neighbors(v0), 2):
+        if not g.has_edge(x, y):
+            best = _disjoint_paths(residual, x, g.neighbor_set(y), best)
     return best
 
 
-def _disjoint_paths(residual: list[set[int]], source: int, sink: int, cap: int) -> int:
-    """Augment breadth first from the out side source of one vertex to the
-    in side sink of a non-adjacent one until cap paths are found or none is
-    left; return the count and leave residual as it came.
-
-    A search stops as soon as it meets a node with an arc into the sink.
-    It steps over a vertex that carries no path yet, from its in side
-    straight to its out side, the in side's only arc."""
+def _disjoint_paths(residual: list[set[int]], source: int, ends: Collection[int], cap: int) -> int:
+    """The number of paths, up to cap, from vertex source to distinct ends
+    that share only source (κ(source, t) for ends = N(t), t not adjacent to
+    source). Each is one breadth-first search from the source's out side,
+    up to the in side of an end with its unit arc free, which it takes too.
+    Its arcs are turned and logged; the log is turned back before return."""
     n = len(residual) // 2
-    flipped: list[tuple[int, int]] = []
+    turned: list[tuple[int, int]] = []
     paths = 0
     while paths < cap:
-        came_from = [-1] * len(residual)
-        came_from[source] = source
-        last = -1
-        queue = [source]
+        came_from = {n + source: n + source}  # the root is its own parent
+        queue = [n + source]
         for x in queue:
             for y in residual[x]:
-                if came_from[y] >= 0:
+                if y in came_from:
                     continue
                 came_from[y] = x
-                if y < n and n + y in residual[y]:
-                    if came_from[n + y] >= 0:
-                        continue  # the source vertex's own in side
-                    came_from[n + y] = y
-                    y += n
-                if sink in residual[y]:
-                    last = y
+                if y in ends and n + y in residual[y]:
                     break
                 queue.append(y)
-            if last >= 0:
-                break
+            else:
+                continue
+            break
         else:
-            break  # the sink is out of reach: the flow is maximum
-        came_from[sink] = last
-        y = sink
-        while y != source:
-            x = came_from[y]
+            break  # no free end is in reach: the count is maximum
+        came_from[n + y] = y
+        y += n
+        while (x := came_from[y]) != y:
             residual[x].remove(y)
             residual[y].add(x)
-            flipped.append((x, y))
+            turned.append((x, y))
             y = x
         paths += 1
-    for x, y in reversed(flipped):
+    for x, y in reversed(turned):
         residual[y].remove(x)
         residual[x].add(y)
     return paths
@@ -524,10 +523,10 @@ def theorem4_independent_cutset(g: Graph) -> Certificate:
     """Independent cutset of order at most 3 in a 4-regular graph whose
     connectivity is at most 3.
 
-    The connectivity comes from this module's flow. For connectivity 2 or
-    3 the minimum cutsets are enumerated and the one minimizing its
-    smallest component is taken; if it induces an edge, one endpoint is
-    swapped for its one neighbor on the larger side.
+    The connectivity comes from this module's fans and flows. For
+    connectivity 2 or 3 the minimum cutsets are enumerated and the one
+    minimizing its smallest component is taken; if it induces an edge, one
+    endpoint is swapped for its one neighbor on the larger side.
     """
     _require_regular(g, 4, "theorem4_independent_cutset")
     kappa = _connectivity(g)

@@ -665,7 +665,7 @@ def find_constrained_cutset(
         avg = max_avg
     elif max_avg is not None:
         pair = isinstance(max_avg, (tuple, list)) and len(max_avg) == 2
-        if not (pair and all(isinstance(x, int) for x in max_avg)):
+        if not (pair and all(type(x) is int for x in max_avg)):
             raise PreconditionError(
                 f"find_constrained_cutset: max_avg must be a Fraction or a pair of ints, "
                 f"got {max_avg!r}"
@@ -877,7 +877,9 @@ def _verify_cutset_claim(
 ) -> bool:
     """Whether cutset is a set of distinct vertices that separates g and
     meets each bound given; with require_minimal, also that no proper
-    subset separates g, at every size.
+    subset separates g, at every size. A bound must be an int that is not
+    a bool, the average bound a pair of them with a positive denominator,
+    and require_minimal a bool; any other claim is refused.
 
     S is minimal exactly when no S - x (x in S) separates, so |S| flood
     fills decide it. Proof: suppose a proper subset T of S separates. V - S
@@ -887,6 +889,15 @@ def _verify_cutset_claim(
     component of G - T. Another component then lies inside S - T, and any
     x in it has no neighbor in V - S, so it is alone in G - (S - x).
     """
+    bounds = all(b is None or type(b) is int for b in (size_bound, degree_bound))
+    pair = avg_bound is None or (
+        isinstance(avg_bound, (tuple, list))
+        and len(avg_bound) == 2
+        and all(type(x) is int for x in avg_bound)
+        and avg_bound[1] > 0
+    )
+    if not (bounds and pair and type(require_minimal) is bool):
+        return False
     if not (_vertex_set(g, cutset) and _separates(g, cutset)):
         return False
     if size_bound is not None and len(cutset) > size_bound:
@@ -897,7 +908,7 @@ def _verify_cutset_claim(
         return False
     if avg_bound is not None:
         num, den = avg_bound
-        if len(cutset) == 0 or den <= 0 or not sum(inner) * den < num * len(cutset):
+        if len(cutset) == 0 or not sum(inner) * den < num * len(cutset):
             return False
     return not (require_minimal and any(_separates(g, tuple(members - {x})) for x in cutset))
 

@@ -1,12 +1,13 @@
 """Shared test fixtures and independent reference implementations.
 
 The reference routines here (union-find components, subset-scan
-connectivity) deliberately do not reuse the library's search code, so
-tests can cross-check the package against a second opinion.
+connectivity, a pair flow) deliberately do not reuse the library's search
+code, so tests can cross-check the package against a second opinion.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from itertools import combinations, product
 
 from sparsecut.generators import ICOSAHEDRON_LABELS
@@ -120,6 +121,67 @@ def connected_random_regular(n: int, d: int, first_seed: int):
         if len(union_find_components(g.n, g.edges(), set())) == 1:
             return g, seed
         seed += 1
+
+
+def joined_at_cut_vertex(seed: int) -> Graph:
+    """Two random 4-regular graphs, each missing one edge, whose four loose
+    ends meet in one new vertex: 4-regular with a cut vertex."""
+    (a, _), (b, _) = connected_random_regular(16, 4, seed), connected_random_regular(20, 4, seed + 50)
+    (u1, v1), (u2, v2) = a.edges()[0], b.edges()[0]
+    hub = a.n + b.n
+    edges = [e for e in a.edges() if e != (u1, v1)]
+    edges += [(x + a.n, y + a.n) for x, y in b.edges() if (x, y) != (u2, v2)]
+    edges += [(u1, hub), (v1, hub), (u2 + a.n, hub), (v2 + a.n, hub)]
+    return Graph(hub + 1, edges)
+
+
+def planted_cut(seed: int, cross: int) -> Graph:
+    """Two random 4-regular halves of 16 and 20 vertices joined by cross
+    edges i -- 16 + i for i < cross: connectivity cross, for cross <= 3."""
+    (a, _), (b, _) = connected_random_regular(16, 4, seed), connected_random_regular(20, 4, seed + 50)
+    edges = [*a.edges(), *((x + 16, y + 16) for x, y in b.edges())]
+    return Graph(36, edges + [(i, 16 + i) for i in range(cross)])
+
+
+def reference_flow(g: Graph, s: int, t: int, stop_at: int) -> int:
+    """The number of internally disjoint paths from s to a non-adjacent t,
+    up to stop_at, on a dict-of-tuples split digraph built for the pair:
+    an earlier flow routine, kept as an independent reference."""
+    cap: dict[tuple[int, int], int] = defaultdict(int)
+    adj: dict[int, list[int]] = defaultdict(list)
+
+    def arc(a: int, b: int) -> None:
+        if cap[(a, b)] == 0 and cap[(b, a)] == 0:
+            adj[a].append(b)
+            adj[b].append(a)
+        cap[(a, b)] += 1
+
+    for v in range(g.n):
+        arc(2 * v, 2 * v + 1)
+    for u in range(g.n):
+        for v in g.neighbors(u):
+            arc(2 * u + 1, 2 * v)
+    src, snk = 2 * s + 1, 2 * t
+    flow = 0
+    while flow < stop_at:
+        prev: dict[int, int | None] = {src: None}
+        queue = deque([src])
+        while queue and snk not in prev:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in prev and cap[(x, y)] > 0:
+                    prev[y] = x
+                    queue.append(y)
+        if snk not in prev:
+            break
+        y = snk
+        while prev[y] is not None:
+            x = prev[y]
+            cap[(x, y)] -= 1
+            cap[(y, x)] += 1
+            y = x
+        flow += 1
+    return flow
 
 
 def circulant(n: int, chords) -> Graph:

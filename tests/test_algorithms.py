@@ -15,6 +15,7 @@ import pytest
 
 from helpers import (
     bounded_degree_connected,
+    brute_connectivity,
     circulant,
     complement_cube,
     connected_random_regular,
@@ -24,8 +25,11 @@ from helpers import (
     four_regular_cut3,
     four_regular_cut3_far_swap,
     induced_subgraph,
+    joined_at_cut_vertex,
     pg24_incidence,
     petersen,
+    planted_cut,
+    reference_flow,
     union_find_components,
 )
 import sparsecut.algorithms as algorithms
@@ -422,6 +426,95 @@ def test_connectivity_flow_matches_the_oracle_on_four_regular_graphs():
     kappas = [_connectivity(g) for g in graphs]
     assert kappas == [vertex_connectivity(g) for g in graphs]
     assert kappas[:3] == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [squared_cycle(14), connected_random_regular(20, 3, 4)[0], planted_cut(0, 2)],
+    ids=["squared14", "cubic20", "cross2-0"],
+)
+def test_disjoint_paths_turns_back_every_arc_and_stops_at_its_cap(g):
+    # the split network as _connectivity builds it: in(v) = v has its unit
+    # arc to out(v) = n + v, and out(u) one to in(v) per edge uv
+    n = g.n
+    residual = [{n + v} for v in range(n)] + [set(g.neighbors(v)) for v in range(n)]
+    before = [set(arcs) for arcs in residual]
+    rng = random.Random(n)
+    for _ in range(40):
+        source = rng.randrange(n)
+        ends = set(rng.sample([v for v in range(n) if v != source], rng.randint(1, 8)))
+        full = algorithms._disjoint_paths(residual, source, ends, n)
+        assert residual == before
+        # paths to distinct ends that share only the source are the paths
+        # to one new vertex joined to every end
+        joined = Graph(n + 1, [*g.edges(), *((v, n) for v in ends)])
+        assert full == reference_flow(joined, source, n, n)
+        for cap in range(1, 6):
+            assert algorithms._disjoint_paths(residual, source, ends, cap) == min(cap, full)
+            assert residual == before
+    # on the neighbors of a non-adjacent t the count is the pair flow
+    apart = [(s, t) for s, t in combinations(range(n), 2) if not g.has_edge(s, t)]
+    for s, t in rng.sample(apart, 10):
+        count = algorithms._disjoint_paths(residual, s, g.neighbor_set(t), n)
+        assert count == reference_flow(g, s, t, n)
+        assert residual == before
+
+
+def _counted_paths(monkeypatch, g: Graph) -> list[tuple[str, int, int, int]]:
+    """Each _disjoint_paths call of _connectivity(g) as (kind, source,
+    found, cap). kind is "fan" for a non-neighbor u of v0 checked against
+    the vertices already joined, "flow" for the flow from v0 to u after a
+    fan falls short, and "pair" for a pair of neighbors of v0."""
+    calls = []
+    disjoint_paths = algorithms._disjoint_paths
+    v0 = min(range(g.n), key=g.degree)
+
+    def counted(residual, source, ends, cap):
+        found = disjoint_paths(residual, source, ends, cap)
+        kind = "flow" if source == v0 else "pair" if g.has_edge(v0, source) else "fan"
+        calls.append((kind, source, found, cap))
+        return found
+
+    monkeypatch.setattr(algorithms, "_disjoint_paths", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "g",
+    [joined_at_cut_vertex(seed) for seed in range(3)]
+    + [planted_cut(seed, cross) for seed in range(2) for cross in (2, 3)],
+    ids=[
+        "cut-vertex-0", "cut-vertex-1", "cut-vertex-2",
+        "cross2-0", "cross3-0", "cross2-1", "cross3-1",
+    ],
+)
+def test_connectivity_falls_back_to_a_flow(monkeypatch, g):
+    calls = _counted_paths(monkeypatch, g)
+    assert _connectivity(g) == brute_connectivity(g)
+    kinds = [kind for kind, *_ in calls]
+    short = [found < cap for kind, _, found, cap in calls if kind == "fan"]
+    assert any(short)
+    # a flow from v0 runs right after each fan that falls short, and only then
+    assert kinds.count("flow") == sum(short)
+    for i, kind in enumerate(kinds):
+        if kind == "flow":
+            assert kinds[i - 1] == "fan" and calls[i - 1][2] < calls[i - 1][3]
+    # one fan per non-neighbor of v0, in id order, then the pairs
+    v0 = min(range(g.n), key=g.degree)
+    fans = [source for kind, source, *_ in calls if kind == "fan"]
+    assert fans == [u for u in range(g.n) if u != v0 and not g.has_edge(v0, u)]
+    assert kinds[-1] == "pair"
+
+
+def test_connectivity_settles_a_squared_cycle_by_fans(monkeypatch):
+    g = squared_cycle(160)
+    calls = _counted_paths(monkeypatch, g)
+    assert _connectivity(g) == 4
+    # the 155 non-neighbors of 0, each by a full fan, then the pairs of its
+    # neighbors 1, 2, 158, 159 at distance 3 or 4; no flow from v0 runs
+    assert [kind for kind, *_ in calls] == ["fan"] * 155 + ["pair"] * 3
+    assert all(found == cap == 4 for *_, found, cap in calls)
+    assert [source for _, source, *_ in calls] == [*range(3, 158), 1, 2, 2]
 
 
 def test_algorithms_borrow_only_these_oracle_names():

@@ -7,7 +7,6 @@ import inspect
 import random
 import re
 import tracemalloc
-from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +20,10 @@ from helpers import (
     four_regular_cut1,
     four_regular_cut2,
     four_regular_cut3,
+    joined_at_cut_vertex,
     petersen,
+    planted_cut,
+    reference_flow,
 )
 from sparsecut import oracles
 from sparsecut.certificates import (
@@ -187,46 +189,6 @@ def test_vertex_connectivity_matches_subset_scan_property(g):
         assert {len(s) for s in cutsets} == {kappa}
 
 
-def _reference_flow(g: Graph, s: int, t: int, stop_at: int) -> int:
-    """The earlier flow routine: a dict-of-tuples split digraph rebuilt for
-    every pair, kept as an independent reference."""
-    cap: dict[tuple[int, int], int] = defaultdict(int)
-    adj: dict[int, list[int]] = defaultdict(list)
-
-    def arc(a: int, b: int) -> None:
-        if cap[(a, b)] == 0 and cap[(b, a)] == 0:
-            adj[a].append(b)
-            adj[b].append(a)
-        cap[(a, b)] += 1
-
-    for v in range(g.n):
-        arc(2 * v, 2 * v + 1)
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            arc(2 * u + 1, 2 * v)
-    src, snk = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < stop_at:
-        prev: dict[int, int | None] = {src: None}
-        queue = deque([src])
-        while queue and snk not in prev:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in prev and cap[(x, y)] > 0:
-                    prev[y] = x
-                    queue.append(y)
-        if snk not in prev:
-            break
-        y = snk
-        while prev[y] is not None:
-            x = prev[y]
-            cap[(x, y)] -= 1
-            cap[(y, x)] += 1
-            y = x
-        flow += 1
-    return flow
-
-
 def _reference_connectivity(g: Graph) -> int:
     """The earlier pair selection: flows from a minimum-degree vertex and
     from each of its neighbors to every non-neighbor."""
@@ -245,22 +207,10 @@ def _reference_connectivity(g: Graph) -> int:
         for u in range(g.n):
             if u == r or g.has_edge(r, u):
                 continue
-            best = min(best, _reference_flow(g, r, u, best))
+            best = min(best, reference_flow(g, r, u, best))
             if best == 0:
                 return 0
     return best
-
-
-def _joined_at_cut_vertex(seed: int) -> Graph:
-    """Two random 4-regular graphs, each missing one edge, whose four loose
-    ends meet in one new vertex: 4-regular with a cut vertex."""
-    (a, _), (b, _) = connected_random_regular(16, 4, seed), connected_random_regular(20, 4, seed + 50)
-    (u1, v1), (u2, v2) = a.edges()[0], b.edges()[0]
-    hub = a.n + b.n
-    edges = [e for e in a.edges() if e != (u1, v1)]
-    edges += [(x + a.n, y + a.n) for x, y in b.edges() if (x, y) != (u2, v2)]
-    edges += [(u1, hub), (v1, hub), (u2 + a.n, hub), (v2 + a.n, hub)]
-    return Graph(hub + 1, edges)
 
 
 def _comparison_graphs() -> list[Graph]:
@@ -273,7 +223,7 @@ def _comparison_graphs() -> list[Graph]:
                 except BudgetExhausted:
                     pass
     out += [squared_cycle(n) for n in (5, 6, 7, 9, 13, 30, 61)]
-    out += [_joined_at_cut_vertex(seed) for seed in range(3)]
+    out += [joined_at_cut_vertex(seed) for seed in range(3)]
     # two squared cycles side by side, disconnected
     side = [(x + 7, y + 7) for x, y in squared_cycle(9).edges()]
     out.append(Graph(16, [*squared_cycle(7).edges(), *side]))
@@ -301,7 +251,7 @@ def test_vertex_connectivity_matches_earlier_flow_code():
         # the first fan across the cut vertex and the flow after it stop
         # below their cap, so the search that finds no path counts for
         # each; without those two the last pair ends at 63 searches
-        (_joined_at_cut_vertex(2), "37 of 38"),
+        (joined_at_cut_vertex(2), "37 of 38"),
     ],
     ids=["squared400", "cut-vertex"],
 )
@@ -379,17 +329,9 @@ def test_vertex_connectivity_settles_an_expander_by_fans(monkeypatch):
     assert all(found == stop_at == 4 for *_, found, stop_at in calls)
 
 
-def _planted_cut(seed: int, cross: int) -> Graph:
-    """Two random 4-regular halves of 16 and 20 vertices joined by cross
-    edges i -- 16 + i for i < cross: connectivity cross, for cross <= 3."""
-    (a, _), (b, _) = connected_random_regular(16, 4, seed), connected_random_regular(20, 4, seed + 50)
-    edges = [*a.edges(), *((x + 16, y + 16) for x, y in b.edges())]
-    return Graph(36, edges + [(i, 16 + i) for i in range(cross)])
-
-
 @pytest.mark.parametrize(
     "g",
-    [squared_cycle(14), connected_random_regular(20, 3, 4)[0], _planted_cut(0, 2)],
+    [squared_cycle(14), connected_random_regular(20, 3, 4)[0], planted_cut(0, 2)],
     ids=["squared14", "cubic20", "cross2-0"],
 )
 def test_fan_turns_back_every_arc_and_stops_at_its_cap(g):
@@ -412,14 +354,14 @@ def test_fan_turns_back_every_arc_and_stops_at_its_cap(g):
     # on the neighbors of a non-adjacent t the fan is the pair flow
     apart = [(s, t) for s, t in combinations(range(g.n), 2) if not g.has_edge(s, t)]
     for s, t in rng.sample(apart, 10):
-        assert oracles._fan(residual, s, g.neighbor_set(t), g.n) == _reference_flow(g, s, t, g.n)
+        assert oracles._fan(residual, s, g.neighbor_set(t), g.n) == reference_flow(g, s, t, g.n)
         assert residual == before
 
 
 @pytest.mark.parametrize(
     "g",
-    [_joined_at_cut_vertex(seed) for seed in range(3)]
-    + [_planted_cut(seed, cross) for seed in range(2) for cross in (2, 3)],
+    [joined_at_cut_vertex(seed) for seed in range(3)]
+    + [planted_cut(seed, cross) for seed in range(2) for cross in (2, 3)],
     ids=["cut-vertex-0", "cut-vertex-1", "cut-vertex-2", "cross2-0", "cross3-0", "cross2-1", "cross3-1"],
 )
 def test_vertex_connectivity_falls_back_to_a_flow(monkeypatch, g):
@@ -559,7 +501,9 @@ def test_find_constrained_cutset_refuses_a_denominator_below_one(max_avg):
         find_constrained_cutset(_cycle(6), max_avg=max_avg)
 
 
-@pytest.mark.parametrize("max_avg", [(1, 2, 3), "1/2", (1.5, 2), 0.5, (1, 2.0)])
+@pytest.mark.parametrize(
+    "max_avg", [(1, 2, 3), "1/2", (1.5, 2), 0.5, (1, 2.0), (True, 2), (1, True)]
+)
 def test_find_constrained_cutset_refuses_a_malformed_average(max_avg):
     message = (
         "find_constrained_cutset: max_avg must be a Fraction or a pair of ints, "
@@ -1420,6 +1364,37 @@ def test_verify_refuses_vertex_ids_that_are_not_ints(g, cert, honest):
     # a vertex id, and a float must not reach an index
     assert verify_certificate(g, honest) is True
     assert verify_certificate(g, cert) is False
+
+
+@pytest.mark.parametrize(
+    "kind, field, bad, good",
+    [
+        (IndependentCutset, "size_bound", "2", 2),
+        (IndependentCutset, "size_bound", 2.0, 2),
+        (IndependentCutset, "size_bound", True, 2),
+        (GoodCutset, "size_bound", "4", 4),
+        (GoodCutset, "degree_bound", 1.5, 1),
+        (GoodCutset, "degree_bound", True, 1),
+        (GoodCutset, "avg_bound_strict", (2,), (2, 1)),
+        (GoodCutset, "avg_bound_strict", (2, 1, 1), (2, 1)),
+        (GoodCutset, "avg_bound_strict", (2, 1.0), (2, 1)),
+        (GoodCutset, "avg_bound_strict", (2, True), (2, 1)),
+        (GoodCutset, "avg_bound_strict", "2/1", (2, 1)),
+        (GoodCutset, "require_minimal", 1, True),
+    ],
+    ids=[
+        "independent-size-str", "independent-size-float", "independent-size-bool",
+        "size-str", "degree-float", "degree-bool", "avg-one-entry", "avg-three-entries",
+        "avg-float-denominator", "avg-bool-denominator", "avg-str", "minimal-int",
+    ],
+)
+def test_verify_refuses_bounds_that_are_not_ints(kind, field, bad, good):
+    # C_6 is cut by the independent set {0, 3}, C_10^2 by {0, 1, 5, 6},
+    # which induces two edges. Each claim holds with the int bound; a
+    # malformed one is refused, not read as a number and not left to raise
+    g, cut = (_cycle(6), (0, 3)) if kind is IndependentCutset else (squared_cycle(10), (0, 1, 5, 6))
+    assert verify_certificate(g, kind(cut, **{field: good})) is True
+    assert verify_certificate(g, kind(cut, **{field: bad})) is False
 
 
 def test_verify_is_icosahedron():
