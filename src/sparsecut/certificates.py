@@ -85,10 +85,11 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def _int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
+    # JSON gives lists, Python callers tuples; type(True) is bool
+    return isinstance(value, (list, tuple)) and {*map(type, value)} <= {int}
 
 
-# each type a certificate field declares: the checks its JSON value must
+# each type a certificate field declares: the checks its value must
 # pass, in order, each with what the value must be when it fails
 _FIELD_CHECKS = {
     "tuple[int, ...]": ((_int_list, "a list of ints"),),
@@ -100,6 +101,21 @@ _FIELD_CHECKS = {
         (lambda v: v is None or (len(v) == 2 and v[1] > 0), "[numerator, positive denominator]"),
     ),
 }
+
+# each kind's field checks, field by field in declaration order: (name, check)
+_CHECKS = {
+    cls: tuple((f.name, ok) for f in fields(cls) for ok, _ in _FIELD_CHECKS[f.type])
+    for cls in _KINDS.values()
+}
+
+
+def _fields_fit(cert: Certificate) -> bool:
+    """Whether each field of cert passes the checks of its declared type, as
+    in certificate_from_dict; a subclass is judged by its kind's fields."""
+    for name, ok in _CHECKS.get(type(cert)) or _CHECKS[_KINDS[certificate_kind(cert)]]:
+        if not ok(getattr(cert, name)):
+            return False
+    return True
 
 
 def certificate_from_dict(data: dict) -> Certificate:

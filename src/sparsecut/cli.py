@@ -382,7 +382,8 @@ def _read_certificate(g: Graph, args) -> Certificate:
     text = _read_text(args.certificate_file)
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # a JSONDecodeError, or an int literal past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
         raise GraphError(f"certificate {args.certificate_file} is not JSON: {exc}") from None
     return certificate_from_dict(data)
 

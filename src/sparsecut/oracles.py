@@ -20,7 +20,7 @@ sets to test are the lanes of a block, each vertex gets one big int whose
 bit i says whether it is in the i-th set, and one flood fill decides every
 lane (_cut_lanes). A block holds at most _BLOCK_BITS // n sets, so its
 slices take at most 32 KB whatever the number of sets is. Blocks are
-filled and read back in two ways.
+filled in two ways, and _Search.block_cuts reads both back.
 
 - enumerate_min_cutsets and the average-only scan of
   find_constrained_cutset fill blocks with whole layers of k-subsets in
@@ -31,7 +31,7 @@ filled and read back in two ways.
   find_constrained_cutset walk their sets on an explicit stack, so no
   search recurses, and add each set's vertex mask as the next lane of a
   block that _Lanes fills. It transposes the masks into slices for the
-  fill and reads the first hit back from its mask. The independent walk
+  fill, and block_cuts names the first set that cuts. The independent walk
   reaches each size from stored roots, the sets of the deepest smaller
   size that has at most one block's lanes of them, so it does not walk
   the prefixes of every size again.
@@ -58,9 +58,9 @@ from .certificates import (
     Certificate,
     GoodCutset,
     IndependentCutset,
-    IsIcosahedron,
     KrrWitness,
     SquaredCycleIso,
+    _fields_fit,
 )
 from .errors import BudgetExhausted, PreconditionError, require_int
 from .graph import Graph
@@ -334,9 +334,9 @@ class _Lanes:
     one to_bytes whatever the block's width. test transposes the buffer
     into the member slices with C-level bytes operations: slice v is the
     byte at offset v >> 3 of every lane, each mapped to the digit of its
-    bit v & 7 and the digits reversed, read in base 2. One _cut_lanes fill
-    tests the block, and the first cutting lane's set is read back from its
-    mask. The first block holds _FIRST_LANES lanes and each later one twice
+    bit v & 7 and the digits reversed, read in base 2. One block_cuts
+    fill tests the block and names its first cutting lane's set. The
+    first block holds _FIRST_LANES lanes and each later one twice
     as many, up to search.lanes, so a walk that hits early tests few sets."""
 
     def __init__(self, search: _Search):
@@ -362,12 +362,7 @@ class _Lanes:
         if not width:
             return None
         members = [int(buf[v >> 3 :: size].translate(_DIGITS[v & 7])[::-1], 2) for v in range(n)]
-        cut = self.search._cut_lanes(members, width)
-        if not cut:
-            return None
-        at = (cut & -cut).bit_length() - 1
-        mask = int.from_bytes(buf[at * size : (at + 1) * size], "little")
-        return tuple(v for v in range(n) if mask >> v & 1)
+        return next(self.search.block_cuts(members, width), None)
 
 
 # --------------------------------------------------------- cutset enumeration
@@ -833,7 +828,12 @@ def _order_matches(g: Graph, order: tuple[int, ...]) -> bool:
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> bool:
-    """Re-check a certificate from the graph alone."""
+    """Re-check a certificate from the graph alone. A field value that its
+    declared type refuses, as in certificate_from_dict, makes it False."""
+    if not isinstance(cert, Certificate):
+        raise PreconditionError(f"unknown certificate type {type(cert).__name__}")
+    if not _fields_fit(cert):
+        return False
     if isinstance(cert, GoodCutset):
         return _verify_cutset_claim(
             g,
@@ -856,15 +856,12 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
             and _vertex_set(g, cert.order)
             and _order_matches(g, cert.order)
         )
-    if isinstance(cert, IsIcosahedron):
-        return _verify_icosahedron(g)
-    raise PreconditionError(f"unknown certificate type {type(cert).__name__}")
+    return _verify_icosahedron(g)
 
 
 def _vertex_set(g: Graph, ids: tuple) -> bool:
-    """Whether ids are distinct vertices of g, each an int and not a bool
-    (True would pass for vertex 1, and 1.0 would fail at an index)."""
-    return all(type(v) is int and 0 <= v < g.n for v in ids) and len(set(ids)) == len(ids)
+    """Whether ids, ints that are not bools, are distinct vertices of g."""
+    return all(0 <= v < g.n for v in ids) and len(set(ids)) == len(ids)
 
 
 def _verify_cutset_claim(
@@ -877,9 +874,7 @@ def _verify_cutset_claim(
 ) -> bool:
     """Whether cutset is a set of distinct vertices that separates g and
     meets each bound given; with require_minimal, also that no proper
-    subset separates g, at every size. A bound must be an int that is not
-    a bool, the average bound a pair of them with a positive denominator,
-    and require_minimal a bool; any other claim is refused.
+    subset separates g, at every size.
 
     S is minimal exactly when no S - x (x in S) separates, so |S| flood
     fills decide it. Proof: suppose a proper subset T of S separates. V - S
@@ -889,15 +884,6 @@ def _verify_cutset_claim(
     component of G - T. Another component then lies inside S - T, and any
     x in it has no neighbor in V - S, so it is alone in G - (S - x).
     """
-    bounds = all(b is None or type(b) is int for b in (size_bound, degree_bound))
-    pair = avg_bound is None or (
-        isinstance(avg_bound, (tuple, list))
-        and len(avg_bound) == 2
-        and all(type(x) is int for x in avg_bound)
-        and avg_bound[1] > 0
-    )
-    if not (bounds and pair and type(require_minimal) is bool):
-        return False
     if not (_vertex_set(g, cutset) and _separates(g, cutset)):
         return False
     if size_bound is not None and len(cutset) > size_bound:
@@ -916,7 +902,7 @@ def _verify_cutset_claim(
 def _verify_krr(g: Graph, cert: KrrWitness) -> bool:
     r, a, b = cert.r, cert.side_a, cert.side_b
     return (
-        type(r) is int and r >= 1 and len(a) == len(b) == r
+        r >= 1 and len(a) == len(b) == r
         # one set of 2r distinct vertices: each side distinct, the sides disjoint
         and _vertex_set(g, (*a, *b))
         and all(g.has_edge(u, w) for u in a for w in b)

@@ -810,6 +810,25 @@ def test_verify_unparsable_input_ends_in_one_json_report(tmp_path, capsys, graph
     assert report["error"]["type"] == "GraphError"
 
 
+def test_verify_reports_an_int_past_the_digit_limit(tmp_path):
+    # json.loads refuses an int literal longer than the interpreter's digit
+    # limit with a ValueError that is not a JSONDecodeError; the case needs
+    # that limit to be below 5000 digits, as it is by default
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5000, f"int string limit is {limit}, so 5000 digits parse"
+    graph_file = tmp_path / "p3.edges"
+    graph_file.write_text("n 3\n0 1\n1 2\n", encoding="ascii")
+    cert_file = tmp_path / "cert.json"
+    cert_text = '{"kind": "good-cutset", "cutset": [' + "9" * 5000 + "]}"
+    cert_file.write_text(cert_text, encoding="ascii")
+    code, report = _one_report(
+        ["verify", "-i", str(graph_file), "--certificate", str(cert_file)]
+    )
+    assert code == 2
+    assert report["error"]["type"] == "GraphError"
+    assert report["input_digest"] is not None
+
+
 def test_verify_refuted_claim_on_missing_vertices(tmp_path, capsys):
     graph_file = tmp_path / "g.edges"
     graph_file.write_text("n 3\n0 1\n1 2\n", encoding="ascii")

@@ -6,6 +6,7 @@ graph6 correctness is pinned twice: against a byhand encoding of the
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecut.certificates import (
+    _KINDS,
     GoodCutset,
     IndependentCutset,
     IsIcosahedron,
@@ -37,6 +39,7 @@ from sparsecut.io import (
     parse_graph6,
     to_dot,
 )
+from sparsecut.oracles import verify_certificate
 
 
 def cycle5() -> Graph:
@@ -544,6 +547,30 @@ def test_certificate_dict_rejects_garbage():
         with pytest.raises(GraphError) as err:
             certificate_from_dict(payload)
         assert str(err.value) == message, payload
+
+
+def test_verify_refuses_the_field_values_certificate_dict_refuses():
+    # one rule for field values: a payload of a known kind with every
+    # required field is refused only for a value, so the same certificate
+    # built directly, lists as tuples and with no check, verifies False on
+    # any graph; P3 is cut by {1}, the cutset most of the payloads name
+    graphs = (Graph(3, [(0, 1), (1, 2)]), squared_cycle(14))
+    built = 0
+    for payload, _ in _GARBAGE:
+        kind = payload.get("kind") if isinstance(payload, dict) else None
+        if not isinstance(kind, str) or kind not in _KINDS:
+            continue
+        cls = _KINDS[kind]
+        names = {f.name for f in dataclasses.fields(cls)}
+        required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+        if not required <= payload.keys():
+            continue
+        values = {k: v for k, v in payload.items() if k in names}
+        cert = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+        for g in graphs:
+            assert verify_certificate(g, cert) is False, (payload, g.n)
+        built += 1
+    assert built == 20
 
 
 @pytest.mark.parametrize(

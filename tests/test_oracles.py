@@ -1353,10 +1353,18 @@ _P3 = Graph(3, [(0, 1), (1, 2)])
         (_P3, KrrWitness(True, (1,), (0,)), KrrWitness(1, (1,), (0,))),
         (squared_cycle(5), SquaredCycleIso((0, True, 2, 3, 4)), SquaredCycleIso((0, 1, 2, 3, 4))),
         (squared_cycle(5), SquaredCycleIso((0, 1.0, 2, 3, 4)), SquaredCycleIso((0, 1, 2, 3, 4))),
+        # vertex data that is not a list or tuple of ints is refused, not
+        # left to raise; C_10^2 is cut by {0, 1, 5, 6}
+        (squared_cycle(10), GoodCutset(cutset=None), GoodCutset(cutset=(0, 1, 5, 6))),
+        (squared_cycle(10), GoodCutset(cutset=5), GoodCutset(cutset=(0, 1, 5, 6))),
+        (squared_cycle(10), GoodCutset(cutset={0, 1, 5, 6}), GoodCutset(cutset=(0, 1, 5, 6))),
+        (squared_cycle(10), KrrWitness(1, None, (1,)), KrrWitness(1, (0,), (1,))),
+        (squared_cycle(10), SquaredCycleIso(None), SquaredCycleIso(tuple(range(10)))),
     ],
     ids=[
         "cutset-bool", "cutset-float", "independent-bool", "independent-float",
         "krr-side-bool", "krr-side-float", "krr-r-bool", "order-bool", "order-float",
+        "cutset-none", "cutset-int", "cutset-set", "krr-side-none", "order-none",
     ],
 )
 def test_verify_refuses_vertex_ids_that_are_not_ints(g, cert, honest):
