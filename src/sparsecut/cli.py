@@ -382,9 +382,13 @@ def _read_certificate(g: Graph, args) -> Certificate:
     text = _read_text(args.certificate_file)
     try:
         data = json.loads(text)
-    # a JSONDecodeError, or an int literal past the interpreter's digit limit
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"certificate {args.certificate_file} is not JSON: {exc}") from None
+    # valid JSON with an int literal past the interpreter's digit limit
+    except ValueError as exc:
+        raise GraphError(
+            f"certificate {args.certificate_file} holds a value this interpreter cannot read: {exc}"
+        ) from None
     return certificate_from_dict(data)
 
 

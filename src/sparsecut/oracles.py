@@ -465,17 +465,22 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
 
     best starts at deg(v0) and only falls. W holds v0, its neighbors and
     the non-neighbors decided so far, each of which has kappa(v0, w) >=
-    best. The non-neighbors u are decided in breadth-first order from v0:
-    if best paths run from u to distinct vertices of W, sharing only u
+    best. The non-neighbors u are decided in bit-reversal order of their
+    ids: if best paths run from u to distinct vertices of W, sharing only u
     (_fan), then kappa(v0, u) >= best. Proof: let X, of fewer than best
     vertices and holding neither v0 nor u, part them. X misses one of the
     paths whole. Its end is v0, a neighbor of v0 outside X, or a decided
     w, which X cannot part from v0 since kappa(v0, w) >= best > |X|. So u
     reaches v0 in G - X, a contradiction. Only when the fan falls short
     does a flow from v0 to u run, and best falls to its value. Either way
-    u then joins W. Each non-adjacent pair of neighbors gets its flow. All
-    of it runs on one set of residual arcs built once per call, node 2v
-    for v's in side and 2v+1 for its out side (_fan). A complete graph
+    u then joins W. The proof uses no property of the order, so any order
+    is exact; the order only sets how far a fan travels. W grown in
+    breadth-first order is one arc around a squared cycle, so each fan has
+    to go the long way round and the run is quadratic; bit reversal
+    spreads W around it, so each fan finds W near u. Each non-adjacent
+    pair of neighbors gets its flow. All of it runs on one set of residual
+    arcs built once per call, node 2v for v's in side and 2v+1 for its out
+    side (_fan). A complete graph
     leaves no pair, so its answer is deg(v0) = n-1, and one breadth-first
     pass from v0 finds a disconnected g: 0.
 
@@ -489,17 +494,22 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
         return 0
     v0 = min(range(g.n), key=g.degree)
     near = g.neighbor_set(v0)
-    # breadth-first order from v0; it decides connectedness too
-    order = [v0]
+    # one breadth-first pass from v0 decides connectedness
+    queue = [v0]
     reached = {v0}
-    for x in order:
+    for x in queue:
         for y in g.neighbors(x):
             if y not in reached:
                 reached.add(y)
-                order.append(y)
-    if len(order) < g.n:
+                queue.append(y)
+    if len(queue) < g.n:
         return 0
-    pairs = [(u, None) for u in order[1:] if u not in near]
+    # the ids 0 .. 2^b - 1 in bit-reversal order, b the fewest bits that
+    # cover every id: each prefix is spread evenly over the ids
+    spread = [0]
+    while len(spread) < g.n:
+        spread = [2 * x for x in spread] + [2 * x + 1 for x in spread]
+    pairs = [(u, None) for u in spread if u < g.n and u != v0 and u not in near]
     pairs += [(x, y) for x, y in combinations(g.neighbors(v0), 2) if not g.has_edge(x, y)]
     # out(u) has a unit arc to in(v) for each edge uv, in(v) one to out(v)
     residual = [

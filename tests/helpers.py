@@ -7,6 +7,7 @@ code, so tests can cross-check the package against a second opinion.
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict, deque
 from itertools import combinations, product
 
@@ -362,6 +363,20 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
         if w > u and w in index
     ]
     return Graph(len(old), edges), old
+
+
+def renamed(g: Graph, ids) -> Graph:
+    """g with vertex v renamed ids[v]; ids is a permutation of range(g.n)."""
+    return Graph(g.n, [(ids[u], ids[w]) for u, w in g.edges()])
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    """g with its vertex ids shuffled by a seeded random permutation: the
+    same graph up to isomorphism, so every question the paper asks of it
+    has the same answer."""
+    ids = list(range(g.n))
+    random.Random(seed).shuffle(ids)
+    return renamed(g, ids)
 
 
 def icosahedron_labels() -> dict[int, str]:

@@ -7,6 +7,7 @@ same invariants the routines promise to maintain.
 
 import ast
 import inspect
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -460,23 +461,76 @@ def test_disjoint_paths_turns_back_every_arc_and_stops_at_its_cap(g):
         assert residual == before
 
 
-def _counted_paths(monkeypatch, g: Graph) -> list[tuple[str, int, int, int]]:
+def _counted_paths(monkeypatch, g: Graph) -> list[tuple[str, int, int, int, frozenset]]:
     """Each _disjoint_paths call of _connectivity(g) as (kind, source,
-    found, cap). kind is "fan" for a non-neighbor u of v0 checked against
-    the vertices already joined, "flow" for the flow from v0 to u after a
-    fan falls short, and "pair" for a pair of neighbors of v0."""
+    found, cap, ends), ends copied at the call. kind is "fan" for a
+    non-neighbor u of v0 checked against the vertices already joined,
+    "flow" for the flow from v0 to u after a fan falls short, and "pair"
+    for a pair of neighbors of v0."""
     calls = []
     disjoint_paths = algorithms._disjoint_paths
     v0 = min(range(g.n), key=g.degree)
 
     def counted(residual, source, ends, cap):
-        found = disjoint_paths(residual, source, ends, cap)
         kind = "flow" if source == v0 else "pair" if g.has_edge(v0, source) else "fan"
-        calls.append((kind, source, found, cap))
+        snapshot = frozenset(ends)
+        found = disjoint_paths(residual, source, ends, cap)
+        calls.append((kind, source, found, cap, snapshot))
         return found
 
     monkeypatch.setattr(algorithms, "_disjoint_paths", counted)
     return calls
+
+
+def _quotients(k: int, n: int) -> list[int]:
+    """The partial quotients of the continued fraction of n/k."""
+    return [n // k, *_quotients(n % k, k)] if k else []
+
+
+def _stride_order(n: int) -> list[int]:
+    """0..n-1 as _connectivity decides them: steps of the first k from the
+    integer nearest 0.618·n whose k/n is in lowest terms with partial
+    quotients of at most 8 (else n - 1), wrapping at n."""
+    k = next(
+        (k for k in range(round(0.618 * n), n - 1) if math.gcd(k, n) == 1 and max(_quotients(k, n)) <= 8),
+        n - 1,
+    )
+    order, u = [], 0
+    for _ in range(n):
+        order.append(u)
+        u = (u + k) % n
+    return order
+
+
+def _assert_fans_follow_the_stride(g: Graph, calls) -> None:
+    # one fan per non-neighbor of v0, in the stride order; each asks for
+    # paths into v0, its neighbors and the earlier fans' sources, so u
+    # joins W after its own fan and before the next
+    v0 = min(range(g.n), key=g.degree)
+    joined = {v0, *g.neighbors(v0)}
+    fans = [(source, ends) for kind, source, _, _, ends in calls if kind == "fan"]
+    assert [source for source, _ in fans] == [u for u in _stride_order(g.n) if u not in joined]
+    for source, ends in fans:
+        assert ends == joined
+        joined.add(source)
+
+
+def test_stride_scatters_every_prefix():
+    for n in [*range(1, 300), 1000, 19284]:
+        order = _stride_order(n)
+        k = algorithms._stride(n)
+        assert order == [i * k % n for i in range(n)]
+        assert sorted(order) == list(range(n))
+        # the first 2, 4, 8, … ids cut the cycle of ids into gaps within a
+        # factor 10 of each other (the three-gap theorem with quotients of
+        # at most 8). The integer nearest 0.618·n raised to the next
+        # coprime one reaches 48 at n = 1000 and 351 at n = 19284.
+        m = 2
+        while m <= n:
+            ids = sorted(order[:m])
+            gaps = [b - a for a, b in zip(ids, [*ids[1:], ids[0] + n])]
+            assert max(gaps) <= 10 * min(gaps)
+            m *= 2
 
 
 @pytest.mark.parametrize(
@@ -492,17 +546,14 @@ def test_connectivity_falls_back_to_a_flow(monkeypatch, g):
     calls = _counted_paths(monkeypatch, g)
     assert _connectivity(g) == brute_connectivity(g)
     kinds = [kind for kind, *_ in calls]
-    short = [found < cap for kind, _, found, cap in calls if kind == "fan"]
+    short = [found < cap for kind, _, found, cap, _ in calls if kind == "fan"]
     assert any(short)
     # a flow from v0 runs right after each fan that falls short, and only then
     assert kinds.count("flow") == sum(short)
     for i, kind in enumerate(kinds):
         if kind == "flow":
             assert kinds[i - 1] == "fan" and calls[i - 1][2] < calls[i - 1][3]
-    # one fan per non-neighbor of v0, in id order, then the pairs
-    v0 = min(range(g.n), key=g.degree)
-    fans = [source for kind, source, *_ in calls if kind == "fan"]
-    assert fans == [u for u in range(g.n) if u != v0 and not g.has_edge(v0, u)]
+    _assert_fans_follow_the_stride(g, calls)
     assert kinds[-1] == "pair"
 
 
@@ -513,8 +564,52 @@ def test_connectivity_settles_a_squared_cycle_by_fans(monkeypatch):
     # the 155 non-neighbors of 0, each by a full fan, then the pairs of its
     # neighbors 1, 2, 158, 159 at distance 3 or 4; no flow from v0 runs
     assert [kind for kind, *_ in calls] == ["fan"] * 155 + ["pair"] * 3
-    assert all(found == cap == 4 for *_, found, cap in calls)
-    assert [source for _, source, *_ in calls] == [*range(3, 158), 1, 2, 2]
+    assert all(found == cap == 4 for _, _, found, cap, _ in calls)
+    _assert_fans_follow_the_stride(g, calls)
+    assert [source for _, source, *_ in calls[155:]] == [1, 2, 2]
+
+
+def _residual_reads(monkeypatch, who: str, g: Graph) -> int:
+    """How often the augmenting searches of one connectivity run on g read
+    a node's residual arcs: once per node popped and once per end checked,
+    and in the algorithms' _disjoint_paths once per arc turned too. The
+    search helper gets the run's residual list as a counting copy that
+    shares its sets, so the arcs it turns are the run's own."""
+    module, search, run = {
+        "algorithms": (algorithms, "_disjoint_paths", algorithms._connectivity),
+        "oracle": (oracles, "_free_end", oracles.vertex_connectivity),
+    }[who]
+    reads = 0
+
+    class Counted(list):
+        def __getitem__(self, x):
+            nonlocal reads
+            reads += 1
+            return list.__getitem__(self, x)
+
+    real = getattr(module, search)
+    held = [None, None]  # the run's residual list and its counting copy
+
+    def counted(residual, *rest):
+        if held[0] is not residual:
+            held[:] = residual, Counted(residual)
+        return real(held[1], *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, search, counted)
+        assert run(g) == 4
+    return reads
+
+
+@pytest.mark.parametrize("who", ["algorithms", "oracle"])
+def test_connectivity_reads_grow_near_linearly_on_squared_cycles(monkeypatch, who):
+    # a cost check without a clock: each doubling of C_n² multiplies the
+    # residual reads by 2.2-2.3 under the scattered orders, and by 4.0
+    # under id or breadth-first order, where every fan goes the long way
+    # round; the nearest coprime stride alone reads 3.8 times as much at
+    # 1000 as at 500
+    reads = [_residual_reads(monkeypatch, who, squared_cycle(n)) for n in (500, 1000, 2000)]
+    assert all(later < 2.6 * earlier for earlier, later in zip(reads, reads[1:]))
 
 
 def test_algorithms_borrow_only_these_oracle_names():

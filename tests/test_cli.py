@@ -826,7 +826,29 @@ def test_verify_reports_an_int_past_the_digit_limit(tmp_path):
     )
     assert code == 2
     assert report["error"]["type"] == "GraphError"
+    # the file is valid JSON, so the report says so rather than "not JSON"
+    assert report["error"]["message"].startswith(
+        f"certificate {cert_file} holds a value this interpreter cannot read: "
+    )
     assert report["input_digest"] is not None
+
+
+@pytest.mark.parametrize(
+    "cert_text", ['{"kind": "good-cutset", "cutset": [1', "[" * 100000], ids=["cut-short", "nested"]
+)
+def test_verify_reports_a_certificate_that_is_not_json(tmp_path, cert_text):
+    # a JSONDecodeError and a RecursionError from json.loads both mean the
+    # file is not JSON this reader can take
+    graph_file = tmp_path / "p3.edges"
+    graph_file.write_text("n 3\n0 1\n1 2\n", encoding="ascii")
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(cert_text, encoding="ascii")
+    code, report = _one_report(
+        ["verify", "-i", str(graph_file), "--certificate", str(cert_file)]
+    )
+    assert code == 2
+    assert report["error"]["type"] == "GraphError"
+    assert report["error"]["message"].startswith(f"certificate {cert_file} is not JSON: ")
 
 
 def test_verify_refuted_claim_on_missing_vertices(tmp_path, capsys):

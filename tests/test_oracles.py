@@ -24,6 +24,7 @@ from helpers import (
     petersen,
     planted_cut,
     reference_flow,
+    renamed,
 )
 from sparsecut import oracles
 from sparsecut.certificates import (
@@ -243,15 +244,34 @@ def test_vertex_connectivity_matches_earlier_flow_code():
     assert set(kappas) >= {0, 1, 2, 3, 4, 5}
 
 
+def _bit_reversed(n: int) -> list[int]:
+    """0..n-1 as vertex_connectivity decides them: the b-bit strings in
+    counting order, each read backwards, for the fewest b that cover n."""
+    b = (n - 1).bit_length()
+    return [u for i in range(1 << b) if (u := int(f"{i:0{b}b}"[::-1], 2)) < n]
+
+
+def _far_half_last(g: Graph, far: set[int]) -> Graph:
+    """g renamed so that the vertices of far take the ids that
+    _bit_reversed decides last, and the rest keep their id order."""
+    old = [v for v in range(g.n) if v not in far] + sorted(far)
+    ids = [0] * g.n
+    for v, u in zip(old, _bit_reversed(g.n)):
+        ids[v] = u
+    return renamed(g, ids)
+
+
 @pytest.mark.parametrize(
     "g, done",
     [
         # 16 fans of 4 augmenting searches each reach the first check
         (squared_cycle(400), "16 of 398"),
-        # the first fan across the cut vertex and the flow after it stop
-        # below their cap, so the search that finds no path counts for
-        # each; without those two the last pair ends at 63 searches
-        (joined_at_cut_vertex(2), "37 of 38"),
+        # the cut vertex and the 20-vertex half behind it are decided last,
+        # so the 11 fans of v0's half find their 4 paths first. The first
+        # fan across the cut vertex and the flow after it stop below their
+        # cap, so the search that finds no path counts for each; without
+        # those two the check would come two pairs later, at "27 of 38"
+        (_far_half_last(joined_at_cut_vertex(2), set(range(16, 37))), "25 of 38"),
     ],
     ids=["squared400", "cut-vertex"],
 )
@@ -281,23 +301,40 @@ def test_vertex_connectivity_reads_only_the_time_hint(monkeypatch):
     assert clock == []
 
 
-def _counted_fans(monkeypatch, g: Graph) -> list[tuple[str, int, int, int]]:
+def _counted_fans(
+    monkeypatch, g: Graph, keep_ends: bool = True
+) -> list[tuple[str, int, int, int, frozenset | None]]:
     """Each _fan call of vertex_connectivity(g) as (kind, src, found,
-    stop_at). kind is "fan" for a non-neighbor u of v0 checked against the
-    vertices already decided, "flow" for the flow from v0 to u after a
-    fan falls short, and "pair" for a pair of neighbors of v0."""
+    stop_at, ends), ends copied at the call if keep_ends, else None. kind
+    is "fan" for a non-neighbor u of v0 checked against the vertices
+    already decided, "flow" for the flow from v0 to u after a fan falls
+    short, and "pair" for a pair of neighbors of v0."""
     calls = []
     fan = oracles._fan
     v0 = min(range(g.n), key=g.degree)
 
     def counted(net, src, ends, stop_at):
-        found = fan(net, src, ends, stop_at)
         kind = "flow" if src == v0 else "pair" if g.has_edge(v0, src) else "fan"
-        calls.append((kind, src, found, stop_at))
+        snapshot = frozenset(ends) if keep_ends else None
+        found = fan(net, src, ends, stop_at)
+        calls.append((kind, src, found, stop_at, snapshot))
         return found
 
     monkeypatch.setattr(oracles, "_fan", counted)
     return calls
+
+
+def _assert_fans_follow_bit_reversal(g: Graph, calls) -> None:
+    # one fan per non-neighbor of v0, in bit-reversal order; each asks for
+    # paths into v0, its neighbors and the earlier fans' sources, so u is
+    # decided after its own fan and before the next
+    v0 = min(range(g.n), key=g.degree)
+    decided = {v0, *g.neighbors(v0)}
+    fans = [(src, ends) for kind, src, _, _, ends in calls if kind == "fan"]
+    assert [src for src, _ in fans] == [u for u in _bit_reversed(g.n) if u not in decided]
+    for src, ends in fans:
+        assert ends == decided
+        decided.add(src)
 
 
 def test_vertex_connectivity_flow_count(monkeypatch):
@@ -307,26 +344,30 @@ def test_vertex_connectivity_flow_count(monkeypatch):
     kinds = [kind for kind, *_ in calls]
     assert kinds == ["fan"] * 155 + ["pair"] * 3
     # every fan finds its 4 paths, so no flow from v0 runs at all
-    assert all(found == stop_at == 4 for *_, found, stop_at in calls)
-    # the non-neighbors of 0 in breadth-first order, then the non-adjacent
+    assert all(found == stop_at == 4 for _, _, found, stop_at, _ in calls)
+    # the non-neighbors of 0 in bit-reversal order, then the non-adjacent
     # pairs of neighbors 1, 2, 158, 159 by their first member
+    _assert_fans_follow_bit_reversal(g, calls)
     fans = [src for _, src, *_ in calls[:155]]
-    assert sorted(fans) == list(range(3, 158))
-    assert fans[:8] == [3, 4, 156, 157, 5, 6, 154, 155]
-    hops = [(min(u, 160 - u) + 1) // 2 for u in fans]
-    assert hops == sorted(hops)
+    assert fans[:8] == [128, 64, 32, 96, 16, 144, 80, 48]
+    # the decided set is spread around the cycle: once 16 ids are decided,
+    # every later fan has a decided vertex within 8 steps on each side
+    for i, u in enumerate(fans[11:], 11):
+        decided = {0, 1, 2, 158, 159, *fans[:i]}
+        assert any((u + d) % 160 in decided for d in range(1, 9))
+        assert any((u - d) % 160 in decided for d in range(1, 9))
     assert [src for _, src, *_ in calls[155:]] == [1, 2, 2]
 
 
 def test_vertex_connectivity_settles_an_expander_by_fans(monkeypatch):
     g = random_regular(4000, 4, 1)
-    calls = _counted_fans(monkeypatch, g)
+    calls = _counted_fans(monkeypatch, g, keep_ends=False)
     assert vertex_connectivity(g) == 4
     # the 3995 non-neighbors of v0, each by a full fan, then the 6 pairs of
     # its neighbors, none adjacent
     kinds = [kind for kind, *_ in calls]
     assert kinds == ["fan"] * 3995 + ["pair"] * 6
-    assert all(found == stop_at == 4 for *_, found, stop_at in calls)
+    assert all(found == stop_at == 4 for _, _, found, stop_at, _ in calls)
 
 
 @pytest.mark.parametrize(
@@ -368,13 +409,14 @@ def test_vertex_connectivity_falls_back_to_a_flow(monkeypatch, g):
     calls = _counted_fans(monkeypatch, g)
     assert vertex_connectivity(g) == _reference_connectivity(g)
     kinds = [kind for kind, *_ in calls]
-    short = [found < stop_at for kind, _, found, stop_at in calls if kind == "fan"]
+    short = [found < stop_at for kind, _, found, stop_at, _ in calls if kind == "fan"]
     assert any(short)
     # a flow from v0 runs right after each fan that falls short, and only then
     assert kinds.count("flow") == sum(short)
     for i, kind in enumerate(kinds):
         if kind == "flow":
             assert kinds[i - 1] == "fan" and calls[i - 1][2] < calls[i - 1][3]
+    _assert_fans_follow_bit_reversal(g, calls)
 
 
 # ---------------------------------------------------------- independent cutsets

@@ -17,7 +17,7 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_connectivity
+from helpers import brute_connectivity, relabelled
 from sparsecut.algorithms import (
     _connectivity,
     _link_is,
@@ -33,7 +33,7 @@ from sparsecut.algorithms import (
 )
 from sparsecut.certificates import GoodCutset, SquaredCycleIso
 from sparsecut.errors import BudgetExhausted, NoCutsetFound, PreconditionError
-from sparsecut.generators import random_regular
+from sparsecut.generators import figure2_pattern, random_regular, squared_cycle
 from sparsecut.graph import Graph, components, induced_stats, is_connected
 from sparsecut.oracles import (
     find_independent_cutset,
@@ -294,6 +294,46 @@ def regular_or_planted_cut(draw) -> Graph:
 def test_connectivity_flow_matches_the_oracle_up_to_200(g):
     assert g.n <= 200
     assert _connectivity(g) == vertex_connectivity(g)
+
+
+@st.composite
+def connected_up_to_200(draw) -> Graph:
+    """A random tree on 2..200 vertices plus up to 2n random extra edges."""
+    n = draw(st.integers(min_value=2, max_value=200))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pair, max_size=2 * n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+def _kind(run, g: Graph):
+    """The outcome kind of run(g): the certificate's type or the exception's."""
+    try:
+        return type(run(g))
+    except Exception as exc:
+        return type(exc)
+
+
+@given(
+    g=st.one_of(
+        connected_up_to_200(),
+        regular_or_planted_cut(),
+        four_regular(max_piece=14),
+        st.integers(5, 200).map(squared_cycle),
+        st.integers(3, 50).map(figure2_pattern),
+    ),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=100, deadline=None)
+def test_relabelling_keeps_connectivity_and_theorem4s_outcome(g, seed):
+    # renaming the vertices changes the order both connectivity routines
+    # decide them in, and so the fans they run, but not their answer
+    h = relabelled(g, seed)
+    kappa = vertex_connectivity(g)
+    assert vertex_connectivity(h) == _connectivity(g) == _connectivity(h) == kappa
+    assert _kind(theorem4_independent_cutset, h) == _kind(theorem4_independent_cutset, g)
 
 
 @given(g=four_regular(max_piece=14))
