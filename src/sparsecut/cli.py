@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -318,16 +319,24 @@ def _probe_independent(g: Graph, args, budget: OracleBudget) -> Certificate | di
     return {"found": False} if hit is None else IndependentCutset(cutset=hit)
 
 
+# --avg is P or P/Q, each a run of ASCII digits with an optional leading
+# '-', as vertex ids in an edge list are: int() alone would also take '+',
+# '_', spaces and the digits of other scripts
+_AVG = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
+
+
 def _probe_constrained(g: Graph, args, budget: OracleBudget) -> Certificate | dict:
     if args.max_delta is None and args.avg is None:
         raise PreconditionError("oracle constrained-cutset needs --max-delta or --avg")
     avg = None
     if args.avg is not None:
-        p, _, q = args.avg.partition("/")
+        plain = _AVG.fullmatch(args.avg)
         try:
-            avg = Fraction(int(p), int(q or "1"))
-        except (ValueError, ZeroDivisionError):
-            raise GraphError(f"--avg expects P/Q, got {args.avg!r}") from None
+            avg = Fraction(int(plain[1]), int(plain[2] or "1")) if plain else None
+        except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or Q = 0
+            pass
+        if avg is None:
+            raise GraphError(f"--avg expects P/Q, got {args.avg!r}")
     hit = find_constrained_cutset(g, max_delta=args.max_delta, max_avg=avg, budget=budget)
     if hit is None:
         return {"found": False}

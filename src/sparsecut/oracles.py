@@ -39,9 +39,8 @@ filled in two ways, and _Search.block_cuts reads both back.
 find_krr walks its r-subsets in lexicographic order on an explicit stack
 too and needs no cut test. It prunes on common neighbors: a prefix whose
 picks have fewer than r of them left is dropped, since further picks can
-only lose some. Every search reads the clock at its start and, with a
-time hint, once per sweep of each fill and, between fills, once every 64
-steps of a walk or once per table row and per piece of a layer's slices.
+only lose some. Every search, vertex_connectivity included, follows the
+one clock rule that OracleBudget states.
 """
 
 from __future__ import annotations
@@ -72,16 +71,15 @@ class OracleBudget:
 
     max_n gates every exponential enumeration, max_subset_size caps
     searches that go subset-size by subset-size, and time_hint_s is a soft
-    wall-clock limit, counted from the start of each search. Every search
-    checks it once per sweep of each block's flood fill and, between
-    fills, once every 64 steps of a walk (find_independent_cutset,
-    find_constrained_cutset(max_delta=...) and find_krr) or once per table
-    row and per piece of a layer's bit slices (enumerate_min_cutsets and
-    the average-only scan). Without a time hint a search reads the clock
-    at its start only. vertex_connectivity reads time_hint_s and no other
-    cap. It counts the augmenting searches of its fans and of its flows
-    alike, reads the clock after a pair once 64 more have run, and never
-    reads it without a time hint.
+    wall-clock limit, counted from the start of each search.
+    vertex_connectivity reads time_hint_s and no other cap.
+
+    The clock rule, one for every search: without a time hint no search
+    reads the clock. With one, a search reads it at its start, after each
+    sweep of a block's flood fill, every 64 steps of a walk
+    (find_independent_cutset, find_constrained_cutset(max_delta=...) and
+    find_krr) and, in vertex_connectivity, after each flow pair, and it
+    stops at the first read past the limit.
 
     The two caps are ints that are not bools, and time_hint_s, when given,
     is a positive number that is not a bool; anything else raises
@@ -172,7 +170,7 @@ class _Search:
         # the most lanes in one block
         self.lanes = max(1, _BLOCK_BITS // max(g.n, 1))
         self.steps = 0
-        self.start = time.monotonic()
+        self.start = None if self.budget.time_hint_s is None else time.monotonic()
 
     def tick(self) -> None:
         """Count one search step; every 64 steps, enforce the time hint."""
@@ -181,11 +179,11 @@ class _Search:
             self.check_clock()
 
     def check_clock(self) -> None:
-        """Enforce the time hint. A step can cost O(n) big-int work on deep
-        sets, so the steps call this often: once every 64."""
-        limit = self.budget.time_hint_s
-        if limit is not None and time.monotonic() - self.start > limit:
-            raise BudgetExhausted(f"oracle time budget of {limit}s exceeded")
+        """Enforce the time hint, reading the clock only when there is one.
+        A step can cost O(n) big-int work on deep sets, so the walks call
+        this often: once every 64 steps, and _cut_lanes once per sweep."""
+        if self.start is not None and time.monotonic() - self.start > self.budget.time_hint_s:
+            raise BudgetExhausted(f"oracle time budget of {self.budget.time_hint_s}s exceeded")
 
     def layer_cuts(self, k: int) -> Iterator[tuple[int, ...]]:
         """Every k-subset whose removal leaves two or more components, in
@@ -204,7 +202,8 @@ class _Search:
         subsets, each as (members, width) for block_cuts: bit i of
         members[v] is set when v is in the block's i-th subset. A block is
         filled a piece at a time, a piece being a prefix joined to each
-        j-subset of a..n-1, with one clock read per piece."""
+        j-subset of a..n-1. The fill reads no clock: the first sweep of each
+        block's _cut_lanes does."""
         n, lanes = self.n, self.lanes
         tables = self._tables(k)
 
@@ -224,7 +223,6 @@ class _Search:
             if width + size > lanes:
                 yield members, width
                 members, width = [0] * n, 0
-            self.check_clock()
             if j:  # else the prefix is the whole subset
                 # the j-subsets of a..n-1 are the last size lanes of tables[j]
                 base_a, base = tables[j]
@@ -247,15 +245,15 @@ class _Search:
 
         C(a, 1) has a + i in lane i, so one table serves every a. The rest
         are built from a = n - 2 down by C(a, j) = {a}·C(a+1, j-1) ++
-        C(a+1, j), with one clock read per a. Each table fits in a block,
-        so together they hold at most k * _BLOCK_BITS bits."""
+        C(a+1, j), with no clock read: the first sweep of the first block's
+        _cut_lanes follows them. Each table fits in a block, so together
+        they hold at most k * _BLOCK_BITS bits."""
         n, lanes = self.n, self.lanes
         tables: list = [None] * (k + 1)
         if k:
             low = max(n - lanes, 0)  # the least a whose C(n - a, 1) fits
             tables[1] = (low, [1 << i for i in range(n - low)])
         for a in range(n - 2, -1, -1) if k > 1 else ():
-            self.check_clock()
             # j descends, so tables[j - 1] still holds C(a+1, j-1)
             for j in range(min(k, n - a), max(k - a, 2) - 1, -1):
                 if comb(n - a, j) > lanes:
@@ -480,30 +478,18 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
     spreads W around it, so each fan finds W near u. Each non-adjacent
     pair of neighbors gets its flow. All of it runs on one set of residual
     arcs built once per call, node 2v for v's in side and 2v+1 for its out
-    side (_fan). A complete graph
-    leaves no pair, so its answer is deg(v0) = n-1, and one breadth-first
-    pass from v0 finds a disconnected g: 0.
+    side (_fan). A complete graph leaves no pair, so its answer is
+    deg(v0) = n-1, and a disconnected g (one _separates flood fill) is 0.
 
-    Of budget only time_hint_s applies: it is counted from the start of
-    the call and checked after a pair once 64 more augmenting searches
-    have run, fans included, and running out raises BudgetExhausted
-    naming how many pairs were finished. Without a time hint the clock is
-    never read.
+    Of budget only time_hint_s applies, under OracleBudget's clock rule:
+    with a hint the clock is read at the start of the call and after each
+    pair, and running out raises BudgetExhausted naming how many pairs
+    were finished; without one it is never read.
     """
-    if not g.n:
+    if not g.n or _separates(g, ()):
         return 0
     v0 = min(range(g.n), key=g.degree)
     near = g.neighbor_set(v0)
-    # one breadth-first pass from v0 decides connectedness
-    queue = [v0]
-    reached = {v0}
-    for x in queue:
-        for y in g.neighbors(x):
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
-    if len(queue) < g.n:
-        return 0
     # the ids 0 .. 2^b - 1 in bit-reversal order, b the fewest bits that
     # cover every id: each prefix is spread evenly over the ids
     spread = [0]
@@ -519,25 +505,14 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
     checked = {v0, *near}
     limit = None if budget is None else budget.time_hint_s
     start = None if limit is None else time.monotonic()
-    searches = 0
-
-    def fan(src: int, ends) -> int:
-        # one augmenting search per path, and one more that finds none
-        # unless the cap stopped the fan
-        nonlocal searches
-        found = _fan(residual, src, ends, best)
-        searches += found + (found < best)
-        return found
-
     for done, (s, t) in enumerate(pairs, 1):
-        passed = searches >> 6
         if t is not None:
-            best = fan(s, g.neighbor_set(t))
-        else:
-            if fan(s, checked) < best:
-                best = fan(v0, g.neighbor_set(s))
-            checked.add(s)
-        if limit is not None and searches >> 6 > passed and time.monotonic() - start > limit:
+            best = _fan(residual, s, g.neighbor_set(t), best)
+        elif _fan(residual, s, checked, best) < best:
+            best = _fan(residual, v0, g.neighbor_set(s), best)
+        # a non-neighbor joins W; a neighbor s of v0 is in it already
+        checked.add(s)
+        if limit is not None and time.monotonic() - start > limit:
             raise BudgetExhausted(
                 f"oracle time budget of {limit}s exceeded after {done} of {len(pairs)} flow pairs"
             )

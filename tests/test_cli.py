@@ -475,6 +475,27 @@ def test_oracle_constrained_needs_a_bound(monkeypatch, capsys):
     assert "--max-delta" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "avg, bound", [("1/2", [1, 2]), ("3/2", [3, 2]), ("0/1", [0, 1]), ("3", [3, 1]), ("-6/-4", [3, 2])]
+)
+def test_oracle_constrained_reads_a_plain_avg(avg, bound, monkeypatch, capsys):
+    # C_12^2 has a cutset of average internal degree 1, {0, 1, 6, 7}, and
+    # none below it, so only the bounds above 1 find one
+    code, out = pipe(
+        monkeypatch,
+        capsys,
+        ["generate", "squared-cycle", "12"],
+        ["oracle", "constrained-cutset", f"--avg={avg}"],
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["command"]["avg"] == avg
+    if bound[0] > bound[1]:
+        assert report["certificate"]["avg_bound_strict"] == bound
+    else:
+        assert report["stats"] == {"found": False}
+
+
 def test_oracle_constrained_avg_bound(monkeypatch, capsys):
     code, out = pipe(
         monkeypatch,
@@ -488,9 +509,34 @@ def test_oracle_constrained_avg_bound(monkeypatch, capsys):
     assert report["verified"] is True
 
 
-@pytest.mark.parametrize("avg", ["x", "1/0"])
+@pytest.mark.parametrize(
+    "avg",
+    [
+        "x",
+        "1/0",
+        "1/-0",
+        # int() takes each of these, but --avg is plain ASCII decimals only,
+        # as edge lists are: '_', '+', spaces and other scripts' digits
+        "1_0/2",
+        "+1/2",
+        "1/+2",
+        "1/ 2",
+        " 1/2",
+        "1/2\n",
+        "\u0661/2",
+        "1/\u0662",
+        # an empty or a second denominator, and a doubled sign
+        "3/",
+        "/2",
+        "1/2/3",
+        "--1/2",
+        # past int()'s digit limit
+        "9" * 5000 + "/2",
+    ],
+)
 def test_oracle_constrained_refuses_a_malformed_avg(avg, monkeypatch, capsys):
-    argv = ["oracle", "constrained-cutset", "--avg", avg]
+    # one argv item, so that argparse reads a leading '-' as the value's
+    argv = ["oracle", "constrained-cutset", f"--avg={avg}"]
     code, out = run_cli(argv, "n 4\n0 1\n", monkeypatch, capsys)
     assert code == 2
     error = json.loads(out)["error"]
@@ -559,7 +605,8 @@ def test_oracle_connectivity_reads_the_time_hint(monkeypatch, capsys):
     assert code == 3
     error = json.loads(out)["error"]
     assert error["type"] == "BudgetExhausted"
-    assert error["message"] == "oracle time budget of 1e-09s exceeded after 16 of 398 flow pairs"
+    # the clock is read after every pair, and the first pair outlasts 1e-9 s
+    assert error["message"] == "oracle time budget of 1e-09s exceeded after 1 of 398 flow pairs"
     # and no other cap: the flows are not exponential
     code, out = pipe(
         monkeypatch,

@@ -131,16 +131,38 @@ def test_vertex_connectivity_known_values():
 
 
 def test_vertex_connectivity_makes_no_separate_connectedness_pass(monkeypatch):
-    # the breadth-first order from v0 alone decides connectedness
-    def refused(g, removed):
-        raise AssertionError("vertex_connectivity called _separates")
+    # connectedness is decided by the oracle's one flood fill, a single
+    # _separates(g, ()) call, with no traversal of vertex_connectivity's
+    # own; a disconnected graph then runs no fan or flow
+    separates, fan = oracles._separates, oracles._fan
+    calls = []
 
-    monkeypatch.setattr(oracles, "_separates", refused)
-    assert vertex_connectivity(Graph(5, [(0, 1), (2, 3)])) == 0
-    assert vertex_connectivity(Graph(2, [])) == 0
-    assert vertex_connectivity(_TWO_TRIANGLES) == 0
-    assert vertex_connectivity(squared_cycle(14)) == 4
-    assert vertex_connectivity(named_small("K4")) == 3
+    def counted(g, removed):
+        calls.append(removed)
+        return separates(g, removed)
+
+    def fan_if_connected(residual, src, ends, stop_at):
+        assert calls == [()] and not separates(g, ())
+        return fan(residual, src, ends, stop_at)
+
+    monkeypatch.setattr(oracles, "_separates", counted)
+    monkeypatch.setattr(oracles, "_fan", fan_if_connected)
+    cases = [
+        (Graph(5, [(0, 1), (2, 3)]), 0),
+        (Graph(2, []), 0),
+        (_TWO_TRIANGLES, 0),
+        (squared_cycle(14), 4),
+        (named_small("K4"), 3),
+        (_path(6), 1),
+    ]
+    for g, kappa in cases:
+        del calls[:]
+        assert vertex_connectivity(g) == kappa
+        assert calls == [()]
+    # the empty graph is answered before any flood fill
+    del calls[:]
+    assert vertex_connectivity(Graph(0, [])) == 0
+    assert calls == []
 
 
 def test_vertex_connectivity_against_subset_scan():
@@ -264,14 +286,15 @@ def _far_half_last(g: Graph, far: set[int]) -> Graph:
 @pytest.mark.parametrize(
     "g, done",
     [
-        # 16 fans of 4 augmenting searches each reach the first check
-        (squared_cycle(400), "16 of 398"),
+        # 395 non-neighbors of v0 and 3 non-adjacent pairs of its
+        # neighbors, {398, 1}, {398, 2} and {399, 2}: 398 pairs. The clock
+        # is read after every pair, and the first pair takes longer than
+        # 1e-9 s, so the search stops after it
+        (squared_cycle(400), "1 of 398"),
         # the cut vertex and the 20-vertex half behind it are decided last,
-        # so the 11 fans of v0's half find their 4 paths first. The first
-        # fan across the cut vertex and the flow after it stop below their
-        # cap, so the search that finds no path counts for each; without
-        # those two the check would come two pairs later, at "27 of 38"
-        (_far_half_last(joined_at_cut_vertex(2), set(range(16, 37))), "25 of 38"),
+        # so the first pairs are fans that find their 4 paths; the read
+        # after the first of them stops the search all the same
+        (_far_half_last(joined_at_cut_vertex(2), set(range(16, 37))), "1 of 38"),
     ],
     ids=["squared400", "cut-vertex"],
 )
@@ -290,15 +313,31 @@ def test_vertex_connectivity_reads_only_the_time_hint(monkeypatch):
 
     monkeypatch.setattr(oracles.time, "monotonic", monotonic)
     g = squared_cycle(160)
-    # the start, then one read per 64 of the 158 * 4 augmenting searches:
-    # 155 fans and 3 pair flows of 4 paths each
+    # the start, then one read after each of the 158 pairs: the 160 - 5
+    # non-neighbors of v0 and the 3 non-adjacent pairs of its neighbors
     assert vertex_connectivity(g, OracleBudget(time_hint_s=1.0)) == 4
-    assert len(clock) == 1 + 158 * 4 // 64
+    assert len(clock) == 1 + 158
     # without a time hint the clock is never read, and max_n is no cap
     del clock[:]
     assert vertex_connectivity(g) == 4
     assert vertex_connectivity(g, OracleBudget(max_n=0, max_subset_size=0)) == 4
     assert clock == []
+
+
+def test_vertex_connectivity_stops_at_the_first_read_past_the_hint(monkeypatch):
+    # a clock that reads 0 at the start and p after pair p: a hint of 2.5
+    # lets pairs 1 and 2 pass and stops at the read after pair 3
+    clock = []
+
+    def monotonic() -> float:
+        clock.append(None)
+        return float(len(clock) - 1)
+
+    monkeypatch.setattr(oracles.time, "monotonic", monotonic)
+    message = "oracle time budget of 2.5s exceeded after 3 of 158 flow pairs"
+    with pytest.raises(BudgetExhausted, match=f"^{re.escape(message)}$"):
+        vertex_connectivity(squared_cycle(160), OracleBudget(time_hint_s=2.5))
+    assert len(clock) == 1 + 3
 
 
 def _counted_fans(
@@ -806,28 +845,31 @@ def test_constrained_search_walks_the_inclusion_order(g, max_delta, avg):
 
 # Five searches that each run well over 64 steps before their answer, with
 # the number of clock reads each makes under a time hint that never runs
-# out: one at the start, then one every 64 steps, so 1 + 275 // 64 = 5 for
-# the 275 steps of the K_{3,3} walk on C_24^2. The two walks,
-# independent and constrained-delta, also read it once per sweep of each
-# block's fill: 210 steps and 4 sweeps, so 1 + 3 + 4 = 8, and 712 steps and
-# 9 sweeps. The independent walk takes one step per independent set of
-# C_14^2, which has no independent cutset, since every size's sets fit as
-# the next roots. The two
-# layer searches, min-cutsets and constrained-avg, read it instead once per
-# table row and per piece of each layer's bit slices and once per sweep of
-# its fill.
+# out, by OracleBudget's clock rule: one at the start, one every 64 steps
+# of a walk and one after each sweep of a block's fill. The K_{3,3} walk
+# on C_24^2 fills no block: 1 + 275 // 64 = 5 for its 275 steps. The two
+# walks, independent and constrained-delta, fill blocks too: 210 steps
+# and 4 sweeps, so 1 + 3 + 4 = 8, and 712 steps and 9 sweeps, so
+# 1 + 11 + 9 = 21. The independent walk takes one step per independent set
+# of C_14^2, which has no independent cutset, since every size's sets fit
+# as the next roots. The two layer searches on C_14^2, min-cutsets and
+# constrained-avg, read the clock only at the start and in their fills,
+# each layer being one block of at most C(14, 6) = 3003 lanes: the fills
+# of k = 1..6 take 1, 2, 2, 3, 3 and 3 sweeps. min-cutsets stops at
+# kappa = 4, so 1 + 1 + 2 + 2 + 3 = 9; no set has an average below 0, so
+# constrained-avg scans up to max_subset_size = 6, so 1 + 14 = 15.
 _LONG_SEARCHES = {
-    "min-cutsets": (lambda b: enumerate_min_cutsets(squared_cycle(14), b), 52),
-    "independent": (lambda b: find_independent_cutset(squared_cycle(14), b), 8),
+    "min-cutsets": (lambda b: enumerate_min_cutsets(squared_cycle(14), b), 1 + 1 + 2 + 2 + 3),
+    "independent": (lambda b: find_independent_cutset(squared_cycle(14), b), 1 + 210 // 64 + 4),
     "constrained-delta": (
         lambda b: find_constrained_cutset(icosahedron(), max_delta=1, budget=b),
-        21,
+        1 + 712 // 64 + 9,
     ),
     "constrained-avg": (
         lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
-        86,
+        1 + 1 + 2 + 2 + 3 + 3 + 3,
     ),
-    "krr": (lambda b: find_krr(squared_cycle(24), 3, b), 5),
+    "krr": (lambda b: find_krr(squared_cycle(24), 3, b), 1 + 275 // 64),
 }
 
 
@@ -861,10 +903,10 @@ def test_time_hint_reads_the_clock_every_64_steps(monkeypatch, search, reads):
     monkeypatch.setattr(oracles.time, "monotonic", monotonic)
     search(OracleBudget(time_hint_s=1.0))
     assert len(clock) == reads
-    # without a time hint only the start is read
+    # without a time hint the clock is never read
     del clock[:]
     search(OracleBudget())
-    assert len(clock) == 1
+    assert clock == []
 
 
 # ------------------------------------------------------ whole-layer searches

@@ -36,7 +36,10 @@ from sparsecut.errors import BudgetExhausted, NoCutsetFound, PreconditionError
 from sparsecut.generators import figure2_pattern, random_regular, squared_cycle
 from sparsecut.graph import Graph, components, induced_stats, is_connected
 from sparsecut.oracles import (
+    enumerate_min_cutsets,
+    find_constrained_cutset,
     find_independent_cutset,
+    find_krr,
     recognize_squared_cycle,
     verify_certificate,
     vertex_connectivity,
@@ -441,3 +444,82 @@ def test_prop2_matches_the_two_pass_seed_reference(g):
 def test_degenerate_certifies_or_declines(case):
     g, pick = case
     certifies_or_declines(g, lambda h: degenerate_sparse_cutset(h, pick % h.n))
+
+
+# Relabelling invariance of the other outcomes. Every question below is
+# asked of the graph up to isomorphism, so g and a relabelled copy must get
+# the same outcome kind, the same None or not None, and the same count.
+# thm5 is left out, because which of its two certificate kinds answers may
+# turn on which vertex it grows from, a vertex id; so is degenerate, whose
+# argument u is a vertex id.
+
+
+def _kinds(run, g: Graph, seed: int):
+    """The outcome kinds of run on g and on a relabelled copy of g."""
+    return _kind(run, g), _kind(run, relabelled(g, seed))
+
+
+@given(case=thm1_inputs(), seed=st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_relabelling_keeps_theorem1s_outcome(case, seed):
+    g, delta = case
+    first, second = _kinds(lambda h: theorem1_cutset(h, delta), g, seed)
+    assert first == second
+
+
+@given(
+    n=st.integers(min_value=7, max_value=15).map(lambda k: 2 * k),
+    graph_seed=st.integers(0, 10**6),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=25, deadline=None)
+def test_relabelling_keeps_theorem2s_outcome(n, graph_seed, seed):
+    try:
+        g = random_regular(n, 5, graph_seed)
+    except BudgetExhausted:
+        assume(False)
+    first, second = _kinds(theorem2_cutset, g, seed)
+    assert first == second
+
+
+@given(n=st.integers(7, 16), graph_seed=st.integers(0, 10**6), seed=st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_relabelling_keeps_theorem3s_outcome(n, graph_seed, seed):
+    try:
+        g = random_regular(n, 4, graph_seed)
+    except BudgetExhausted:
+        assume(False)
+    assume(is_connected(g))
+    first, second = _kinds(lambda h: theorem3_dichotomy(h, min_order=5), g, seed)
+    assert first == second
+
+
+@given(g=st.one_of(sparse_connected(), pocketed_sparse()), seed=st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_relabelling_keeps_prop2s_outcome(g, seed):
+    first, second = _kinds(prop2_cutset, g, seed)
+    # the contraction route may pass the oracle's order cap on either side
+    assume(BudgetExhausted not in (first, second))
+    assert first == second
+
+
+def _oracle_answers(g: Graph):
+    """Whether each oracle search finds nothing, and the number of minimum
+    cutsets (or the outcome that refuses to count them)."""
+    return (
+        find_independent_cutset(g) is None,
+        find_constrained_cutset(g, max_delta=1) is None,
+        find_krr(g, 2) is None,
+        recognize_squared_cycle(g) is None,
+        _outcome(lambda h: len(enumerate_min_cutsets(h)), g),
+    )
+
+
+@given(
+    g=st.one_of(small_graphs(), four_regular(max_piece=8), st.integers(5, 16).map(squared_cycle)),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_relabelling_keeps_each_oracle_answer(g, seed):
+    assume(g.n <= 16)
+    assert _oracle_answers(relabelled(g, seed)) == _oracle_answers(g)
