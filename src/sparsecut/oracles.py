@@ -9,9 +9,7 @@ Exponential searches are gated by an OracleBudget; running out of budget
 raises BudgetExhausted, which is a first-class outcome distinct from a
 definitive "none".
 
-The four exponential searches (enumerate_min_cutsets,
-find_independent_cutset, find_constrained_cutset and find_krr) each build
-one _Search from the graph, the budget and their own name. It rejects an
+The four exponential searches each build one _Search, which rejects an
 order above max_n, holds the adjacency bitmasks and counts search steps.
 
 The three searches for cutsets share one cut test at every order, bit-sliced
@@ -20,27 +18,20 @@ sets to test are the lanes of a block, each vertex gets one big int whose
 bit i says whether it is in the i-th set, and one flood fill decides every
 lane (_cut_lanes). A block holds at most _BLOCK_BITS // n sets, so its
 slices take at most 32 KB whatever the number of sets is. Blocks are
-filled in two ways, and _Search.block_cuts reads both back.
+filled in two ways, and _Search.block_cuts names the sets that cut.
 
 - enumerate_min_cutsets and the average-only scan of
   find_constrained_cutset fill blocks with whole layers of k-subsets in
-  lexicographic order (layer_cuts), with slices cut from tables built per
-  layer, and _Search.block_cuts names each set that cuts, in lane order,
-  from the slices the fill leaves behind.
-- find_independent_cutset and the degree-capped walk of
-  find_constrained_cutset walk their sets on an explicit stack, so no
-  search recurses, and add each set's vertex mask as the next lane of a
-  block that _Lanes fills. It transposes the masks into slices for the
-  fill, and block_cuts names the first set that cuts. The independent walk
-  reaches each size from stored roots, the sets of the deepest smaller
-  size that has at most one block's lanes of them, so it does not walk
-  the prefixes of every size again.
+  lexicographic order (layer_cuts).
+- The degree walks of find_independent_cutset and find_constrained_cutset
+  walk their sets on an explicit stack, so no search recurses, and add
+  each set as the next lane of a block (_Lanes). The size walk
+  (_size_walk) goes by increasing size and reaches each size from stored
+  roots, so it does not walk the prefixes of every size again.
 
-find_krr walks its r-subsets in lexicographic order on an explicit stack
-too and needs no cut test. It prunes on common neighbors: a prefix whose
-picks have fewer than r of them left is dropped, since further picks can
-only lose some. Every search, vertex_connectivity included, follows the
-one clock rule that OracleBudget states.
+find_krr walks its r-subsets on an explicit stack too and needs no cut
+test. Every search, vertex_connectivity included, follows the one clock
+rule that OracleBudget states.
 """
 
 from __future__ import annotations
@@ -77,9 +68,9 @@ class OracleBudget:
     The clock rule, one for every search: without a time hint no search
     reads the clock. With one, a search reads it at its start, after each
     sweep of a block's flood fill, every 64 steps of a walk
-    (find_independent_cutset, find_constrained_cutset(max_delta=...) and
-    find_krr) and, in vertex_connectivity, after each flow pair, and it
-    stops at the first read past the limit.
+    (find_independent_cutset, find_constrained_cutset(max_delta=...),
+    with max_avg or without, and find_krr) and, in vertex_connectivity,
+    after each flow pair, and it stops at the first read past the limit.
 
     The two caps are ints that are not bools, and time_hint_s, when given,
     is a positive number that is not a bool; anything else raises
@@ -150,9 +141,6 @@ class _Search:
     tests every lane of a block in one flood fill. layer_cuts(k) fills its
     blocks with _blocks and reads them back with block_cuts(members,
     width), which yields each set that cuts; the walks use _Lanes.
-    layer_cuts(k) yields every k-subset that cuts, in lexicographic order;
-    the tables its blocks are cut from hold at most k * _BLOCK_BITS bits,
-    and each lane is one step.
     """
 
     def __init__(self, g: Graph, budget: OracleBudget | None, what: str):
@@ -525,37 +513,60 @@ def vertex_connectivity(g: Graph, budget: OracleBudget | None = None) -> int:
 def find_independent_cutset(
     g: Graph, budget: OracleBudget | None = None
 ) -> tuple[int, ...] | None:
-    """Independent cutset by increasing size, lexicographic within a size.
-
-    Returns the first hit, a definitive None when the full enumeration
-    finishes empty, or raises BudgetExhausted. A disconnected input
-    returns (), the empty set, which is an independent cutset by convention.
-    The enumeration stops at the first size that has no independent set:
-    every subset of an independent set is independent, so no larger size
-    has one either. Each set is one lane of a block (_Lanes).
-
-    Size k is walked from stored roots: the independent sets of the deepest
-    size j < k that has at most search.lanes of them, in lexicographic
-    order, each kept with its candidates. From each root an explicit stack
-    takes the k - j picks left. A size whose sets fit under that cap
-    becomes the next roots, so when every size fits each independent set
-    is visited once, and when none does the walk goes from the empty root.
-    The roots hold at most search.lanes sets. The next roots are dropped
-    once they pass that cap, checked after the candidates of each
-    (k-1)-set, so they hold at most n sets more. So the walk's memory stays
-    within a block's lane bound whatever max_n is. Each pick the walk
-    takes, a set's last one included, is one step.
-    """
+    """The size walk (_size_walk) at internal degree 0: the first independent
+    cutset by size, lexicographic within a size, a definitive None, or
+    BudgetExhausted. A disconnected input returns (), the empty set, which
+    is an independent cutset by convention."""
     search = _Search(g, budget, "find_independent_cutset")
-    n, masks = g.n, search.masks
-    if n == 0:
-        return None
-    if _separates(g, ()):
-        return ()
-    lanes = _Lanes(search)
-    add, most = lanes.add, 2 * search.lanes
+    return () if g.n and _separates(g, ()) else _size_walk(search, 0, None)
+
+
+def _size_walk(search: _Search, cap: int, avg: Fraction | None) -> tuple[int, ...] | None:
+    """The first nonempty set that cuts, has internal degree at most cap
+    and, with avg, average internal degree below avg, by increasing size
+    and lexicographic within a size, or None. A vertex can join a set S
+    when it has at most cap neighbors in S and none among its saturated
+    members, those with cap neighbors in S: at cap 0, every member. The
+    walk stops at the first size with no degree-capped set, since the cap
+    is hereditary. Each set that meets avg is one lane of a block (_Lanes).
+
+    Size k is walked from stored roots, each kept with its candidates: the
+    sets of the deepest size j < k that has at most search.lanes of them,
+    or the empty root. From each root an explicit stack takes the k - j
+    picks left, so when every size fits each set is visited once. The next
+    roots are dropped once they pass that cap, checked after the candidates
+    of each (k-1)-set, so they hold at most n sets more, and the walk's
+    memory stays within a block's lane bound whatever max_n is. Each pick,
+    a set's last one included, is one step.
+    """
+    n, masks, lanes = search.n, search.masks, _Lanes(search)
+
+    def join(s: int, c: int, b: int) -> int:
+        # the vertices of c that can join s | b; only b's neighbors change
+        x, block = s | b, 0
+        t = masks[b.bit_length() - 1] & (s | c) | b
+        while t:
+            w = t & -t
+            t ^= w
+            mw = masks[w.bit_length() - 1]
+            inside = (mw & x).bit_count()
+            if inside > cap:
+                block |= w
+            elif inside == cap and w & x:
+                block |= mw
+        return c & ~block
+
+    def lane(x: int) -> tuple[int, ...] | None:
+        # x is a lane when twice its induced edges, over its size, is below avg
+        edges2, t = 0, x
+        while t:
+            edges2 += (masks[(t & -t).bit_length() - 1] & x).bit_count()
+            t &= t - 1
+        return lanes.add(x) if edges2 * avg.denominator < avg.numerator * x.bit_count() else None
+
+    add, most = lanes.add if avg is None else lane, 2 * search.lanes
     # flat, each root's vertex mask then its candidates: the vertices that
-    # can join it, above its last member and adjacent to none of it
+    # can join it, above its last member
     roots, j = [0, search.full], 0
     # sets[d] is a root and its first d picks, cands[d] their candidates
     sets, cands = [0], [0]
@@ -568,18 +579,18 @@ def find_independent_cutset(
                 c = cands[-1]
                 depth = len(cands)
                 if depth == need:
-                    # each candidate completes one independent k-set
+                    # each candidate completes one degree-capped k-set
                     s = sets[-1]
                     while c:
                         b = c & -c
                         c ^= b
-                        search.steps += 1
-                        if not search.steps & 63:
+                        search.steps = steps = search.steps + 1
+                        if not steps & 63:
                             search.check_clock()
                         x = s | b
                         if grown is not None:
                             grown.append(x)
-                            grown.append(c & ~masks[b.bit_length() - 1])
+                            grown.append(join(s, c, b) if cap else c & ~masks[b.bit_length() - 1])
                         hit = add(x)
                         if hit is not None:
                             return hit
@@ -590,7 +601,7 @@ def find_independent_cutset(
                     b = c & -c
                     c ^= b
                     cands[-1] = c
-                    nxt = c & ~masks[b.bit_length() - 1]
+                    nxt = join(sets[-1], c, b) if cap else c & ~masks[b.bit_length() - 1]
                     if nxt.bit_count() >= need - depth:
                         search.tick()
                         sets.append(sets[-1] | b)
@@ -600,11 +611,9 @@ def find_independent_cutset(
                     break
                 sets.pop()
                 cands.pop()
-        if grown is not None:
-            if not grown:
-                # no independent k-set, so none larger: independence is
-                # hereditary
-                break
+        if grown == []:
+            break  # no degree-capped k-set, so none larger
+        if grown:
             roots, j = grown, k
     return lanes.test()
 
@@ -619,16 +628,15 @@ def find_constrained_cutset(
     and/or average internal degree strictly below max_avg, a Fraction or a
     (numerator, positive denominator) pair.
 
-    With max_delta given, the degree constraint is hereditary, so the
-    search walks the whole family of qualifying sets in depth-first
-    inclusion order and a None answer is exhaustive over all sizes. Each
-    set of the walk that also meets the average bound is one lane of a
-    block (_Lanes), and the first that cuts is the answer. With max_delta
-    and no average bound a disconnected input returns (), as in
-    find_independent_cutset; the empty set has no average, so an average
-    bound keeps the walk. With only an average bound there is nothing
-    hereditary to prune on, so the scan covers sizes up to
-    budget.max_subset_size and None means "none within that cap".
+    With max_delta given, the degree cap is hereditary, so the search
+    covers every degree-capped set and None is exhaustive. With an average
+    bound too, it is the size walk (_size_walk) at degree max_delta: a
+    smallest nonempty qualifying cutset, lexicographically first of its
+    size. With max_delta alone, it walks the degree-capped sets in
+    depth-first inclusion order, each one lane of a block (_Lanes), and a
+    disconnected input returns () as in find_independent_cutset. With only
+    an average bound nothing is hereditary, so the scan goes by size up to
+    budget.max_subset_size, and None means "none within that cap".
     """
     if max_delta is None and max_avg is None:
         raise PreconditionError("find_constrained_cutset needs at least one constraint")
@@ -640,10 +648,8 @@ def find_constrained_cutset(
             raise PreconditionError(
                 f"find_constrained_cutset: max_delta must be non-negative, got {max_delta}"
             )
-    avg: Fraction | None = None
-    if isinstance(max_avg, Fraction):
-        avg = max_avg
-    elif max_avg is not None:
+    avg = max_avg
+    if max_avg is not None and not isinstance(max_avg, Fraction):
         pair = isinstance(max_avg, (tuple, list)) and len(max_avg) == 2
         if not (pair and all(type(x) is int for x in max_avg)):
             raise PreconditionError(
@@ -659,26 +665,23 @@ def find_constrained_cutset(
     # as an order above max_n
     search = _Search(g, budget, "find_constrained_cutset")
     masks = search.masks
-    # below, edges2 counts each induced edge of a set S twice, and S meets
-    # the average bound when edges2 / |S| < avg
-
+    if max_delta is not None and avg is not None:
+        return _size_walk(search, max_delta, avg)
     if max_delta is not None:
-        if avg is None and _separates(g, ()):
+        if _separates(g, ()):
             return ()
         # an explicit stack, so deep searches cannot overflow the interpreter
-        # stack; S is tested when v joins it, then extended by the vertices
-        # above v, then v is swapped for its successors. Each entry holds v
-        # and, as they were before v joined, saturated (the members of S
-        # with max_delta neighbors in S) and edges2
-        stack: list[tuple[int, int, int]] = []
+        # stack; S is tested when v joins it, extended by the vertices above
+        # v, then v is swapped for its successors. Each entry holds v and
+        # saturated, S's members with max_delta neighbors in S, before v joined
+        stack: list[tuple[int, int]] = []
         lanes = _Lanes(search)
-        smask = saturated = edges2 = 0
-        v = 0
+        smask = saturated = v = 0
         while True:
             if v == g.n:
                 if not stack:
                     return lanes.test()
-                v, saturated, edges2 = stack.pop()
+                v, saturated = stack.pop()
                 smask ^= 1 << v
                 v += 1
                 continue
@@ -690,9 +693,8 @@ def find_constrained_cutset(
             if d > max_delta or inside & saturated:
                 v += 1
                 continue
-            stack.append((v, saturated, edges2))
+            stack.append((v, saturated))
             smask |= 1 << v
-            edges2 += 2 * d
             if d == max_delta:
                 saturated |= 1 << v
             while inside:
@@ -700,12 +702,13 @@ def find_constrained_cutset(
                 inside ^= b
                 if (masks[b.bit_length() - 1] & smask).bit_count() == max_delta:
                     saturated |= b
-            if avg is None or edges2 * avg.denominator < avg.numerator * len(stack):
-                hit = lanes.add(smask)
-                if hit is not None:
-                    return hit
+            hit = lanes.add(smask)
+            if hit is not None:
+                return hit
             v += 1
 
+    # edges2 counts each induced edge of a k-set twice, and the set meets
+    # the average bound when edges2 / k < avg
     for k in range(1, min(search.budget.max_subset_size, g.n - 1) + 1):
         for cutset in search.layer_cuts(k):
             smask = sum(1 << v for v in cutset)
@@ -895,13 +898,9 @@ def _verify_krr(g: Graph, cert: KrrWitness) -> bool:
 
 
 def _verify_icosahedron(g: Graph) -> bool:
-    if g.n != 12 or g.m != 30:
-        return False
-    for v in range(12):
-        nbset = g.neighbor_set(v)
-        if len(nbset) != 5:
-            return False
-        # 2-regular on five vertices is exactly C5
-        if any(len(g.neighbor_set(u) & nbset) != 2 for u in nbset):
-            return False
-    return True
+    # 5-regular on 12 vertices, each neighborhood 2-regular on five
+    # vertices, which is exactly C5
+    return (g.n, g.m) == (12, 30) and all(
+        len(nbset) == 5 and all(len(g.neighbor_set(u) & nbset) == 2 for u in nbset)
+        for nbset in map(g.neighbor_set, range(12))
+    )

@@ -619,8 +619,8 @@ def test_oracle_connectivity_reads_the_time_hint(monkeypatch, capsys):
 
 
 def test_oracle_long_cycle_search_ends_in_one_report(monkeypatch, capsys):
-    # the constrained search goes about n levels deep on a cycle; it must
-    # stop at the time hint with a budget report, not a RecursionError
+    # with an average bound the degree walk goes by size, so on a 1200-cycle
+    # it reaches (0, 2) at size 2, well before its time hint
     cycle = "".join(f"{i} {(i + 1) % 1200}\n" for i in range(1200))
     t0 = time.monotonic()
     code, out = run_cli(
@@ -637,6 +637,37 @@ def test_oracle_long_cycle_search_ends_in_one_report(monkeypatch, capsys):
             "0.2",
         ],
         cycle,
+        monkeypatch,
+        capsys,
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 0
+    report = json.loads(out)
+    assert report["certificate"]["cutset"] == [0, 2]
+
+
+def test_oracle_time_hinted_size_walk_ends_in_one_budget_report(monkeypatch, capsys):
+    # a cutset of C_1200^2 holds two disjoint edges, so one with internal
+    # degree at most 1 and average below 1/2 has at least 9 vertices: the
+    # walk would first cover every degree-capped set of sizes 1 to 8, the
+    # 9.5e19 independent 8-sets among them, and stops at its time hint
+    code, graph_text = run_cli(["generate", "squared-cycle", "1200"], capsys=capsys)
+    assert code == 0
+    t0 = time.monotonic()
+    code, out = run_cli(
+        [
+            "oracle",
+            "constrained-cutset",
+            "--max-delta",
+            "1",
+            "--avg",
+            "1/2",
+            "--max-n",
+            "2000",
+            "--time-hint",
+            "0.2",
+        ],
+        graph_text,
         monkeypatch,
         capsys,
     )

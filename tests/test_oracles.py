@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -681,7 +681,7 @@ def test_find_krr_prunes_on_common_neighbors(monkeypatch):
 #
 # Plain versions of the exhaustive searches, written from the Graph API: the
 # unpruned scans over itertools.combinations, the independent search and
-# the degree-capped search as the recursive walks the library replaced.
+# the degree-capped search alone as the recursive walks the library replaced.
 
 
 def _separated(g: Graph, s) -> bool:
@@ -731,30 +731,41 @@ def _independent_reference(g: Graph):
     return None
 
 
-def _constrained_reference(g: Graph, max_delta, avg, budget: OracleBudget):
-    if max_delta is not None and avg is None and g.n and not is_connected(g):
+def _depth_first_reference(g: Graph, max_delta: int, avg: Fraction | None):
+    if avg is None and g.n and not is_connected(g):
         # the empty set cuts a disconnected graph and meets every degree cap
         return ()
-    if max_delta is not None:
-        # on Python sets: S grows by each vertex above its last one that
-        # keeps every degree in S at most max_delta, is tested on joining,
-        # and is extended before the next vertex is tried
-        def extend(start: int, chosen: frozenset[int]):
-            for v in range(start, g.n):
-                s = chosen | {v}
-                if any(len(g.neighbor_set(u) & s) > max_delta for u in s):
-                    continue
-                if _avg_below(g, s, avg) and _separated(g, s):
-                    return tuple(sorted(s))
-                hit = extend(v + 1, s)
-                if hit is not None:
-                    return hit
-            return None
 
-        return extend(0, frozenset())
-    for k in range(1, min(budget.max_subset_size, g.n - 1) + 1):
-        for s in combinations(range(g.n), k):
+    # on Python sets: S grows by each vertex above its last one that keeps
+    # every degree in S at most max_delta, is tested on joining, and is
+    # extended before the next vertex is tried
+    def extend(start: int, chosen: frozenset[int]):
+        for v in range(start, g.n):
+            s = chosen | {v}
+            if any(len(g.neighbor_set(u) & s) > max_delta for u in s):
+                continue
             if _avg_below(g, s, avg) and _separated(g, s):
+                return tuple(sorted(s))
+            hit = extend(v + 1, s)
+            if hit is not None:
+                return hit
+        return None
+
+    return extend(0, frozenset())
+
+
+def _constrained_reference(g: Graph, max_delta, avg, budget: OracleBudget):
+    if avg is None:
+        return _depth_first_reference(g, max_delta, None)
+    # smallest first, lexicographic within a size: every size with a degree
+    # cap, up to max_subset_size without one
+    top = g.n - 2 if max_delta is not None else min(budget.max_subset_size, g.n - 1)
+    for k in range(1, top + 1):
+        for s in combinations(range(g.n), k):
+            capped = max_delta is None or all(
+                len(g.neighbor_set(u) & set(s)) <= max_delta for u in s
+            )
+            if capped and _avg_below(g, s, avg) and _separated(g, s):
                 return s
     return None
 
@@ -836,34 +847,69 @@ def test_find_krr_matches_the_plain_reference_up_to_16_vertices():
     avg=st.sampled_from((None, Fraction(1, 2))),
 )
 @settings(max_examples=300, deadline=None)
-def test_constrained_search_walks_the_inclusion_order(g, max_delta, avg):
+def test_constrained_search_is_depth_first_alone_and_smallest_first_with_an_average(
+    g, max_delta, avg
+):
     budget = OracleBudget()
     assert find_constrained_cutset(g, max_delta, avg, budget) == _constrained_reference(
         g, max_delta, avg, budget
     )
 
 
-# Five searches that each run well over 64 steps before their answer, with
+@given(
+    g=_small_graphs(max_n=9),
+    max_delta=st.integers(0, 2),
+    avg=st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))),
+)
+@settings(max_examples=300, deadline=None)
+def test_smallest_first_answers_exactly_where_the_depth_first_walk_does(g, max_delta, avg):
+    # both walks cover every degree-capped set, so they agree on None, and
+    # the smallest qualifying cutset is never larger than the first one in
+    # inclusion order
+    got = find_constrained_cutset(g, max_delta, avg)
+    first = _depth_first_reference(g, max_delta, avg)
+    assert (got is None) == (first is None)
+    assert got is None or len(got) <= len(first)
+
+
+@given(g=_small_graphs(max_n=10), avg=st.sampled_from((Fraction(1, 3), Fraction(1), Fraction(4))))
+@settings(max_examples=200, deadline=None)
+def test_degree_zero_under_a_positive_average_is_the_independent_search(g, avg):
+    # an independent set has average 0, so a positive bound drops none of
+    # them; a disconnected graph is left out, as the empty set has no average
+    assume(is_connected(g))
+    assert find_constrained_cutset(g, 0, avg) == find_independent_cutset(g)
+
+
+# Six searches that each run well over 64 steps before their answer, with
 # the number of clock reads each makes under a time hint that never runs
 # out, by OracleBudget's clock rule: one at the start, one every 64 steps
 # of a walk and one after each sweep of a block's fill. The K_{3,3} walk
-# on C_24^2 fills no block: 1 + 275 // 64 = 5 for its 275 steps. The two
-# walks, independent and constrained-delta, fill blocks too: 210 steps
-# and 4 sweeps, so 1 + 3 + 4 = 8, and 712 steps and 9 sweeps, so
-# 1 + 11 + 9 = 21. The independent walk takes one step per independent set
-# of C_14^2, which has no independent cutset, since every size's sets fit
-# as the next roots. The two layer searches on C_14^2, min-cutsets and
-# constrained-avg, read the clock only at the start and in their fills,
-# each layer being one block of at most C(14, 6) = 3003 lanes: the fills
-# of k = 1..6 take 1, 2, 2, 3, 3 and 3 sweeps. min-cutsets stops at
-# kappa = 4, so 1 + 1 + 2 + 2 + 3 = 9; no set has an average below 0, so
-# constrained-avg scans up to max_subset_size = 6, so 1 + 14 = 15.
+# on C_24^2 fills no block: 1 + 275 // 64 = 5 for its 275 steps. The three
+# walks, independent, constrained-delta and constrained-delta-avg, fill
+# blocks too: 210 steps and 4 sweeps, so 1 + 3 + 4 = 8; 712 steps and 9
+# sweeps, so 1 + 11 + 9 = 21; and 323 steps and 1 + 1 + 2 + 2 sweeps, so
+# 1 + 5 + 6 = 12. The two size walks take one step per set of their
+# family, since every size's sets fit as the next roots: the independent
+# sets of C_14^2, which has no independent cutset, and the 12 + 66 + 140 +
+# 105 sets of internal degree at most 1 in the icosahedron, which has no
+# such cutset; the 218 of them with average below 1 are the lanes. The two
+# layer searches on C_14^2, min-cutsets and constrained-avg, read the clock
+# only at the start and in their fills, each layer being one block of at
+# most C(14, 6) = 3003 lanes: the fills of k = 1..6 take 1, 2, 2, 3, 3
+# and 3 sweeps. min-cutsets stops at kappa = 4, so 1 + 1 + 2 + 2 + 3 = 9;
+# no set has an average below 0, so constrained-avg scans up to
+# max_subset_size = 6, so 1 + 14 = 15.
 _LONG_SEARCHES = {
     "min-cutsets": (lambda b: enumerate_min_cutsets(squared_cycle(14), b), 1 + 1 + 2 + 2 + 3),
     "independent": (lambda b: find_independent_cutset(squared_cycle(14), b), 1 + 210 // 64 + 4),
     "constrained-delta": (
         lambda b: find_constrained_cutset(icosahedron(), max_delta=1, budget=b),
         1 + 712 // 64 + 9,
+    ),
+    "constrained-delta-avg": (
+        lambda b: find_constrained_cutset(icosahedron(), max_delta=1, max_avg=(1, 1), budget=b),
+        1 + 323 // 64 + 1 + 1 + 2 + 2,
     ),
     "constrained-avg": (
         lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
