@@ -164,9 +164,23 @@ def _move(g: Graph, v: int, grown: set[int], s_side: set[int], cap: int) -> set[
 
 
 def _audit_growth(g: Graph, u_side: set[int], s_side: set[int]) -> None:
-    """Recompute the two standing growth invariants from scratch."""
+    """Recompute the two standing growth invariants from the graph, around
+    the grown side only: U is a full component of G - S exactly when U is
+    nonempty and misses S, G[U] is connected, and every neighbor of U
+    outside U is in S, which a search within U checks in O(delta * |U|)."""
+    reached = [next(iter(u_side))] if u_side else []
+    seen = set(reached)
+    closed = u_side.isdisjoint(s_side)
+    for x in reached:
+        for y in g.neighbors(x):
+            if y in u_side:
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+            elif y not in s_side:
+                closed = False
     ensure(
-        tuple(sorted(u_side)) in components(g, s_side),
+        bool(u_side) and closed and len(seen) == len(u_side),
         "grown side is not a full component of the graph minus the separator",
     )
     ensure(

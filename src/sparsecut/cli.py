@@ -59,8 +59,7 @@ from .io import (
     MAX_ORDER,
     emit_edge_list,
     emit_graph6,
-    graph_digest,
-    parse_graph,
+    parse_with_digest,
     to_dot,
 )
 from .oracles import (
@@ -448,8 +447,7 @@ def _run_once(path: str | None, args) -> tuple[dict, int]:
             params[key] = value
     out = _report_skeleton(args.op, None, params)
     try:
-        g = parse_graph(_read_text(path), args.format)
-        out["input_digest"] = graph_digest(g)
+        g, out["input_digest"] = parse_with_digest(_read_text(path), args.format)
         result = run(g, args)
     except Exception as exc:
         code = _code_for(exc)

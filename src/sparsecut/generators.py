@@ -127,11 +127,18 @@ def _regular_bipartite(n: int, d: int, rng: random.Random) -> list[tuple[int, in
     """d-regular bipartite graph on n+n vertices via the permutation-union
     model: d random permutations, resampled until no two collide anywhere,
     within _CONNECTOR_ENTRIES drawn entries (d*n per draw)."""
+    getrandbits = rng.getrandbits
+    # rng.shuffle inlined as in random_regular, with the same getrandbits calls
+    steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
     for _ in range(_CONNECTOR_ENTRIES // (n * d)):
         perms = []
         for _ in range(d):
             p = list(range(n))
-            rng.shuffle(p)
+            for i, k in steps:
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                p[i], p[j] = p[j], p[i]
             perms.append(p)
         used = {(i, j) for p in perms for i, j in enumerate(p)}
         if len(used) == n * d:

@@ -9,7 +9,6 @@ the same vertex count and edge set always share a digest.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from typing import Iterable
 
@@ -23,7 +22,10 @@ MAX_ORDER = 258047
 # printable graph6 bytes run from '?' (63) to '~' (126)
 _G6_BYTES = bytes(range(63, 127))
 _G6_INVALID = re.compile(r"[^?-~]")
-_G6_NONZERO = re.compile(rb"[^?]")
+# each payload byte as 0 when it is '?', which holds no edge, else as 1
+_G6_FLAGS = bytes(b != 63 for b in range(256))
+# the payload bytes flagged at a time, so the flags stay small at any order
+_G6_WINDOW = 1 << 16
 # the set bits of each payload byte, as shifts from its high (first) bit
 _G6_SHIFTS = [tuple(s for s in range(6) if (b - 63) & (32 >> s)) for b in range(127)]
 _G6_PLUS_63 = bytes((b + 63) % 256 for b in range(256))
@@ -38,12 +40,32 @@ def parse_graph(text: str, fmt: str = "auto") -> Graph:
     header, or is non-empty and holds only the printable graph6 bytes '?'
     to '~' (so no whitespace); anything else is read as an edge list.
     """
-    if fmt == "auto":
-        line = text.strip()
-        graph6 = line.startswith(_G6_HEADER) or (line != "" and _graph6_bytes(line) is not None)
-    else:
-        graph6 = fmt == "graph6"
-    return parse_graph6(text) if graph6 else parse_edge_list(text)
+    return parse_graph6(text) if _is_graph6(text, fmt) else parse_edge_list(text)
+
+
+def parse_with_digest(text: str, fmt: str = "auto") -> tuple[Graph, str]:
+    """parse_graph(text, fmt) and the graph's graph_digest.
+
+    An edge list that is already exactly emit_edge_list's rendering of the
+    graph is hashed as it stands instead of rendered again: an "n" header,
+    a final newline, no id with a leading zero, u < v on every line and
+    the lines strictly increasing. The fast pass of parse_edge_list has
+    parsed its ids already, and the check reuses them."""
+    if _is_graph6(text, fmt):
+        g = parse_graph6(text)
+        return g, graph_digest(g)
+    g, ids = _read_edge_list(text)
+    if ids is not None and _emitted(text, g.n, ids):
+        return g, hashlib.sha256(text.encode("ascii")).hexdigest()
+    return g, graph_digest(g)
+
+
+def _is_graph6(text: str, fmt: str) -> bool:
+    """Whether parse_graph reads text as graph6 under fmt."""
+    if fmt != "auto":
+        return fmt == "graph6"
+    line = text.strip()
+    return line.startswith(_G6_HEADER) or (line != "" and _graph6_bytes(line) is not None)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -61,17 +83,26 @@ def parse_edge_list(text: str) -> Graph:
     and Graph makes the only duplicate check. Any other text, and text
     that Graph refuses, goes through the line loop, which names the line.
     """
+    return _read_edge_list(text)[0]
+
+
+def _read_edge_list(text: str) -> tuple[Graph, list[int] | None]:
+    """parse_edge_list's graph, with the ids in text order, u then v of
+    each line, when the fast pass read it, else None."""
     canonical = _canonical_edge_list(text)
     if canonical is not None:
+        n, ids = canonical
+        it = iter(ids)
         try:
-            return Graph(*canonical)
+            return Graph(n, zip(it, it)), ids
         except GraphError:
             pass  # the line loop names the line at fault
-    return _parse_edge_lines(text)
+    return _parse_edge_lines(text), None
 
 
-def _canonical_edge_list(text: str) -> tuple[int, Iterable[tuple[int, int]]] | None:
-    """The order and edges of text in emit_edge_list's form, else None."""
+def _canonical_edge_list(text: str) -> tuple[int, list[int]] | None:
+    """The order and the ids, u then v of each line, of text in
+    emit_edge_list's form, else None."""
     if not text.isascii():
         return None
     data = text.encode("ascii")
@@ -104,8 +135,26 @@ def _canonical_edge_list(text: str) -> tuple[int, Iterable[tuple[int, int]]] | N
         if top >= MAX_ORDER:
             return None
         declared = top + 1
+    return declared, ids
+
+
+def _emitted(text: str, n: int, ids: list[int]) -> bool:
+    """Whether text, which the fast pass read as ids of a graph of order n,
+    is exactly emit_edge_list's rendering of that graph."""
+    head = f"n {n}\n"
+    if not (text.startswith(head) and text.endswith("\n")):
+        return False
+    # past the header each u follows a newline and each v a space. Emitted,
+    # no v starts with 0, since v > u >= 0, and a u does only as the id 0
+    at = len(head) - 1
+    if text.find(" 0", at) >= 0 or text.count("\n0", at) != text.count("\n0 ", at):
+        return False
+    # u < v on every line, and the lines in order of u * n + v, which is
+    # (u, v) order since Graph has taken every v < n. No two keys are equal,
+    # since Graph has refused parallel edges, so sorted is strictly increasing
     it = iter(ids)
-    return declared, zip(it, it)
+    keys = [u * n + v for u, v in zip(it, it) if u < v]
+    return 2 * len(keys) == len(ids) and keys == sorted(keys)
 
 
 def _parse_edge_lines(text: str) -> Graph:
@@ -231,14 +280,23 @@ def parse_graph6(text: str) -> Graph:
         if pad and tail & ((1 << pad) - 1):
             raise GraphError("graph6: nonzero padding bits")
     edges: list[tuple[int, int]] = []
-    # only bytes other than '?' hold edges; bit k is the edge ij with
-    # j(j-1)/2 <= k < j(j+1)/2 and i = k - j(j-1)/2
-    for hit in _G6_NONZERO.finditer(body):
-        pos = hit.start()
-        for shift in _G6_SHIFTS[body[pos]]:
-            k = 6 * pos + shift
-            j = (math.isqrt(8 * k + 1) + 1) // 2
-            edges.append((k - j * (j - 1) // 2, j))
+    # only bytes other than '?' hold edges, and bytes.find on a window's
+    # flags skips to each; bit k is the edge ij with base = j(j-1)/2 <= k <
+    # base + j and i = k - base, so j only steps forward as k grows
+    window = _G6_WINDOW
+    j, base = 1, 0
+    for start in range(0, len(body), window):
+        flags = body[start : start + window].translate(_G6_FLAGS)
+        at = flags.find(1)
+        while at >= 0:
+            pos = start + at
+            for shift in _G6_SHIFTS[body[pos]]:
+                k = 6 * pos + shift
+                while k >= base + j:
+                    base += j
+                    j += 1
+                edges.append((k - base, j))
+            at = flags.find(1, at + 1)
     return Graph(n, edges)
 
 

@@ -521,6 +521,47 @@ def find_independent_cutset(
     return () if g.n and _separates(g, ()) else _size_walk(search, 0, None)
 
 
+def _cut_vertices(adj: tuple[tuple[int, ...], ...]) -> int:
+    """The mask of the vertices v with two or more components in G - v, from
+    the lowpoints of one iterative depth-first pass (Hopcroft and Tarjan,
+    "Efficient algorithms for graph manipulation", CACM 1973).
+
+    G - v has the components of G other than v's, plus the pieces its own
+    component falls into: the part above v unless v is a root, and each
+    subtree of a child w from which no edge climbs above v, low[w] >=
+    order[v]."""
+    n = len(adj)
+    order, low, pieces = [0] * n, [0] * n, [1] * n
+    t = trees = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        trees += 1
+        t += 1
+        order[root] = low[root] = t
+        pieces[root] = 0
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, edges = stack[-1]
+            for w in edges:
+                if not order[w]:
+                    t += 1
+                    order[w] = low[w] = t
+                    stack.append((w, iter(adj[w])))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= order[p]:
+                        pieces[p] += 1
+    return sum(1 << v for v in range(n) if trees - 1 + pieces[v] >= 2)
+
+
 def _size_walk(search: _Search, cap: int, avg: Fraction | None) -> tuple[int, ...] | None:
     """The first nonempty set that cuts, has internal degree at most cap
     and, with avg, average internal degree below avg, by increasing size
@@ -528,7 +569,9 @@ def _size_walk(search: _Search, cap: int, avg: Fraction | None) -> tuple[int, ..
     when it has at most cap neighbors in S and none among its saturated
     members, those with cap neighbors in S: at cap 0, every member. The
     walk stops at the first size with no degree-capped set, since the cap
-    is hereditary. Each set that meets avg is one lane of a block (_Lanes).
+    is hereditary. Each set that meets avg is one lane of a block (_Lanes),
+    except that a singleton {v} is one only when v is a cut vertex
+    (_cut_vertices), since no other singleton cuts.
 
     Size k is walked from stored roots, each kept with its candidates: the
     sets of the deepest size j < k that has at most search.lanes of them,
@@ -565,6 +608,7 @@ def _size_walk(search: _Search, cap: int, avg: Fraction | None) -> tuple[int, ..
         return lanes.add(x) if edges2 * avg.denominator < avg.numerator * x.bit_count() else None
 
     add, most = lanes.add if avg is None else lane, 2 * search.lanes
+    cuts = _cut_vertices(search.adj)
     # flat, each root's vertex mask then its candidates: the vertices that
     # can join it, above its last member
     roots, j = [0, search.full], 0
@@ -572,6 +616,7 @@ def _size_walk(search: _Search, cap: int, avg: Fraction | None) -> tuple[int, ..
     sets, cands = [0], [0]
     for k in range(1, n - 1):
         need = k - j
+        put = add if k > 1 else (lambda x: add(x) if x & cuts else None)
         grown: list[int] | None = []  # the k-sets as roots, while they fit
         for r in range(0, len(roots), 2):
             sets[0], cands[0] = roots[r], roots[r + 1]
@@ -591,7 +636,7 @@ def _size_walk(search: _Search, cap: int, avg: Fraction | None) -> tuple[int, ..
                         if grown is not None:
                             grown.append(x)
                             grown.append(join(s, c, b) if cap else c & ~masks[b.bit_length() - 1])
-                        hit = add(x)
+                        hit = put(x)
                         if hit is not None:
                             return hit
                     if grown is not None and len(grown) > most:

@@ -72,7 +72,7 @@ from sparsecut.generators import (
     random_regular,
     squared_cycle,
 )
-from sparsecut.graph import Graph, induced_stats, is_connected
+from sparsecut.graph import Graph, components, induced_stats, is_connected
 from sparsecut.io import parse_graph6
 from sparsecut.oracles import (
     OracleBudget,
@@ -165,6 +165,56 @@ def test_theorem1_trace_ledger():
     potentials = [s.m_i - 2 * s.n_i for s in trace]
     for before, after in zip(potentials, potentials[1:]):
         assert after - before >= 4 - 2
+
+
+def _far_vertex_joins(move, g, v, grown, s_side, cap):
+    # G[U] falls apart, and the far vertex's neighbors are outside S
+    fresh = move(g, v, grown, s_side, cap)
+    grown.add(g.n // 2)
+    return fresh
+
+
+def _fresh_join_both_sides(move, g, v, grown, s_side, cap):
+    # U meets S, though the edge ledger still holds
+    fresh = move(g, v, grown, s_side, cap)
+    grown |= fresh
+    return fresh
+
+
+@pytest.mark.parametrize("corrupt", [_far_vertex_joins, _fresh_join_both_sides])
+def test_growth_audit_catches_a_corrupted_move(monkeypatch, corrupt):
+    # the local audit keeps the message of the whole-graph components check
+    # it replaced, and both corruptions slip past every ledger check before it
+    move = algorithms._move
+    monkeypatch.setattr(
+        algorithms, "_move", lambda *args: corrupt(move, *args)
+    )
+    with pytest.raises(
+        InternalInvariantError,
+        match="^grown side is not a full component of the graph minus the separator$",
+    ):
+        theorem1_cutset(squared_cycle(40), 4)
+
+
+@pytest.mark.parametrize(
+    "u_side, s_side, full",
+    [
+        ({4, 5, 6}, {2, 3, 7, 8}, True),
+        ({4, 5, 6}, {2, 3, 7}, False),  # 8 neighbors U outside S
+        ({4, 5, 6}, {2, 3, 6, 7, 8}, False),  # U meets S
+        ({4, 6}, {2, 3, 5, 7, 8}, True),  # 4 and 6 are adjacent in C_14^2
+        ({4, 5, 11}, {2, 3, 6, 7, 9, 10, 12, 13}, False),  # G[U] falls apart
+        (set(), {0, 1}, False),
+    ],
+)
+def test_growth_audit_checks_each_part_of_a_full_component(u_side, s_side, full):
+    g = squared_cycle(14)
+    assert (tuple(sorted(u_side)) in components(g, s_side)) is full
+    if full:
+        algorithms._audit_growth(g, u_side, s_side)
+        return
+    with pytest.raises(InternalInvariantError, match="^grown side is not a full component"):
+        algorithms._audit_growth(g, u_side, s_side)
 
 
 def test_theorem1_random_sweep():

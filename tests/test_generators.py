@@ -9,6 +9,7 @@ import time
 import pytest
 
 from helpers import icosahedron_labels, induced_subgraph
+from sparsecut import generators
 from sparsecut.errors import BudgetExhausted, PreconditionError
 from sparsecut.generators import (
     CliqueChainParams,
@@ -176,8 +177,9 @@ def test_clique_chain_rejects_bad_params():
 
 # (delta, base_length, cyclic, seed) -> graph_digest, as built with no draw
 # budget: every chain the other tests build, the two of the benchmark's
-# cli_batch slot 0, and the seed among 0..99 at base length 5 whose connector
-# needs the most draws at delta 9 (160 draws), 12 (5941) and 16 (4147)
+# cli_batch slot 0, the seed among 0..99 at base length 5 whose connector
+# needs the most draws at delta 9 (160 draws), 12 (5941) and 16 (4147), and
+# five more rings and paths as built on random.Random.shuffle
 _CHAIN_DIGESTS = {
     (9, 3, False, 1): "018d40ba7435d7a879ae73cde64a808b348c81d4c1f85579a80d4a185b494414",
     (9, 4, True, 3): "1b111d3ad6f0e73b5a238b76c8ab41eb70737659cfc88ece0ee417f5fd976158",
@@ -195,12 +197,44 @@ _CHAIN_DIGESTS = {
     (9, 5, False, 25): "7ce178113a40b2d0b16b96c224e9f711bc69714b7c8aab5b0c6e98bd8e4fb8f3",
     (12, 5, False, 57): "582ce41469a502a57d62e736e59bce199335fdd5880e83fb2b07fcfac1c23b35",
     (16, 5, False, 9): "1591e6f7af19b5f2e2679f767d99e9c77840ec7a7847a670875b1c1fa1ff9a53",
+    (9, 80, True, 11): "48a9fbd21beefb7f808a230d3cbadd9cf5a29cce204370fd6d4388d1f080da9b",
+    (13, 6, True, 7): "a2620cc11913149e907c1bbda22613a321e75f94902f07b0ab17d211646fb940",
+    (16, 4, True, 5): "e2b1d37b4645b5a68151914876c0417541bbfcdcdfab7710488aac10cc8c3884",
+    (11, 7, False, 3): "910cee3b0c99ccfc5c40af37b74bf8d30ee97a754245fca7f48f365bd62d43c4",
+    (15, 3, True, 99): "564ac948d06b3f4ca3e422d2c46cb4b061fda3dc48b8fbf03f843260d1fc9ca0",
 }
 
 
 @pytest.mark.parametrize("params", sorted(_CHAIN_DIGESTS))
 def test_clique_chain_keeps_its_graph_within_the_draw_budget(params):
     assert graph_digest(clique_chain(CliqueChainParams(*params))) == _CHAIN_DIGESTS[params]
+
+
+def _connector_reference(n: int, d: int, rng: random.Random) -> list[tuple[int, int]] | None:
+    """The permutation-union connector as first written, on rng.shuffle, for
+    at most 2000 draws."""
+    for _ in range(2000):
+        perms = []
+        for _ in range(d):
+            p = list(range(n))
+            rng.shuffle(p)
+            perms.append(p)
+        used = {(i, j) for p in perms for i, j in enumerate(p)}
+        if len(used) == n * d:
+            return sorted(used)
+    return None
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (4, 3), (5, 3), (8, 4), (33, 2)])
+def test_connector_keeps_the_shuffle_stream(n, d):
+    # the same connector from the same draws, and the generator left in the
+    # same state for the next connector
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        want = _connector_reference(n, d, theirs)
+        assert want is not None
+        assert generators._regular_bipartite(n, d, ours) == want
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_clique_chain_gives_up_at_high_degree():

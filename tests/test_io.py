@@ -7,6 +7,7 @@ graph6 correctness is pinned twice: against a byhand encoding of the
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsecut.io as sparsecut_io
 from sparsecut.certificates import (
     _KINDS,
     GoodCutset,
@@ -37,6 +39,7 @@ from sparsecut.io import (
     parse_edge_list,
     parse_graph,
     parse_graph6,
+    parse_with_digest,
     to_dot,
 )
 from sparsecut.oracles import verify_certificate
@@ -286,6 +289,67 @@ def test_digest_frozen_value():
     assert graph_digest(parse_edge_list("0 1\n1 2")) == expected
 
 
+def _swap_two_lines(lines, i):
+    i, j = 1 + i % (len(lines) - 1), 1 + (i + 1) % (len(lines) - 1)
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def _on_an_edge(change):
+    def mutate(lines, i):
+        i = 1 + i % (len(lines) - 1)
+        return [*lines[:i], change(lines[i]), *lines[i + 1:]]
+    return mutate
+
+
+# texts that read as about the same graph as emit_edge_list's, but are not
+# emit_edge_list's text of any graph
+_NOT_EMITTED = {
+    "leading-zero-u": _on_an_edge(lambda line: "0" + line),
+    "leading-zero-v": _on_an_edge(lambda line: line.replace(" ", " 0", 1)),
+    "header-leading-zero": lambda lines, i: ["n 0" + lines[0][2:], *lines[1:]],
+    "swapped-lines": _swap_two_lines,
+    "v-u-line": _on_an_edge(lambda line: " ".join(line.split()[::-1])),
+    "no-header": lambda lines, i: lines[1:],
+    "comment": _on_an_edge(lambda line: line + " # c"),
+    "comment-line": lambda lines, i: [*lines, "# c"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(3, 14),
+    p=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+    change=st.sampled_from(sorted(_NOT_EMITTED) + ["no-final-newline", None]),
+    at=st.integers(0, 100),
+)
+def test_input_digest_hashes_only_emitted_text_as_read(n, p, seed, change, at):
+    rng = random.Random(seed)
+    # two edges at least, so that two lines can swap
+    edges = {(0, 1), (1, 2)}
+    edges |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p}
+    g = Graph(n, edges)
+    emitted, digest = emit_edge_list(g), graph_digest(g)
+    if change is None:
+        # emitted text is hashed as read, with no rendering
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparsecut_io, "emit_edge_list", None)
+            assert parse_with_digest(emitted) == (g, digest)
+        assert digest == hashlib.sha256(emitted.encode()).hexdigest()
+        return
+    if change == "no-final-newline":
+        text = emitted[:-1]
+    else:
+        text = "\n".join(_NOT_EMITTED[change](emitted.splitlines(), at)) + "\n"
+    # any other text falls back to rendering the graph it reads as: g, or g
+    # less its last vertex when that is isolated and the header is gone
+    h = parse_graph(text)
+    assert text != emit_edge_list(h)
+    assert parse_with_digest(text) == (h, graph_digest(h))
+    assert graph_digest(h) != hashlib.sha256(text.encode()).hexdigest()
+
+
 # ----------------------------------------------------------------- graph6
 
 
@@ -343,6 +407,24 @@ def test_graph6_names_the_invalid_position(where, bad):
         with pytest.raises(GraphError) as err:
             parse_graph6(text)
         assert str(err.value) == f"graph6: invalid character at position {k}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([62, 63, 64]), st.integers(0, 70)),
+    p=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+    window=st.integers(1, 5),
+)
+def test_graph6_decodes_across_windows(n, p, seed, window):
+    # a window of a few bytes: columns and windows straddle each other
+    rng = random.Random(seed)
+    g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+    line = emit_graph6(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparsecut_io, "_G6_WINDOW", window)
+        assert parse_graph6(line) == g
+        assert parse_with_digest(line) == (g, graph_digest(g))
 
 
 @settings(max_examples=60, deadline=None)

@@ -44,7 +44,7 @@ from sparsecut.generators import (
     random_regular,
     squared_cycle,
 )
-from sparsecut.graph import Graph, induced_stats, is_connected, is_cutset
+from sparsecut.graph import Graph, components, induced_stats, is_connected, is_cutset
 from sparsecut.oracles import (
     OracleBudget,
     enumerate_min_cutsets,
@@ -888,12 +888,14 @@ def test_degree_zero_under_a_positive_average_is_the_independent_search(g, avg):
 # on C_24^2 fills no block: 1 + 275 // 64 = 5 for its 275 steps. The three
 # walks, independent, constrained-delta and constrained-delta-avg, fill
 # blocks too: 210 steps and 4 sweeps, so 1 + 3 + 4 = 8; 712 steps and 9
-# sweeps, so 1 + 11 + 9 = 21; and 323 steps and 1 + 1 + 2 + 2 sweeps, so
-# 1 + 5 + 6 = 12. The two size walks take one step per set of their
+# sweeps, so 1 + 11 + 9 = 21; and 323 steps and 1 + 2 + 2 + 2 sweeps, so
+# 1 + 5 + 7 = 13. The two size walks take one step per set of their
 # family, since every size's sets fit as the next roots: the independent
 # sets of C_14^2, which has no independent cutset, and the 12 + 66 + 140 +
 # 105 sets of internal degree at most 1 in the icosahedron, which has no
-# such cutset; the 218 of them with average below 1 are the lanes. The two
+# such cutset. The 218 of them with average below 1, less the 12
+# singletons, since the icosahedron has no cut vertex, are the 206 lanes:
+# blocks of 16, 32, 64 and 94, the second of which takes two sweeps. The two
 # layer searches on C_14^2, min-cutsets and constrained-avg, read the clock
 # only at the start and in their fills, each layer being one block of at
 # most C(14, 6) = 3003 lanes: the fills of k = 1..6 take 1, 2, 2, 3, 3
@@ -909,7 +911,7 @@ _LONG_SEARCHES = {
     ),
     "constrained-delta-avg": (
         lambda b: find_constrained_cutset(icosahedron(), max_delta=1, max_avg=(1, 1), budget=b),
-        1 + 323 // 64 + 1 + 1 + 2 + 2,
+        1 + 323 // 64 + 1 + 2 + 2 + 2,
     ),
     "constrained-avg": (
         lambda b: find_constrained_cutset(squared_cycle(14), max_avg=(0, 1), budget=b),
@@ -1261,12 +1263,39 @@ def test_independent_walk_stops_at_the_independence_number(monkeypatch):
     searches = _kept_searches(monkeypatch)
     assert find_independent_cutset(squared_cycle(24)) is None
     assert max(sizes) == 8
-    # the 24 + 228 + 1088 + 2730 + 3432 + 1848 + 288 + 3 independent sets
-    # of C_24^2, each tested once
-    assert len(sizes) == 9641
-    # and each reached in one step from a root one vertex smaller, since
-    # every size fits in a block as the next roots
+    # the 228 + 1088 + 2730 + 3432 + 1848 + 288 + 3 independent sets of
+    # C_24^2 past the singletons, each tested once: C_24^2 has no cut
+    # vertex, so the depth-first pass settles its 24 singletons untested
+    assert min(sizes) == 2
+    assert len(sizes) == 9617
+    # and all 9641, singletons too, each reached in one step from a root
+    # one vertex smaller, since every size fits in a block as the next roots
     assert searches[-1].steps == 9641
+
+
+@st.composite
+def _pieced_graphs(draw) -> Graph:
+    """Side by side, under a random labelling: up to three small random
+    graphs, paths or cycles, and up to two isolated vertices."""
+    pieces = draw(st.lists(
+        st.one_of(_small_graphs(max_n=7), st.integers(1, 6).map(_path),
+                  st.integers(3, 6).map(_cycle)),
+        min_size=1, max_size=3,
+    ))
+    n = sum(p.n for p in pieces) + draw(st.integers(0, 2))
+    label = draw(st.permutations(range(n)))
+    edges, base = [], 0
+    for p in pieces:
+        edges += [(label[base + u], label[base + v]) for u, v in p.edges()]
+        base += p.n
+    return Graph(n, edges)
+
+
+@given(_pieced_graphs())
+@settings(max_examples=200, deadline=None)
+def test_cut_vertices_match_one_flood_fill_per_vertex(g):
+    want = sum(1 << v for v in range(g.n) if len(components(g, [v])) >= 2)
+    assert oracles._cut_vertices(tuple(map(g.neighbors, range(g.n)))) == want
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25, 40])
