@@ -370,10 +370,13 @@ def _connectivity(g: Graph) -> int:
     neither S nor v0's component C of G - S: W lies in C ∪ S when u asks,
     so its fan falls short, and S caps the flow from v0 to u at κ. Any
     order of the u would do; the order only sets how far a fan travels.
-    The u come as i·k mod n for i = 0, 1, …, n - 1, with the golden-ratio
-    stride k of _stride. In id order W would grow as one arc around a
-    squared cycle and each fan would go the long way round, a quadratic
-    run; the stride scatters W around it, so each fan finds W close by.
+    The u come in bit-reversal order of the ids 0 .. 2^b - 1, 2^b the
+    least power of two ≥ n, less the ids ≥ n. The first m = 2^j ids of
+    that order hold every multiple of 2^b/m below n, so no cyclic gap
+    between them exceeds 2^b/m < 2n/m. In id order W would grow as one arc
+    around a squared cycle and each fan would go the long way round, a
+    quadratic run; bit reversal scatters W around it, so each fan finds W
+    close by.
     A minimum cutset that holds v0 keeps two non-adjacent neighbors of v0
     apart, so each such pair keeps its flow. A disconnected graph gets 0
     after its first short fan, and a complete graph, with no u and no
@@ -387,10 +390,11 @@ def _connectivity(g: Graph) -> int:
     residual = [{n + v} for v in range(n)] + [set(g.neighbors(v)) for v in range(n)]
     best = g.degree(v0)
     joined = {v0, *g.neighbors(v0)}
-    stride = _stride(n)
-    for i in range(n):
-        u = i * stride % n
-        if u not in joined:
+    spread = [0]
+    while len(spread) < n:
+        spread = [2 * x for x in spread] + [2 * x + 1 for x in spread]
+    for u in spread:
+        if u < n and u not in joined:
             if _disjoint_paths(residual, u, joined, best) < best:
                 best = _disjoint_paths(residual, v0, g.neighbor_set(u), best)
             joined.add(u)
@@ -398,30 +402,6 @@ def _connectivity(g: Graph) -> int:
         if not g.has_edge(x, y):
             best = _disjoint_paths(residual, x, g.neighbor_set(y), best)
     return best
-
-
-def _stride(n: int) -> int:
-    """The first k from the integer nearest 0.618·n up whose fraction k/n
-    is in lowest terms with no partial quotient above 8; n - 1 if none is.
-
-    In lowest terms, i·k mod n for i < n meets every id once. Each prefix
-    of that order cuts the cycle of ids into gaps of at most three lengths
-    (the three-gap theorem), and the largest partial quotient a reached so
-    far bounds their ratio by about a + 2. Near 1/φ = [0; 1, 1, …] the
-    quotients start at 1, but the integer nearest 0.618·n can end in a
-    large one, 47 at n = 1000 and 350 at n = 19284, and then the order runs
-    along arcs a ids at a time. Every n up to 40000, and 20000 sampled below
-    10⁷, has such a k within 110 raises.
-    """
-    k = round(0.618 * n)
-    while k < n - 1:
-        a, b = n, k
-        while b and a // b <= 8:
-            a, b = b, a % b
-        if not b and a == 1:
-            break
-        k += 1
-    return k
 
 
 def _disjoint_paths(residual: list[set[int]], source: int, ends: Collection[int], cap: int) -> int:

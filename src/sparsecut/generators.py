@@ -119,6 +119,18 @@ def _ceil_sqrt(x: int) -> int:
     return r if r * r == x else r + 1
 
 
+def _shuffle(items: list, steps: list[tuple[int, int]], getrandbits) -> None:
+    """random.Random.shuffle of items in place, drawing exactly the same
+    getrandbits calls. steps holds (i, the bit length of i + 1) for each i
+    from len(items) - 1 down to 1; j is drawn on that many bits until it
+    is at most i, and items i and j swap."""
+    for i, k in steps:
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
 # permutation entries one _regular_bipartite call draws before it gives up
 _CONNECTOR_ENTRIES = 1_000_000
 
@@ -127,18 +139,12 @@ def _regular_bipartite(n: int, d: int, rng: random.Random) -> list[tuple[int, in
     """d-regular bipartite graph on n+n vertices via the permutation-union
     model: d random permutations, resampled until no two collide anywhere,
     within _CONNECTOR_ENTRIES drawn entries (d*n per draw)."""
-    getrandbits = rng.getrandbits
-    # rng.shuffle inlined as in random_regular, with the same getrandbits calls
     steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
     for _ in range(_CONNECTOR_ENTRIES // (n * d)):
         perms = []
         for _ in range(d):
             p = list(range(n))
-            for i, k in steps:
-                j = getrandbits(k)
-                while j > i:
-                    j = getrandbits(k)
-                p[i], p[j] = p[j], p[i]
+            _shuffle(p, steps, rng.getrandbits)
             perms.append(p)
         used = {(i, j) for p in perms for i, j in enumerate(p)}
         if len(used) == n * d:
@@ -265,16 +271,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise PreconditionError(f"n*d must be even, got n={n} d={d}")
     getrandbits = random.Random(seed).getrandbits
     stubs = [v for v in range(n) for _ in range(d)]
-    # random.Random.shuffle inlined, drawing exactly the same getrandbits
-    # calls: for each i from the top down, j is drawn on i+1's bit length
-    # until it is at most i
     steps = [(i, (i + 1).bit_length()) for i in range(len(stubs) - 1, 0, -1)]
     for _ in range(_PAIRING_ATTEMPTS):
-        for i, k in steps:
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            stubs[i], stubs[j] = stubs[j], stubs[i]
+        _shuffle(stubs, steps, getrandbits)
         seen = set()
         ok = True
         for i in range(0, len(stubs), 2):

@@ -382,3 +382,25 @@ def relabelled(g: Graph, seed: int) -> Graph:
 def icosahedron_labels() -> dict[int, str]:
     """Mapping from icosahedron() vertex ids to their letter labels."""
     return dict(enumerate(ICOSAHEDRON_LABELS))
+
+
+def bit_reversed(n: int) -> list[int]:
+    """0..n-1 in the order both connectivity routines decide them: the
+    b-bit strings in counting order, each read backwards, for the fewest b
+    that cover n."""
+    b = (n - 1).bit_length()
+    return [u for i in range(1 << b) if (u := int(f"{i:0{b}b}"[::-1], 2)) < n]
+
+
+def assert_fans_follow_bit_reversal(g: Graph, calls) -> None:
+    """calls logs a connectivity run's searches as (kind, source, found,
+    cap, ends). There is one fan per non-neighbor of v0, in bit-reversal
+    order; each asks for paths into v0, its neighbors and the earlier fans'
+    sources, so u is decided after its own fan and before the next."""
+    v0 = min(range(g.n), key=g.degree)
+    decided = {v0, *g.neighbors(v0)}
+    fans = [(source, ends) for kind, source, _, _, ends in calls if kind == "fan"]
+    assert [source for source, _ in fans] == [u for u in bit_reversed(g.n) if u not in decided]
+    for source, ends in fans:
+        assert ends == decided
+        decided.add(source)

@@ -7,7 +7,6 @@ same invariants the routines promise to maintain.
 
 import ast
 import inspect
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +14,8 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    assert_fans_follow_bit_reversal,
+    bit_reversed,
     bounded_degree_connected,
     brute_connectivity,
     circulant,
@@ -532,54 +533,28 @@ def _counted_paths(monkeypatch, g: Graph) -> list[tuple[str, int, int, int, froz
     return calls
 
 
-def _quotients(k: int, n: int) -> list[int]:
-    """The partial quotients of the continued fraction of n/k."""
-    return [n // k, *_quotients(n % k, k)] if k else []
+def test_fan_order_scatters_every_prefix(monkeypatch):
+    # on an edgeless graph v0 = 0 and best = 0, so every other u gets one
+    # fan of cap 0 and no flow: the fans give _connectivity's whole order.
+    # The first m = 2, 4, 8, … ids hold every multiple of 2^b/m below n,
+    # so no cyclic gap between them exceeds 2^b/m < 2n/m
+    order = []
 
+    def fan(residual, source, ends, cap):
+        order.append(source)
+        return 0
 
-def _stride_order(n: int) -> list[int]:
-    """0..n-1 as _connectivity decides them: steps of the first k from the
-    integer nearest 0.618·n whose k/n is in lowest terms with partial
-    quotients of at most 8 (else n - 1), wrapping at n."""
-    k = next(
-        (k for k in range(round(0.618 * n), n - 1) if math.gcd(k, n) == 1 and max(_quotients(k, n)) <= 8),
-        n - 1,
-    )
-    order, u = [], 0
-    for _ in range(n):
-        order.append(u)
-        u = (u + k) % n
-    return order
-
-
-def _assert_fans_follow_the_stride(g: Graph, calls) -> None:
-    # one fan per non-neighbor of v0, in the stride order; each asks for
-    # paths into v0, its neighbors and the earlier fans' sources, so u
-    # joins W after its own fan and before the next
-    v0 = min(range(g.n), key=g.degree)
-    joined = {v0, *g.neighbors(v0)}
-    fans = [(source, ends) for kind, source, _, _, ends in calls if kind == "fan"]
-    assert [source for source, _ in fans] == [u for u in _stride_order(g.n) if u not in joined]
-    for source, ends in fans:
-        assert ends == joined
-        joined.add(source)
-
-
-def test_stride_scatters_every_prefix():
-    for n in [*range(1, 300), 1000, 19284]:
-        order = _stride_order(n)
-        k = algorithms._stride(n)
-        assert order == [i * k % n for i in range(n)]
+    monkeypatch.setattr(algorithms, "_disjoint_paths", fan)
+    for n in [*range(1, 300), 1000, 19284, 65537]:
+        order[:] = [0]
+        assert _connectivity(Graph(n, [])) == 0
+        assert order == bit_reversed(n)
         assert sorted(order) == list(range(n))
-        # the first 2, 4, 8, … ids cut the cycle of ids into gaps within a
-        # factor 10 of each other (the three-gap theorem with quotients of
-        # at most 8). The integer nearest 0.618·n raised to the next
-        # coprime one reaches 48 at n = 1000 and 351 at n = 19284.
         m = 2
         while m <= n:
             ids = sorted(order[:m])
             gaps = [b - a for a, b in zip(ids, [*ids[1:], ids[0] + n])]
-            assert max(gaps) <= 10 * min(gaps)
+            assert max(gaps) <= 2 * n / m
             m *= 2
 
 
@@ -603,7 +578,7 @@ def test_connectivity_falls_back_to_a_flow(monkeypatch, g):
     for i, kind in enumerate(kinds):
         if kind == "flow":
             assert kinds[i - 1] == "fan" and calls[i - 1][2] < calls[i - 1][3]
-    _assert_fans_follow_the_stride(g, calls)
+    assert_fans_follow_bit_reversal(g, calls)
     assert kinds[-1] == "pair"
 
 
@@ -615,7 +590,7 @@ def test_connectivity_settles_a_squared_cycle_by_fans(monkeypatch):
     # neighbors 1, 2, 158, 159 at distance 3 or 4; no flow from v0 runs
     assert [kind for kind, *_ in calls] == ["fan"] * 155 + ["pair"] * 3
     assert all(found == cap == 4 for _, _, found, cap, _ in calls)
-    _assert_fans_follow_the_stride(g, calls)
+    assert_fans_follow_bit_reversal(g, calls)
     assert [source for _, source, *_ in calls[155:]] == [1, 2, 2]
 
 
@@ -654,12 +629,13 @@ def _residual_reads(monkeypatch, who: str, g: Graph) -> int:
 @pytest.mark.parametrize("who", ["algorithms", "oracle"])
 def test_connectivity_reads_grow_near_linearly_on_squared_cycles(monkeypatch, who):
     # a cost check without a clock: each doubling of C_n² multiplies the
-    # residual reads by 2.2-2.3 under the scattered orders, and by 4.0
-    # under id or breadth-first order, where every fan goes the long way
-    # round; the nearest coprime stride alone reads 3.8 times as much at
-    # 1000 as at 500
-    reads = [_residual_reads(monkeypatch, who, squared_cycle(n)) for n in (500, 1000, 2000)]
-    assert all(later < 2.6 * earlier for earlier, later in zip(reads, reads[1:]))
+    # residual reads by 2.2-2.3 in bit-reversal order, and by 4.0 in id or
+    # breadth-first order, where every fan goes the long way round. Right
+    # above a power of two the padded list of ids is nearly 2n long, and
+    # 1025 -> 2049 still reads 2.2 times as much
+    for orders in [(500, 1000, 2000), (1025, 2049)]:
+        reads = [_residual_reads(monkeypatch, who, squared_cycle(n)) for n in orders]
+        assert all(later < 2.6 * earlier for earlier, later in zip(reads, reads[1:]))
 
 
 def test_algorithms_borrow_only_these_oracle_names():

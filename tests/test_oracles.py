@@ -15,6 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_fans_follow_bit_reversal,
+    bit_reversed,
     brute_connectivity,
     connected_random_regular,
     four_regular_cut1,
@@ -266,19 +268,12 @@ def test_vertex_connectivity_matches_earlier_flow_code():
     assert set(kappas) >= {0, 1, 2, 3, 4, 5}
 
 
-def _bit_reversed(n: int) -> list[int]:
-    """0..n-1 as vertex_connectivity decides them: the b-bit strings in
-    counting order, each read backwards, for the fewest b that cover n."""
-    b = (n - 1).bit_length()
-    return [u for i in range(1 << b) if (u := int(f"{i:0{b}b}"[::-1], 2)) < n]
-
-
 def _far_half_last(g: Graph, far: set[int]) -> Graph:
     """g renamed so that the vertices of far take the ids that
-    _bit_reversed decides last, and the rest keep their id order."""
+    bit_reversed decides last, and the rest keep their id order."""
     old = [v for v in range(g.n) if v not in far] + sorted(far)
     ids = [0] * g.n
-    for v, u in zip(old, _bit_reversed(g.n)):
+    for v, u in zip(old, bit_reversed(g.n)):
         ids[v] = u
     return renamed(g, ids)
 
@@ -363,19 +358,6 @@ def _counted_fans(
     return calls
 
 
-def _assert_fans_follow_bit_reversal(g: Graph, calls) -> None:
-    # one fan per non-neighbor of v0, in bit-reversal order; each asks for
-    # paths into v0, its neighbors and the earlier fans' sources, so u is
-    # decided after its own fan and before the next
-    v0 = min(range(g.n), key=g.degree)
-    decided = {v0, *g.neighbors(v0)}
-    fans = [(src, ends) for kind, src, _, _, ends in calls if kind == "fan"]
-    assert [src for src, _ in fans] == [u for u in _bit_reversed(g.n) if u not in decided]
-    for src, ends in fans:
-        assert ends == decided
-        decided.add(src)
-
-
 def test_vertex_connectivity_flow_count(monkeypatch):
     g = squared_cycle(160)
     calls = _counted_fans(monkeypatch, g)
@@ -386,7 +368,7 @@ def test_vertex_connectivity_flow_count(monkeypatch):
     assert all(found == stop_at == 4 for _, _, found, stop_at, _ in calls)
     # the non-neighbors of 0 in bit-reversal order, then the non-adjacent
     # pairs of neighbors 1, 2, 158, 159 by their first member
-    _assert_fans_follow_bit_reversal(g, calls)
+    assert_fans_follow_bit_reversal(g, calls)
     fans = [src for _, src, *_ in calls[:155]]
     assert fans[:8] == [128, 64, 32, 96, 16, 144, 80, 48]
     # the decided set is spread around the cycle: once 16 ids are decided,
@@ -455,7 +437,7 @@ def test_vertex_connectivity_falls_back_to_a_flow(monkeypatch, g):
     for i, kind in enumerate(kinds):
         if kind == "flow":
             assert kinds[i - 1] == "fan" and calls[i - 1][2] < calls[i - 1][3]
-    _assert_fans_follow_bit_reversal(g, calls)
+    assert_fans_follow_bit_reversal(g, calls)
 
 
 # ---------------------------------------------------------- independent cutsets
