@@ -10,8 +10,11 @@ degree from the graph alone, before it is handed back.
 thm3 and thm4 take the vertex connectivity from this module's own fans
 and flows (_connectivity), code apart from the oracle's
 vertex_connectivity, so thm4's check of that value against the oracle's
-enumeration of minimum cutsets is a real second opinion. Likewise thm3 proposes its own squared-cycle order, from a walk
-along the cycle (_squared_cycle_walk), for the oracle to judge.
+enumeration of minimum cutsets is a real second opinion. Likewise thm3
+proposes its own squared-cycle order, from a walk along the cycle
+(_squared_cycle_walk), for the oracle to judge, and finds the last
+vertex of each candidate cutset by its own lowpoint pass
+(_last_cut_vertices), apart from the oracle's _cut_vertices.
 """
 
 from __future__ import annotations
@@ -470,6 +473,59 @@ def _splits_minimally(masks: list[int], alive: int, s: int) -> bool:
     return parts >= 2
 
 
+def _last_cut_vertices(adj: tuple[tuple[int, ...], ...], prefix: tuple[int, ...]) -> list[int]:
+    """The vertices d > max(prefix), in increasing order, with two or more
+    components in G - prefix - d, from the lowpoints of one iterative
+    depth-first pass over G - prefix (Hopcroft and Tarjan, "Efficient
+    algorithms for graph manipulation", CACM 1973).
+
+    The prefix, a tuple of distinct vertices, is marked in the pass's
+    arrays with an order above any the pass hands out, so it counts as
+    visited and never lowers a lowpoint. Each vertex keeps its parent and
+    its place in its own adjacency, so the pass needs no stack. G - prefix
+    - d has the components of G - prefix other than d's, plus the pieces
+    d's own component falls into: the part above d unless d is a root, and
+    each subtree of a child w from which no edge climbs above d, low[w] >=
+    order[d]."""
+    n = len(adj)
+    order, low, pieces, parent = [0] * n, [0] * n, [1] * n, [0] * n
+    edges: list = [None] * n
+    for p in prefix:
+        order[p] = n + 1
+    left = n - len(prefix)
+    t = trees = root = 0
+    while t < left:
+        root = order.index(0, root)
+        trees += 1
+        t += 1
+        order[root] = low[root] = t
+        pieces[root] = 0
+        v = root
+        it = edges[root] = iter(adj[root])
+        while True:
+            for w in it:
+                if not order[w]:
+                    t += 1
+                    order[w] = low[w] = t
+                    parent[w] = v
+                    v = w
+                    it = edges[w] = iter(adj[w])
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                if v == root:
+                    break
+                p = parent[v]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= order[p]:
+                    pieces[p] += 1
+                v = p
+                it = edges[p]
+    return [d for d in range(max(prefix, default=-1) + 1, n) if trees - 1 + pieces[d] >= 2]
+
+
 def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
     """Squared-cycle recognition or a minimal sparse cutset, for connected
     4-regular graphs with at least one neighborhood not inducing 2K2.
@@ -479,11 +535,20 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
     internal degree is strictly below 1. No set smaller than the
     connectivity κ separates, so the scan runs over sizes κ..4, with κ
     from a flow computed once the graph is known not to be a squared
-    cycle. Each set costs one pass over adjacency bitmasks: the induced
-    edge count, then one flood fill that tests minimality by the rule that
-    every component of G - S sees every vertex of S. Exhausting the scan
-    raises NoCutsetFound, a reported outcome covering orders below the
-    (unknown) threshold where the dichotomy kicks in.
+    cycle. A set of size k is its (k - 1)-prefix P and a last vertex
+    d > max(P), so the scan walks the prefixes in lexicographic order. A
+    prefix with twice its induced edge count at least k is skipped, since
+    a last vertex only adds edges. Otherwise one lowpoint pass over
+    G - P (_last_cut_vertices) names every d that leaves G - P - d in two
+    or more components; only those d can make a cutset, and each is
+    tested in increasing order, over adjacency bitmasks: the induced edge
+    count, then one flood fill that tests minimality by the rule that
+    every component of G - S sees every vertex of S. The sets skipped
+    cannot pass, and the rest come in the scan's order, so the answer is
+    the first set of a scan over every set, while a size costs
+    C(n, k - 1) passes of O(n + m) in place of C(n, k) flood fills.
+    Exhausting the scan raises NoCutsetFound, a reported outcome covering
+    orders below the (unknown) threshold where the dichotomy kicks in.
     """
     require_int(min_order, "theorem3_dichotomy: min_order")
     _require_connected(g, "theorem3_dichotomy")
@@ -504,23 +569,30 @@ def theorem3_dichotomy(g: Graph, min_order: int = 10) -> Certificate:
         cert = SquaredCycleIso(order=order)
         if verify_certificate(g, cert):
             return cert
-    masks = [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+    adj = tuple(map(g.neighbors, range(g.n)))
+    masks = [sum(1 << w for w in adj[v]) for v in range(g.n)]
     everyone = (1 << g.n) - 1
     for size in range(_connectivity(g), 5):
-        for combo in combinations(range(g.n), size):
-            s = sum(1 << v for v in combo)
+        # a last vertex d > max(P) needs max(P) <= n - 2
+        for prefix in combinations(range(g.n - 1), size - 1):
+            p = sum(1 << v for v in prefix)
             # twice the induced edge count, which must stay below |S|
-            if sum((masks[v] & s).bit_count() for v in combo) >= size:
+            inner = sum((masks[v] & p).bit_count() for v in prefix)
+            if inner >= size:
                 continue
-            if not _splits_minimally(masks, everyone & ~s, s):
-                continue
-            cert = GoodCutset(
-                cutset=combo,
-                size_bound=4,
-                avg_bound_strict=(1, 1),
-                require_minimal=True,
-            )
-            return _verified(g, cert)
+            for d in _last_cut_vertices(adj, prefix):
+                if inner + 2 * (masks[d] & p).bit_count() >= size:
+                    continue
+                s = p | 1 << d
+                if not _splits_minimally(masks, everyone & ~s, s):
+                    continue
+                cert = GoodCutset(
+                    cutset=(*prefix, d),
+                    size_bound=4,
+                    avg_bound_strict=(1, 1),
+                    require_minimal=True,
+                )
+                return _verified(g, cert)
     raise NoCutsetFound(
         "theorem3_dichotomy: no minimal cutset of order at most 4 with average "
         f"internal degree below 1 at order {g.n}; the order may be below the "

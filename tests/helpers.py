@@ -38,6 +38,26 @@ def union_find_components(n: int, edges, removed: set[int]) -> list[list[int]]:
     return sorted((sorted(c) for c in groups.values()), key=lambda c: c[0])
 
 
+def theorem3_subset_scan(g: Graph, kappa: int) -> tuple[int, ...] | None:
+    """theorem3_dichotomy's cutset branch as one test per set: the first
+    set of size kappa..4, by size and then lexicographically, that induces
+    fewer than |S|/2 edges and is an inclusion-minimal cutset, or None. S
+    is minimal when G - S has two or more components and each of them has
+    a neighbor at every vertex of S."""
+    edges = g.edges()
+    for size in range(kappa, 5):
+        for s in combinations(range(g.n), size):
+            inside = set(s)
+            if sum(len(inside.intersection(g.neighbors(v))) for v in s) >= size:
+                continue
+            comps = union_find_components(g.n, edges, inside)
+            if len(comps) >= 2 and all(
+                inside <= {w for x in comp for w in g.neighbors(x)} for comp in comps
+            ):
+                return s
+    return None
+
+
 def brute_connectivity(g: Graph) -> int:
     """Vertex connectivity by scanning separator sizes, smallest first."""
     n = g.n

@@ -472,6 +472,30 @@ def test_minimal_cutset_rule_matches_the_exhaustive_check():
     assert checked > 3000 and minimal > 50
 
 
+def test_last_cut_vertices_match_one_flood_fill_per_vertex():
+    # random prefixes P of random bounded-degree graphs; half of them hold
+    # a vertex's whole neighborhood, which leaves it isolated in G - P
+    rng = random.Random(5)
+    disconnected = isolated = 0
+    for _ in range(400):
+        g = bounded_degree_connected(rng.randint(1, 14), rng.randint(2, 5), rng)
+        prefix = set(rng.sample(range(g.n), rng.randint(0, min(3, g.n))))
+        if rng.random() < 0.5:
+            prefix |= set(g.neighbors(rng.randrange(g.n)))
+        prefix = tuple(sorted(prefix))
+        left = components(g, prefix)
+        disconnected += len(left) >= 2
+        isolated += any(len(comp) == 1 for comp in left)
+        want = [
+            d
+            for d in range(max(prefix, default=-1) + 1, g.n)
+            if len(components(g, prefix + (d,))) >= 2
+        ]
+        adj = tuple(map(g.neighbors, range(g.n)))
+        assert algorithms._last_cut_vertices(adj, prefix) == want, (g.edges(), prefix)
+    assert disconnected > 50 and isolated > 50
+
+
 def test_connectivity_flow_matches_the_oracle_on_four_regular_graphs():
     graphs = [four_regular_cut1(), four_regular_cut2(), four_regular_cut3()]
     graphs += [random_regular(n, 4, seed) for n in range(5, 61, 5) for seed in (0, 1)]

@@ -17,7 +17,16 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_connectivity, relabelled
+from helpers import (
+    brute_connectivity,
+    connected_random_regular,
+    four_regular_cut1,
+    four_regular_cut2,
+    four_regular_cut3,
+    four_regular_cut3_far_swap,
+    relabelled,
+    theorem3_subset_scan,
+)
 from sparsecut.algorithms import (
     _connectivity,
     _link_is,
@@ -246,6 +255,44 @@ def test_theorem3_matches_the_subset_scan_reference(g, min_order):
     # min_order 5 sends the small pieces through the cutset branch too
     got = _outcome(lambda h: theorem3_dichotomy(h, min_order=min_order), g)
     assert got == _outcome(lambda h: _theorem3_reference(h, min_order), g)
+
+
+def _theorem3_or_none(g: Graph):
+    try:
+        return theorem3_dichotomy(g, min_order=5)
+    except NoCutsetFound:
+        return None
+
+
+@given(
+    g=st.one_of(
+        st.builds(
+            lambda n, s: connected_random_regular(n, 4, s)[0],
+            st.integers(7, 32),
+            st.integers(0, 10**6),
+        ),
+        st.sampled_from(
+            [four_regular_cut1(), four_regular_cut2(), four_regular_cut3(), four_regular_cut3_far_swap()]
+        ),
+    ),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_theorem3_answers_as_the_scan_over_every_set(g, seed):
+    # the prefix scan tests only the last vertices that cut; the scan over
+    # every set, one test per set, must give the same first answer, or
+    # none, on g and on a relabelled copy
+    assume(not all(_link_is(g, v, 4, 1) for v in g.vertices()))
+    for h in (g, relabelled(g, seed)):
+        got = _theorem3_or_none(h)
+        if isinstance(got, SquaredCycleIso):
+            continue
+        want = theorem3_subset_scan(h, _connectivity(h))
+        assert got == (
+            None
+            if want is None
+            else GoodCutset(cutset=want, size_bound=4, avg_bound_strict=(1, 1), require_minimal=True)
+        )
 
 
 @st.composite
@@ -492,6 +539,21 @@ def test_relabelling_keeps_theorem3s_outcome(n, graph_seed, seed):
     assume(is_connected(g))
     first, second = _kinds(lambda h: theorem3_dichotomy(h, min_order=5), g, seed)
     assert first == second
+
+
+@given(n=st.sampled_from([100, 160]), graph_seed=st.integers(0, 10**6), seed=st.integers(0, 10**6))
+@settings(max_examples=8, deadline=None)
+def test_relabelling_keeps_theorem3s_cutset_size_past_the_oracle_cap(n, graph_seed, seed):
+    g, _ = connected_random_regular(n, 4, graph_seed)
+
+    def kind_and_size(h: Graph):
+        try:
+            out = theorem3_dichotomy(h)
+        except PreconditionError as exc:
+            return type(exc), 0
+        return type(out), len(getattr(out, "cutset", ()))
+
+    assert kind_and_size(relabelled(g, seed)) == kind_and_size(g)
 
 
 @given(g=st.one_of(sparse_connected(), pocketed_sparse()), seed=st.integers(0, 10**6))
