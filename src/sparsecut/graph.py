@@ -30,7 +30,7 @@ class Graph:
             raise GraphError(f"vertex count must be a non-negative int, got {n!r}")
         # kept whole, so that a refused one-shot iterator can still be named
         pairs = list(edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
+        adj: list = [[] for _ in range(n)]
         try:
             for u, v in pairs:
                 if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
@@ -39,19 +39,22 @@ class Graph:
                     raise ValueError
                 adj[u].append(v)
                 adj[v].append(u)
-            # a parallel edge repeats a neighbour, next to its twin once sorted
-            for a in adj:
+            # a parallel edge repeats a neighbour, next to its twin once sorted.
+            # Each list becomes its tuple in place, so the conversion makes
+            # no net container for the garbage collector to count
+            for i, a in enumerate(adj):
                 a.sort()
                 last = -1
                 for v in a:
                     if v == last:
                         raise ValueError
                     last = v
+                adj[i] = tuple(a)
         except (TypeError, ValueError):
             raise GraphError(_first_fault(n, pairs)) from None
         self.n = n
         self.m = len(pairs)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as sorted (u, v) pairs with u < v."""

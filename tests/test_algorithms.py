@@ -662,6 +662,15 @@ def test_connectivity_reads_grow_near_linearly_on_squared_cycles(monkeypatch, wh
         assert all(later < 2.6 * earlier for earlier, later in zip(reads, reads[1:]))
 
 
+def test_connectivity_settles_a_random_regular_graph_in_few_reads(monkeypatch):
+    # a cost check without a clock: on an expander nearly every call ends
+    # in the first phase's one search, which read 13 977 residual sets
+    # here; the augmenting searches alone read 108 603. The bound is a
+    # fifth of the latter
+    g = connected_random_regular(1000, 4, 1)[0]
+    assert _residual_reads(monkeypatch, "algorithms", g) <= 108_603 // 5
+
+
 def test_algorithms_borrow_only_these_oracle_names():
     # thm3 and thm4 take the connectivity from the algorithms' own flow, and
     # thm3 walks its squared cycle itself

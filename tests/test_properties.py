@@ -24,9 +24,11 @@ from helpers import (
     four_regular_cut2,
     four_regular_cut3,
     four_regular_cut3_far_swap,
+    reference_flow,
     relabelled,
     theorem3_subset_scan,
 )
+import sparsecut.algorithms as algorithms
 from sparsecut.algorithms import (
     _connectivity,
     _link_is,
@@ -344,6 +346,75 @@ def regular_or_planted_cut(draw) -> Graph:
 def test_connectivity_flow_matches_the_oracle_up_to_200(g):
     assert g.n <= 200
     assert _connectivity(g) == vertex_connectivity(g)
+
+
+@st.composite
+def paths_inputs(draw) -> tuple[Graph, int, frozenset[int]]:
+    """A graph on 2..14 vertices, a source s and a set of ends without s.
+
+    The graph is any simple graph, or two such graphs side by side, so
+    disconnected inputs come often. The ends are one of: a random set,
+    which may hold neighbors of s; a set that covers all of N(s); or
+    N(t) for a t other than s and not adjacent to it."""
+    pieces = draw(st.integers(1, 2))
+    sizes = [draw(st.integers(1, 14 // pieces)) for _ in range(pieces)]
+    edges = []
+    base = 0
+    for size in sizes:
+        pairs = [(base + a, base + b) for a, b in combinations(range(size), 2)]
+        edges += [e for e in pairs if draw(st.booleans())]
+        base += size
+    g = Graph(base, edges)
+    assume(g.n >= 2)
+    s = draw(st.integers(0, g.n - 1))
+    others = [v for v in g.vertices() if v != s]
+    mode = draw(st.sampled_from(["random", "cover", "neighbors"]))
+    if mode == "neighbors":
+        apart = [t for t in others if not g.has_edge(s, t)]
+        assume(apart)
+        ends = g.neighbor_set(draw(st.sampled_from(apart)))
+    else:
+        ends = frozenset(draw(st.lists(st.sampled_from(others), max_size=len(others))))
+        if mode == "cover":
+            ends |= g.neighbor_set(s)
+    return g, s, ends
+
+
+@given(case=paths_inputs())
+@settings(max_examples=300, deadline=None)
+def test_disjoint_paths_count_is_the_flow_into_the_ends(case):
+    g, s, ends = case
+    n = g.n
+    # the split network as _connectivity builds it
+    residual = [{n + v} for v in range(n)] + [set(g.neighbors(v)) for v in range(n)]
+    before = [set(arcs) for arcs in residual]
+    # paths to distinct ends that share only s are the paths to one new
+    # vertex joined to every end
+    joined = Graph(n + 1, [*g.edges(), *((v, n) for v in ends)])
+    full = reference_flow(joined, s, n, n)
+    for cap in range(n + 1):
+        assert algorithms._disjoint_paths(residual, s, ends, cap) == min(cap, full)
+        assert residual == before
+        branch, taken = algorithms._branch_ends(residual, s, ends, cap)
+        assert residual == before
+        # the first phase's branches are paths: each taken end is distinct,
+        # one of the ends, and joined to a neighbor of s inside its own
+        # branch, which holds no other end and not s
+        assert len(set(taken)) == len(taken) <= full
+        assert branch[s] == s
+        for e in taken:
+            root = branch[e]
+            members = {v for v, b in branch.items() if b == root and v != s}
+            assert e in ends and g.has_edge(s, root) and root in members
+            assert members & set(ends) == {e}
+            reached = {root}
+            stack = [root]
+            while stack:
+                for w in g.neighbors(stack.pop()):
+                    if w in members and w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            assert e in reached
 
 
 @st.composite
